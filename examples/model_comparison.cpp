@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--cache-file <path>] [--csv <path>] "
-                   "[--shard <i>/<N>[:policy]]\n",
+                   "[--shard <i>/<N>]\n",
                    argv[0]);
       return 2;
     }

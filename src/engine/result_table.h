@@ -120,8 +120,8 @@ class result_table {
 /// (engine/shard.h) into the unsharded table: rows are concatenated and
 /// ordered by their global scenario index, so the merged table's CSV and
 /// text renderings are byte-identical to the single-process run's —
-/// regardless of shard count, policy, or the order the shard tables are
-/// passed in.  Validates that the shards form an exact partition:
+/// regardless of shard count or the order the shard tables are passed
+/// in.  Validates that the shards form an exact partition:
 /// throws std::invalid_argument when a scenario index appears in more
 /// than one shard or is missing entirely (a dropped or truncated shard
 /// CSV must not merge into a silently smaller table).

@@ -256,8 +256,9 @@ sweep_result run_sweep(const scenario_context& context,
   // non-trivial shard spec only the chunks this shard owns run — whole
   // chunks, so the lockstep grouping inside the shard is exactly the
   // unsharded run's.
-  const std::vector<std::vector<std::size_t>> chunks = shard_chunks(
-      batch_sweep(scenarios, registry, options.batch_width), options.shard);
+  const std::vector<std::vector<std::size_t>> chunks =
+      shard_chunks(batch_sweep(scenarios, registry, options.batch_width),
+                   scenarios, options.shard);
 
   // Owned global indices (ascending) and the global→row-slot mapping.
   // Rows keep their global sweep index, so shard tables merge back into

@@ -5,8 +5,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cmath>
+#include <functional>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <queue>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -33,6 +36,54 @@ namespace {
                               " at position " + std::to_string(offset + 1) +
                               " in shard spec '" + spec + "'\n" +
                               shard_spec_grammar());
+}
+
+/// What one calibrate scenario costs, in solves of the same lane.  On
+/// the comparison sweep (dl_shard --sweep comparison, coarse_steps 3,
+/// one thread) the 24 calibrate and calibrate-spatial scenarios took a
+/// median 287 times their scheme/grid/domain's preset solve (82–928).
+/// The plan is insensitive to the exact figure: multipliers from 30 to
+/// 3000 gave slowest shards within 3% of each other there.
+constexpr std::uint64_t kCalibrationSolves = 300;
+
+/// The owning shard of every chunk: LPT over the summed scenario_cost
+/// of each chunk's lanes.  Plain uint64 sums: even a wrapped total is
+/// the same in every worker, so the plan stays exact.
+std::vector<std::size_t> chunk_owners(
+    const std::vector<std::vector<std::size_t>>& chunks,
+    std::span<const scenario> scenarios, std::size_t shard_count) {
+  std::vector<std::uint64_t> cost(chunks.size(), 0);
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    for (const std::size_t i : chunks[c]) {
+      if (i >= scenarios.size())
+        throw std::invalid_argument(
+            "shard_chunks: chunk member " + std::to_string(i) +
+            " out of range for " + std::to_string(scenarios.size()) +
+            " scenarios");
+      cost[c] += scenario_cost(scenarios[i]);
+    }
+  }
+  // Costliest first; stable, so equal costs keep ascending chunk order.
+  std::vector<std::size_t> order(chunks.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
+  // Min-heap of (load, shard): the least-loaded shard, lowest index on a
+  // tie.  Shards past the chunk count would only ever stay empty.
+  using load = std::pair<std::uint64_t, std::size_t>;
+  std::priority_queue<load, std::vector<load>, std::greater<>> shards;
+  for (std::size_t s = 0; s < std::min(shard_count, chunks.size()); ++s)
+    shards.emplace(0, s);
+  std::vector<std::size_t> owner(chunks.size(), 0);
+  for (const std::size_t c : order) {
+    const auto [total, s] = shards.top();
+    shards.pop();
+    owner[c] = s;
+    shards.emplace(total + cost[c], s);
+  }
+  return owner;
 }
 
 std::size_t parse_shard_size(std::string_view text, const std::string& spec,
@@ -220,19 +271,14 @@ void shard_spec::validate() const {
 }
 
 std::string shard_spec::label() const {
-  std::string out = std::to_string(index) + "/" + std::to_string(count);
-  if (policy == shard_policy::strided) out += ":strided";
-  return out;
+  return std::to_string(index) + "/" + std::to_string(count);
 }
 
 const std::string& shard_spec_grammar() {
   static const std::string grammar =
-      "accepted shard spec forms:\n"
-      "  <i>/<N>             shard i of N (0-based, 0 <= i < N), contiguous "
-      "chunk ranges\n"
-      "  <i>/<N>:contiguous  the contiguous policy, spelled out\n"
-      "  <i>/<N>:strided     round-robin chunk assignment (chunk c -> shard "
-      "c mod N)";
+      "accepted shard spec form:\n"
+      "  <i>/<N>  shard i of N (0-based, 0 <= i < N); chunks are "
+      "cost-balanced across the N shards";
   return grammar;
 }
 
@@ -241,17 +287,13 @@ shard_spec parse_shard_spec(const std::string& spec) {
   const std::size_t slash = spec.find('/');
   if (slash == std::string::npos)
     bad_shard_spec(spec, "missing '/' between shard index and count");
-  const std::size_t colon = spec.find(':', slash + 1);
   const std::string_view text(spec);
 
   shard_spec shard;
   shard.index =
       parse_shard_size(text.substr(0, slash), spec, "shard index", 0);
-  const std::size_t count_end =
-      (colon == std::string::npos ? spec.size() : colon);
-  shard.count = parse_shard_size(
-      text.substr(slash + 1, count_end - slash - 1), spec, "shard count",
-      slash + 1);
+  shard.count = parse_shard_size(text.substr(slash + 1), spec,
+                                 "shard count", slash + 1);
   if (shard.count == 0)
     bad_shard_spec(spec, "shard count must be positive", slash + 1);
   if (shard.index >= shard.count)
@@ -259,38 +301,44 @@ shard_spec parse_shard_spec(const std::string& spec) {
                    "shard index " + std::to_string(shard.index) +
                        " out of range for " + std::to_string(shard.count) +
                        " shards");
-  if (colon != std::string::npos) {
-    const std::string_view policy = text.substr(colon + 1);
-    if (policy == "contiguous") {
-      shard.policy = shard_policy::contiguous;
-    } else if (policy == "strided") {
-      shard.policy = shard_policy::strided;
-    } else {
-      bad_shard_spec(spec,
-                     "unknown shard policy '" + std::string(policy) + "'",
-                     colon + 1);
-    }
-  }
   return shard;
+}
+
+std::uint64_t scenario_cost(const scenario& sc) {
+  if (sc.points_per_unit == 0) return 1;  // no grid: a closed form
+  // An unparsable domain fails its own scenario inside run_sweep, with
+  // the scenario named; here it merely counts as one block.
+  std::size_t blocks = 1;
+  try {
+    blocks = make_domain(sc.domain).blocks(sc.points_per_unit);
+  } catch (const std::invalid_argument&) {
+  }
+  // A huge or NaN step count must not reach the integer cast; past
+  // that, plain uint64 arithmetic (a wrapped cost is still the same in
+  // every worker).
+  std::uint64_t steps = 1;
+  if (sc.dt > 0.0) {
+    const double exact_steps = (sc.t_end - sc.t0) / sc.dt;
+    if (exact_steps > 1.0)
+      steps = exact_steps < 0x1p62
+                  ? static_cast<std::uint64_t>(std::ceil(exact_steps))
+                  : std::uint64_t{1} << 62;
+  }
+  std::uint64_t cost = std::uint64_t{sc.points_per_unit} * blocks * steps;
+  if (is_calibrate_spec(sc.rate)) cost *= kCalibrationSolves;
+  return std::max<std::uint64_t>(cost, 1);
 }
 
 std::vector<std::vector<std::size_t>> shard_chunks(
     const std::vector<std::vector<std::size_t>>& chunks,
-    const shard_spec& shard) {
+    std::span<const scenario> scenarios, const shard_spec& shard) {
   shard.validate();
   if (shard.is_all()) return chunks;
-  std::size_t total = 0;
-  for (const std::vector<std::size_t>& chunk : chunks) total += chunk.size();
+  const std::vector<std::size_t> owner =
+      chunk_owners(chunks, scenarios, shard.count);
   std::vector<std::vector<std::size_t>> mine;
-  if (total == 0) return mine;
-  std::size_t offset = 0;  // cumulative scenario count before this chunk
-  for (std::size_t c = 0; c < chunks.size(); ++c) {
-    const std::size_t owner = shard.policy == shard_policy::strided
-                                  ? c % shard.count
-                                  : offset * shard.count / total;
-    if (owner == shard.index) mine.push_back(chunks[c]);
-    offset += chunks[c].size();
-  }
+  for (std::size_t c = 0; c < chunks.size(); ++c)
+    if (owner[c] == shard.index) mine.push_back(chunks[c]);
   return mine;
 }
 
@@ -298,8 +346,8 @@ std::vector<std::size_t> shard_scenarios(std::span<const scenario> scenarios,
                                          const shard_spec& shard,
                                          const model_registry& registry,
                                          std::size_t batch_width) {
-  const std::vector<std::vector<std::size_t>> mine =
-      shard_chunks(batch_sweep(scenarios, registry, batch_width), shard);
+  const std::vector<std::vector<std::size_t>> mine = shard_chunks(
+      batch_sweep(scenarios, registry, batch_width), scenarios, shard);
   std::vector<std::size_t> owned;
   for (const std::vector<std::size_t>& chunk : mine)
     owned.insert(owned.end(), chunk.begin(), chunk.end());

@@ -14,19 +14,22 @@
 // exactly the grouping the unsharded run would have used and per-lane
 // traces stay bitwise identical.
 //
-//   contiguous (default) — a chunk starting at cumulative scenario
-//     offset p of S total goes to shard floor(p·N / S): shards own
-//     runs of consecutive chunks, balanced by scenario count.
-//   strided — chunk c goes to shard c mod N: round-robin over the
-//     chunk list, interleaving expensive scenario regions (calibrate
-//     blocks) across shards.
+// Chunks are assigned longest-processing-time-first (LPT) over a static
+// per-chunk cost, the sum of scenario_cost over its lanes: chunks sorted
+// by cost, descending (ties: lower chunk index first), each handed to
+// the currently least-loaded shard (ties: lower shard index).  The
+// heaviest shard carries at most total/N plus one chunk's cost, and
+// with at least N chunks every shard owns one.
 //
-// Either policy covers every chunk exactly once; which one merely
-// trades locality against load balance, and the merged output is
-// byte-identical regardless.
+// Every worker process computes the partition on its own, so the cost
+// is a pure integer function of the expanded scenario list — no timing,
+// no floating-point sums whose order could differ — and every chunk is
+// covered exactly once, so the merged output is byte-identical to the
+// unsharded run's.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,14 +40,11 @@
 
 namespace dlm::engine {
 
-enum class shard_policy { contiguous, strided };
-
 /// One shard of an N-way sweep partition.  The default (0 of 1) owns
 /// everything — sharding off.
 struct shard_spec {
   std::size_t index = 0;
   std::size_t count = 1;
-  shard_policy policy = shard_policy::contiguous;
 
   /// True when this spec is the whole sweep (no partitioning).
   [[nodiscard]] bool is_all() const noexcept { return count <= 1; }
@@ -52,30 +52,38 @@ struct shard_spec {
   /// Throws std::invalid_argument unless 0 <= index < count.
   void validate() const;
 
-  /// Canonical "i/N[:strided]" rendering (contiguous stays implicit).
+  /// Canonical "i/N" rendering; parse_shard_spec(label()) == *this.
   [[nodiscard]] std::string label() const;
 
   bool operator==(const shard_spec&) const = default;
 };
 
-/// The accepted forms of a textual shard spec, one per line — appended
-/// verbatim to every parse_shard_spec rejection.
+/// The accepted form of a textual shard spec — appended verbatim to
+/// every parse_shard_spec rejection.
 [[nodiscard]] const std::string& shard_spec_grammar();
 
-/// Parses "i/N", "i/N:contiguous" or "i/N:strided" (0-based shard index,
-/// 0 <= i < N).  Rejections follow the make_rate/make_domain style: the
-/// reason, the offending token's 1-based character position, the spec
-/// verbatim, and the grammar above.
+/// Parses "i/N" (0-based shard index, 0 <= i < N).  Rejections follow
+/// the make_rate/make_domain style: the reason, the offending token's
+/// 1-based character position, the spec verbatim, and the grammar above.
 [[nodiscard]] shard_spec parse_shard_spec(const std::string& spec);
 
-/// Selects the batch_sweep chunks `shard` owns, preserving chunk order
-/// and content.  The S in the contiguous policy's floor(p·N / S) is the
-/// total scenario count summed over `chunks` (batch_sweep chunks
-/// partition the sweep exactly).  Across shards 0..N−1 every chunk is
-/// returned exactly once; shard 0 of 1 returns `chunks` unchanged.
+/// Static work estimate of one scenario for the shard partition: grid
+/// nodes × time steps, where nodes = points_per_unit ×
+/// core::domain::blocks(points_per_unit) and steps = ⌈(t_end − t0)/dt⌉
+/// (1 when dt is not positive), times a flat 300 solves for every
+/// "calibrate" rate spec.  A model without a grid (points_per_unit 0, as
+/// expand_sweep records it) costs 1; every cost is at least 1.
+[[nodiscard]] std::uint64_t scenario_cost(const scenario& sc);
+
+/// Selects the batch_sweep chunks `shard` owns, in ascending chunk order
+/// with content untouched.  `scenarios` is the list the chunks index
+/// into; the partition costs each chunk from it.  Across shards 0..N−1
+/// every chunk is returned exactly once; shard 0 of 1 returns `chunks`
+/// unchanged.  Throws std::invalid_argument when a chunk member lies
+/// outside `scenarios`.
 [[nodiscard]] std::vector<std::vector<std::size_t>> shard_chunks(
     const std::vector<std::vector<std::size_t>>& chunks,
-    const shard_spec& shard);
+    std::span<const scenario> scenarios, const shard_spec& shard);
 
 /// Convenience: the ascending global scenario indices `shard` owns, via
 /// batch_sweep + shard_chunks (`batch_width` as in runner_options; the

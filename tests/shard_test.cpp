@@ -4,27 +4,33 @@
 // running each shard independently (each with its own solve cache) and
 // recombining through merge_tables / merge_cache_files reproduces the
 // unsharded run *exactly* — CSV bytes, text-table bytes and the
-// serialized cache file — for any shard count, either policy and any
-// merge order.  These tests pin that contract in-process (run_sweep
-// with runner_options::shard), over the wire (run_shard_remote against
-// a resident dl_service) and at the seams: spec parsing rejections,
-// overlap/gap detection in the merge, empty shards, bitwise conflict
-// counting and the loud-failure path for an unwritable cache file.
+// serialized cache file — for any shard count and any merge order.
+// These tests pin that contract in-process (run_sweep with
+// runner_options::shard), over the wire (run_shard_remote against a
+// resident dl_service), through the real dl_shard driver and at the
+// seams: spec parsing rejections, overlap/gap detection in the merge,
+// empty shards, bitwise conflict counting and the loud-failure path for
+// an unwritable cache file.
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/dl_model.h"
 #include "engine/cache_io.h"
+#include "engine/format.h"
 #include "engine/result_table.h"
 #include "engine/scenario_runner.h"
 #include "engine/service.h"
@@ -34,7 +40,6 @@
 namespace {
 
 using namespace dlm;
-using engine::shard_policy;
 using engine::shard_spec;
 
 /// The self-consistent synthetic DL surface the persistence tests use:
@@ -86,19 +91,19 @@ std::string stable_text(const engine::result_table& table) {
 
 // ------------------------------------------------------------- parsing
 
-TEST(ShardSpec, ParsesEveryAcceptedForm) {
-  EXPECT_EQ(engine::parse_shard_spec("0/1"),
-            (shard_spec{0, 1, shard_policy::contiguous}));
-  EXPECT_EQ(engine::parse_shard_spec("2/5"),
-            (shard_spec{2, 5, shard_policy::contiguous}));
-  EXPECT_EQ(engine::parse_shard_spec("0/3:contiguous"),
-            (shard_spec{0, 3, shard_policy::contiguous}));
-  EXPECT_EQ(engine::parse_shard_spec("1/4:strided"),
-            (shard_spec{1, 4, shard_policy::strided}));
-  EXPECT_EQ(engine::parse_shard_spec("1/4:strided").label(), "1/4:strided");
-  EXPECT_EQ(engine::parse_shard_spec("0/1").label(), "0/1");
+TEST(ShardSpec, ParsesTheAcceptedForm) {
+  EXPECT_EQ(engine::parse_shard_spec("0/1"), (shard_spec{0, 1}));
+  EXPECT_EQ(engine::parse_shard_spec("2/5"), (shard_spec{2, 5}));
   EXPECT_TRUE(engine::parse_shard_spec("0/1").is_all());
   EXPECT_FALSE(engine::parse_shard_spec("0/2").is_all());
+}
+
+TEST(ShardSpec, LabelRoundTripsThroughTheParser) {
+  for (const char* spec : {"0/1", "1/4", "3/8", "2/3"}) {
+    const shard_spec parsed = engine::parse_shard_spec(spec);
+    EXPECT_EQ(parsed.label(), spec);
+    EXPECT_EQ(engine::parse_shard_spec(parsed.label()), parsed) << spec;
+  }
 }
 
 /// Rejections carry the 1-based position, the spec verbatim and the
@@ -116,7 +121,10 @@ TEST(ShardSpec, RejectionsNameThePositionSpecAndGrammar) {
       {"1/y", "", "at position 3"},
       {"1/0", "shard count must be positive", "at position 3"},
       {"2/2", "out of range", "at position 1"},
-      {"0/2:weird", "unknown shard policy 'weird'", "at position 5"},
+      // No policy suffix is accepted: there is one plan.
+      {"0/2:contiguous", "bad shard count '2:contiguous'", "at position 3"},
+      {"0/2:strided", "bad shard count '2:strided'", "at position 3"},
+      {"0/2:balanced", "bad shard count '2:balanced'", "at position 3"},
   };
   for (const auto& c : cases) {
     try {
@@ -127,7 +135,7 @@ TEST(ShardSpec, RejectionsNameThePositionSpecAndGrammar) {
       EXPECT_NE(what.find(c.position), std::string::npos) << what;
       EXPECT_NE(what.find("'" + std::string(c.spec) + "'"), std::string::npos)
           << what;
-      EXPECT_NE(what.find("accepted shard spec forms:"), std::string::npos)
+      EXPECT_NE(what.find("accepted shard spec form:"), std::string::npos)
           << what;
       if (*c.reason != '\0') {
         EXPECT_NE(what.find(c.reason), std::string::npos) << what;
@@ -144,9 +152,31 @@ TEST(ShardSpec, ValidateRejectsZeroCountAndOutOfRangeIndex) {
 
 // ----------------------------------------------------------- the plan
 
-/// Both policies must partition the chunk list: every chunk assigned to
-/// exactly one shard, member order untouched.
-TEST(ShardChunks, EveryPolicyPartitionsTheChunkList) {
+/// The chunk indices (positions in `chunks`) that `mine` selected.
+std::vector<std::size_t> chunk_positions(
+    const std::vector<std::vector<std::size_t>>& chunks,
+    const std::vector<std::vector<std::size_t>>& mine) {
+  std::vector<std::size_t> positions;
+  for (const std::vector<std::size_t>& chunk : mine) {
+    const auto it = std::find(chunks.begin(), chunks.end(), chunk);
+    EXPECT_NE(it, chunks.end()) << "a shard owns a chunk that was re-split";
+    positions.push_back(static_cast<std::size_t>(it - chunks.begin()));
+  }
+  return positions;
+}
+
+std::uint64_t chunk_cost(const std::vector<std::size_t>& chunk,
+                         const std::vector<engine::scenario>& scenarios) {
+  std::uint64_t cost = 0;
+  for (const std::size_t i : chunk) cost += engine::scenario_cost(scenarios[i]);
+  return cost;
+}
+
+/// The plan must partition the chunk list: every chunk assigned to
+/// exactly one shard, whole, in ascending chunk order within its shard,
+/// and the same assignment on every call (each worker process computes
+/// it independently).
+TEST(ShardChunks, PartitionsTheChunkList) {
   const engine::scenario_context ctx = make_context();
   const std::vector<engine::scenario> scenarios =
       engine::expand_sweep(make_spec(), ctx);
@@ -154,54 +184,141 @@ TEST(ShardChunks, EveryPolicyPartitionsTheChunkList) {
       engine::batch_sweep(scenarios);
   ASSERT_GT(chunks.size(), 1u);
 
-  for (const shard_policy policy :
-       {shard_policy::contiguous, shard_policy::strided}) {
-    for (const std::size_t n : {2u, 3u, 8u}) {
-      std::vector<std::size_t> covered;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::vector<std::vector<std::size_t>> mine =
-            engine::shard_chunks(chunks, shard_spec{i, n, policy});
-        for (const std::vector<std::size_t>& chunk : mine) {
-          // Assigned chunks are the original chunks, not re-splits.
-          EXPECT_NE(std::find(chunks.begin(), chunks.end(), chunk),
-                    chunks.end());
-          covered.insert(covered.end(), chunk.begin(), chunk.end());
-        }
-      }
-      std::sort(covered.begin(), covered.end());
-      std::vector<std::size_t> expected(scenarios.size());
-      std::iota(expected.begin(), expected.end(), 0u);
-      EXPECT_EQ(covered, expected)
-          << "policy " << (policy == shard_policy::strided ? "strided"
-                                                           : "contiguous")
-          << ", n=" << n;
+  for (const std::size_t n : {2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<std::size_t> covered;
+    for (std::size_t i = 0; i < n; ++i) {
+      const shard_spec shard{i, n};
+      const std::vector<std::vector<std::size_t>> mine =
+          engine::shard_chunks(chunks, scenarios, shard);
+      EXPECT_EQ(engine::shard_chunks(chunks, scenarios, shard), mine);
+      const std::vector<std::size_t> positions = chunk_positions(chunks, mine);
+      EXPECT_TRUE(std::is_sorted(positions.begin(), positions.end()));
+      for (const std::vector<std::size_t>& chunk : mine)
+        covered.insert(covered.end(), chunk.begin(), chunk.end());
     }
+    std::sort(covered.begin(), covered.end());
+    std::vector<std::size_t> expected(scenarios.size());
+    std::iota(expected.begin(), expected.end(), 0u);
+    EXPECT_EQ(covered, expected);
   }
 }
 
 TEST(ShardChunks, ShardZeroOfOneIsTheIdentity) {
   const engine::scenario_context ctx = make_context();
+  const std::vector<engine::scenario> scenarios =
+      engine::expand_sweep(make_spec(), ctx);
   const std::vector<std::vector<std::size_t>> chunks =
-      engine::batch_sweep(engine::expand_sweep(make_spec(), ctx));
-  EXPECT_EQ(engine::shard_chunks(chunks, shard_spec{0, 1}), chunks);
+      engine::batch_sweep(scenarios);
+  EXPECT_EQ(engine::shard_chunks(chunks, scenarios, shard_spec{0, 1}),
+            chunks);
 }
 
-TEST(ShardChunks, StridedAssignsChunksRoundRobin) {
+/// The LPT guarantee: no shard carries more than its fair share plus one
+/// chunk, and with at least N chunks no shard is left empty (CI's
+/// `--fault crash:worker1@chunk0` drill depends on worker 1 owning a
+/// chunk).
+TEST(ShardChunks, MeetsTheLptBoundAndFillsEveryShard) {
   const engine::scenario_context ctx = make_context();
+  const std::vector<engine::scenario> scenarios =
+      engine::expand_sweep(make_spec(), ctx);
   const std::vector<std::vector<std::size_t>> chunks =
-      engine::batch_sweep(engine::expand_sweep(make_spec(), ctx));
-  const std::size_t n = 3;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<std::vector<std::size_t>> mine = engine::shard_chunks(
-        chunks, shard_spec{i, n, shard_policy::strided});
-    std::size_t expected = 0;
-    for (std::size_t c = 0; c < chunks.size(); ++c)
-      if (c % n == i) {
-        ASSERT_LT(expected, mine.size());
-        EXPECT_EQ(mine[expected++], chunks[c]);
-      }
-    EXPECT_EQ(expected, mine.size());
+      engine::batch_sweep(scenarios);
+  std::uint64_t total = 0;
+  std::uint64_t max_chunk = 0;
+  for (const std::vector<std::size_t>& chunk : chunks) {
+    total += chunk_cost(chunk, scenarios);
+    max_chunk = std::max(max_chunk, chunk_cost(chunk, scenarios));
   }
+  for (const std::size_t n : {2u, 3u, 4u, 8u}) {
+    ASSERT_GE(chunks.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<std::vector<std::size_t>> mine =
+          engine::shard_chunks(chunks, scenarios, shard_spec{i, n});
+      EXPECT_FALSE(mine.empty()) << "shard " << i << " of " << n;
+      std::uint64_t load = 0;
+      for (const std::vector<std::size_t>& chunk : mine)
+        load += chunk_cost(chunk, scenarios);
+      EXPECT_LE(static_cast<double>(load),
+                static_cast<double>(total) / static_cast<double>(n) +
+                    static_cast<double>(max_chunk))
+          << "shard " << i << " of " << n;
+    }
+  }
+}
+
+/// dl_shard's bench sweep — grids 80/160/320 × 512 constant rates in
+/// chunks of 8 lanes — is what a count-based split skews: the plan keeps
+/// every shard within 5% of the mean cost.
+TEST(ShardChunks, EvensOutTheBenchSweep) {
+  const engine::scenario_context ctx = make_context("bench");
+  engine::sweep_spec spec;
+  spec.models = {"dl"};
+  spec.grid = {80, 160, 320};
+  for (std::size_t k = 0; k < 512; ++k)
+    spec.rates.push_back("constant:" +
+                         engine::format_full_precision(
+                             0.05 + 0.0025 * static_cast<double>(k)));
+  const std::vector<engine::scenario> scenarios =
+      engine::expand_sweep(spec, ctx);
+  const std::vector<std::vector<std::size_t>> chunks =
+      engine::batch_sweep(scenarios, engine::default_registry(), 8);
+  for (const std::size_t n : {2u, 4u, 8u}) {
+    std::vector<std::uint64_t> loads;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::uint64_t load = 0;
+      for (const std::vector<std::size_t>& chunk :
+           engine::shard_chunks(chunks, scenarios, shard_spec{i, n}))
+        load += chunk_cost(chunk, scenarios);
+      loads.push_back(load);
+    }
+    const double mean =
+        static_cast<double>(std::accumulate(loads.begin(), loads.end(),
+                                            std::uint64_t{0})) /
+        static_cast<double>(n);
+    const double worst =
+        static_cast<double>(*std::max_element(loads.begin(), loads.end()));
+    EXPECT_LE(worst / mean, 1.05) << "n=" << n;
+  }
+}
+
+/// The estimator ranks work the way the solver spends it: finer grids,
+/// more domain blocks, more steps and calibration all cost more; every
+/// calibrate form costs the same flat 300 solves, and a model without a
+/// grid costs the floor of 1.
+TEST(ScenarioCost, GrowsWithGridDomainAndCalibration) {
+  engine::scenario base;
+  base.points_per_unit = 80;
+  engine::scenario fine = base;
+  fine.points_per_unit = 320;
+  EXPECT_GT(engine::scenario_cost(fine), engine::scenario_cost(base));
+
+  engine::scenario sheet = base;
+  sheet.domain = "grid2d:1,4";
+  EXPECT_GT(engine::scenario_cost(sheet), engine::scenario_cost(base));
+  engine::scenario communities = base;
+  communities.domain = "comm:3|mix=0.05";
+  EXPECT_GT(engine::scenario_cost(communities), engine::scenario_cost(base));
+
+  for (const char* rate : {"calibrate", "calibrate-spatial",
+                           "calibrate-fixed:3"}) {
+    engine::scenario calibrated = base;
+    calibrated.rate = rate;
+    EXPECT_EQ(engine::scenario_cost(calibrated),
+              300 * engine::scenario_cost(base))
+        << rate;
+  }
+
+  engine::scenario longer = base;
+  longer.t_end = 12.0;
+  EXPECT_GT(engine::scenario_cost(longer), engine::scenario_cost(base));
+
+  engine::scenario gridless = base;
+  gridless.points_per_unit = 0;
+  EXPECT_EQ(engine::scenario_cost(gridless), 1u);
+  engine::scenario no_dt = base;
+  no_dt.dt = 0.0;
+  EXPECT_EQ(engine::scenario_cost(no_dt), 80u);  // one step
 }
 
 // ----------------------------------------------- byte-identical merge
@@ -215,13 +332,13 @@ struct shard_outputs {
 /// own fresh solve cache — exactly what N worker processes do.
 shard_outputs run_shards(const engine::scenario_context& ctx,
                          const std::vector<engine::scenario>& scenarios,
-                         std::size_t n, shard_policy policy) {
+                         std::size_t n) {
   shard_outputs out;
   for (std::size_t i = 0; i < n; ++i) {
     engine::solve_cache cache;
     engine::runner_options options;
     options.threads = 1;
-    options.shard = shard_spec{i, n, policy};
+    options.shard = shard_spec{i, n};
     options.cache = &cache;
     out.tables.push_back(engine::run_sweep(ctx, scenarios, options).table);
     out.cache_bytes.push_back(engine::serialize_cache(cache));
@@ -245,52 +362,47 @@ TEST(ShardedSweep, MergedShardsReproduceTheUnshardedBytes) {
   const std::string full_cache_bytes = engine::serialize_cache(full_cache);
 
   const std::filesystem::path dir = std::filesystem::temp_directory_path();
-  for (const shard_policy policy :
-       {shard_policy::contiguous, shard_policy::strided}) {
-    for (const std::size_t n : {2u, 3u, 8u}) {
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   (policy == shard_policy::strided ? " strided"
-                                                    : " contiguous"));
-      const shard_outputs shards = run_shards(ctx, scenarios, n, policy);
+  for (const std::size_t n : {2u, 3u, 4u, 8u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const shard_outputs shards = run_shards(ctx, scenarios, n);
 
-      // Tables merge to the unsharded CSV *and* text bytes — in
-      // reversed pass order, because merge order must not matter.
-      std::vector<engine::result_table> reversed(shards.tables.rbegin(),
-                                                 shards.tables.rend());
-      const engine::result_table merged = engine::merge_tables(reversed);
-      EXPECT_EQ(merged.to_csv(), full_csv);
-      EXPECT_EQ(stable_text(merged), full_text);
+    // Tables merge to the unsharded CSV *and* text bytes — in
+    // reversed pass order, because merge order must not matter.
+    std::vector<engine::result_table> reversed(shards.tables.rbegin(),
+                                               shards.tables.rend());
+    const engine::result_table merged = engine::merge_tables(reversed);
+    EXPECT_EQ(merged.to_csv(), full_csv);
+    EXPECT_EQ(stable_text(merged), full_text);
 
-      // Shard cache files merge to the unsharded cache file bytes.
-      std::vector<std::filesystem::path> files;
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::filesystem::path path = temp_path(
-            "merge_" + std::to_string(n) + "_" + std::to_string(i) + ".cache");
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out << shards.cache_bytes[i];
-        ASSERT_TRUE(out.good());
-        files.push_back(path);
-      }
-      engine::solve_cache merged_cache;
-      const engine::cache_merge_result report =
-          engine::merge_cache_files(merged_cache, files);
-      EXPECT_EQ(report.conflicts, 0u);
-      EXPECT_EQ(engine::serialize_cache(merged_cache), full_cache_bytes);
-
-      // And the merged cache is *usable*: loaded back, the whole sweep
-      // replays warm — zero new misses, identical CSV.
-      const engine::cache_stats before = merged_cache.stats();
-      engine::runner_options warm;
-      warm.threads = 1;
-      warm.cache = &merged_cache;
-      const engine::result_table replay =
-          engine::run_sweep(ctx, scenarios, warm).table;
-      EXPECT_EQ(replay.to_csv(), full_csv);
-      EXPECT_EQ(merged_cache.stats().misses, before.misses);
-
-      for (const std::filesystem::path& path : files)
-        std::filesystem::remove(path);
+    // Shard cache files merge to the unsharded cache file bytes.
+    std::vector<std::filesystem::path> files;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::filesystem::path path = temp_path(
+          "merge_" + std::to_string(n) + "_" + std::to_string(i) + ".cache");
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << shards.cache_bytes[i];
+      ASSERT_TRUE(out.good());
+      files.push_back(path);
     }
+    engine::solve_cache merged_cache;
+    const engine::cache_merge_result report =
+        engine::merge_cache_files(merged_cache, files);
+    EXPECT_EQ(report.conflicts, 0u);
+    EXPECT_EQ(engine::serialize_cache(merged_cache), full_cache_bytes);
+
+    // And the merged cache is *usable*: loaded back, the whole sweep
+    // replays warm — zero new misses, identical CSV.
+    const engine::cache_stats before = merged_cache.stats();
+    engine::runner_options warm;
+    warm.threads = 1;
+    warm.cache = &merged_cache;
+    const engine::result_table replay =
+        engine::run_sweep(ctx, scenarios, warm).table;
+    EXPECT_EQ(replay.to_csv(), full_csv);
+    EXPECT_EQ(merged_cache.stats().misses, before.misses);
+
+    for (const std::filesystem::path& path : files)
+      std::filesystem::remove(path);
   }
 }
 
@@ -309,7 +421,7 @@ TEST(ShardedSweep, MoreShardsThanChunksLeavesTrailingShardsEmpty) {
       engine::run_sweep(ctx, scenarios, options).table.to_csv();
 
   const shard_outputs shards =
-      run_shards(ctx, scenarios, 8, shard_policy::contiguous);
+      run_shards(ctx, scenarios, 8);
   std::size_t empty = 0;
   for (const engine::result_table& table : shards.tables)
     if (table.size() == 0) ++empty;
@@ -334,7 +446,7 @@ TEST(MergeTables, RejectsOverlapNamesTheDuplicateIndex) {
   const std::vector<engine::scenario> scenarios =
       engine::expand_sweep(make_spec(), ctx);
   const shard_outputs shards =
-      run_shards(ctx, scenarios, 2, shard_policy::contiguous);
+      run_shards(ctx, scenarios, 2);
 
   const std::vector<engine::result_table> overlapping = {
       shards.tables[0], shards.tables[0], shards.tables[1]};
@@ -353,11 +465,14 @@ TEST(MergeTables, RejectsAGapNamesTheMissingIndex) {
   const std::vector<engine::scenario> scenarios =
       engine::expand_sweep(make_spec(), ctx);
   const shard_outputs shards =
-      run_shards(ctx, scenarios, 2, shard_policy::contiguous);
+      run_shards(ctx, scenarios, 2);
+  ASSERT_GT(shards.tables[0].size(), 0u);
   ASSERT_GT(shards.tables[1].size(), 0u);
 
-  // Shard 1 alone starts at a nonzero global index: index 0 is missing.
-  const std::vector<engine::result_table> gap = {shards.tables[1]};
+  // The shard that does not own scenario 0 starts at a nonzero global
+  // index: alone, index 0 is missing.
+  const std::size_t without_zero = shards.tables[0].row(0).index == 0 ? 1 : 0;
+  const std::vector<engine::result_table> gap = {shards.tables[without_zero]};
   try {
     (void)engine::merge_tables(gap);
     FAIL() << "a gapped merge was accepted";
@@ -511,5 +626,121 @@ TEST(RemoteShard, WireExecutedShardsMergeToTheLocalBytes) {
 
   service.stop();
 }
+
+// ------------------------------------------------------- dl_shard CLI
+//
+// DLM_SHARD_BIN is the built dl_shard tool (wired in CMakeLists.txt).
+// Every numeric flag goes through one strict parser: a sign, trailing
+// bytes and non-finite values are usage errors naming the flag and the
+// argv position of the bad value, never a wrapped or truncated number.
+
+#ifdef DLM_SHARD_BIN
+
+struct cli_outcome {
+  int exit_code = -1;
+  std::string output;  ///< stdout and stderr together
+};
+
+cli_outcome run_dl_shard(const std::string& args) {
+  const std::string command = std::string(DLM_SHARD_BIN) + " " + args + " 2>&1";
+  cli_outcome outcome;
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return outcome;
+  char buffer[512];
+  std::size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0)
+    outcome.output.append(buffer, n);
+  const int status = ::pclose(pipe);
+  outcome.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return outcome;
+}
+
+TEST(ShardCli, RejectsMalformedNumbersByFlagAndPosition) {
+  const struct {
+    const char* args;
+    const char* flag;
+    const char* position;
+  } cases[] = {
+      {"--shards -1", "--shards", "at position 2"},
+      {"--shards 2x", "--shards", "at position 2"},
+      {"--shards 2 --threads 4x", "--threads", "at position 4"},
+      {"--shards 2 --threads -4", "--threads", "at position 4"},
+      {"--shards 2 --batch-width -8", "--batch-width", "at position 4"},
+      {"--shards 2 --batch-width 8.5", "--batch-width", "at position 4"},
+      {"--shards 2 --retries -1", "--retries", "at position 4"},
+      {"--shards 2 --retries ' 1'", "--retries", "at position 4"},
+      {"--bench --bench-rates -3", "--bench-rates", "at position 3"},
+      {"--bench --bench-rates 99999999999999999999999", "--bench-rates",
+       "at position 3"},
+      {"--bench --bench-shards 1,-2", "--bench-shards", "at position 3"},
+      {"--bench --bench-shards 1,,2", "--bench-shards", "at position 3"},
+      {"--shards 2 --timeout nan", "--timeout", "at position 4"},
+      {"--shards 2 --timeout inf", "--timeout", "at position 4"},
+      {"--shards 2 --timeout -1", "--timeout", "at position 4"},
+      {"--shards 2 --timeout 5s", "--timeout", "at position 4"},
+      {"--shards 2 --backoff nan", "--backoff", "at position 4"},
+      {"--shards 2 --backoff -10", "--backoff", "at position 4"},
+      {"--shards 2 --backoff 1e999", "--backoff", "at position 4"},
+  };
+  for (const auto& c : cases) {
+    const cli_outcome outcome = run_dl_shard(c.args);
+    EXPECT_EQ(outcome.exit_code, 2) << c.args << "\n" << outcome.output;
+    EXPECT_NE(outcome.output.find(std::string(c.flag) + " expects a "),
+              std::string::npos)
+        << c.args << "\n" << outcome.output;
+    EXPECT_NE(outcome.output.find(c.position), std::string::npos)
+        << c.args << "\n" << outcome.output;
+    EXPECT_NE(outcome.output.find("usage: dl_shard"), std::string::npos)
+        << c.args << "\n" << outcome.output;
+  }
+}
+
+TEST(ShardCli, RejectsZeroCountsAndPolicies) {
+  EXPECT_EQ(run_dl_shard("--shards 0").exit_code, 2);
+  EXPECT_EQ(run_dl_shard("--bench --bench-rates 0").exit_code, 2);
+  EXPECT_EQ(run_dl_shard("--bench --bench-shards 1,0").exit_code, 2);
+  // There is one partition, so there is no policy to choose.
+  const cli_outcome policy = run_dl_shard("--shards 2 --policy strided");
+  EXPECT_EQ(policy.exit_code, 2);
+  EXPECT_NE(policy.output.find("unknown argument '--policy' at position 3"),
+            std::string::npos)
+      << policy.output;
+  const cli_outcome worker = run_dl_shard("--worker 0/2:contiguous --csv x");
+  EXPECT_EQ(worker.exit_code, 2);
+  EXPECT_NE(worker.output.find("accepted shard spec form:"), std::string::npos)
+      << worker.output;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// The real driver: N worker processes merge to the CSV and cache bytes
+/// of one `--worker 0/1` process.
+TEST(ShardCli, ShardedRunsMergeToTheOneWorkerBytes) {
+  const std::string ref = temp_path("cli_ref.csv").string();
+  ASSERT_EQ(run_dl_shard("--worker 0/1 --bench-rates 4 --csv " + ref +
+                         " --cache-file " + ref + ".cache")
+                .exit_code,
+            0);
+  for (const std::size_t n : {2u, 3u, 4u, 8u}) {
+    const std::string csv =
+        temp_path("cli_" + std::to_string(n) + ".csv").string();
+    const cli_outcome outcome =
+        run_dl_shard("--shards " + std::to_string(n) + " --bench-rates 4" +
+                     " --csv " + csv + " --cache-file " + csv + ".cache");
+    ASSERT_EQ(outcome.exit_code, 0) << outcome.output;
+    EXPECT_EQ(read_bytes(csv), read_bytes(ref)) << "n=" << n;
+    EXPECT_EQ(read_bytes(csv + ".cache"), read_bytes(ref + ".cache"))
+        << "n=" << n;
+    std::filesystem::remove(csv);
+    std::filesystem::remove(csv + ".cache");
+  }
+  std::filesystem::remove(ref);
+  std::filesystem::remove(ref + ".cache");
+}
+
+#endif  // DLM_SHARD_BIN
 
 }  // namespace

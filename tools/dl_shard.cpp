@@ -14,12 +14,13 @@
 //
 // Modes:
 //
-//   dl_shard --shards N [--policy contiguous|strided]
-//            [--sweep bench|comparison] [--csv out.csv] [--text out.txt]
-//            [--cache-file out.cache] [--threads T] [--batch-width W]
-//            [--timeout S] [--retries R] [--backoff MS] [--allow-partial]
-//            [--manifest out.json] [--journal] [--fault PLAN]
-//       run the sweep as N local worker processes and merge.  Workers
+//   dl_shard --shards N [--sweep bench|comparison] [--csv out.csv]
+//            [--text out.txt] [--cache-file out.cache] [--threads T]
+//            [--batch-width W] [--timeout S] [--retries R] [--backoff MS]
+//            [--allow-partial] [--manifest out.json] [--journal]
+//            [--fault PLAN]
+//       run the sweep as N local worker processes and merge, the batch
+//       chunks cost-balanced across them (engine/shard.h).  Workers
 //       run under engine::supervise: a crashed worker's diagnostic
 //       names the signal and shard, a hung worker is killed after
 //       --timeout seconds, failures retry up to --retries times with
@@ -32,7 +33,7 @@
 //       engine/cache_journal.h); --fault injects deterministic
 //       failures (engine/fault.h grammar) for tests and drills.
 //
-//   dl_shard --worker i/N[:policy] --csv out.csv [--sweep ...]
+//   dl_shard --worker i/N --csv out.csv [--sweep ...]
 //            [--cache-file f] [--threads T] [--batch-width W]
 //            [--socket /path/dlm.sock]
 //       run one shard (the driver spawns these; also usable by hand —
@@ -62,7 +63,9 @@
 
 #include <unistd.h>
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -70,7 +73,9 @@
 #include <iterator>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/dl_model.h"
@@ -96,13 +101,13 @@ double elapsed_ms(clock_type::time_point start) {
 // ------------------------------------------------------------------ CLI
 
 const char* kUsage =
-    "usage: dl_shard --shards N [--policy contiguous|strided]\n"
-    "                [--sweep bench|comparison] [--csv out.csv]\n"
-    "                [--text out.txt] [--cache-file out.cache]\n"
+    "usage: dl_shard --shards N [--sweep bench|comparison]\n"
+    "                [--csv out.csv] [--text out.txt]\n"
+    "                [--cache-file out.cache]\n"
     "                [--threads T] [--batch-width W] [--timeout S]\n"
     "                [--retries R] [--backoff MS] [--allow-partial]\n"
     "                [--manifest out.json] [--journal] [--fault PLAN]\n"
-    "       dl_shard --worker <i>/<N>[:policy] --csv out.csv\n"
+    "       dl_shard --worker <i>/<N> --csv out.csv\n"
     "                [--sweep ...] [--cache-file f] [--threads T]\n"
     "                [--batch-width W] [--socket /path/dlm.sock]\n"
     "                [--journal] [--fault PLAN]\n"
@@ -119,10 +124,29 @@ int bad_cli(const std::string& reason, int position) {
   return 2;
 }
 
+/// Reads the whole of `text` as a number through std::from_chars.
+/// Unlike std::stoul / std::stod it rejects a sign (no "-1" wrapping to
+/// 2^64 - 1), trailing bytes ("4x") and, for doubles, NaN and infinity.
+/// Throws std::invalid_argument naming `flag`.
+template <typename T>
+T parse_cli_number(const std::string& flag, std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = !text.empty() && text.front() != '-' && ec == std::errc{} &&
+            ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok)
+    throw std::invalid_argument(
+        flag + " expects a non-negative " +
+        (std::is_floating_point_v<T> ? "finite number" : "integer") +
+        ", got '" + std::string(text) + "'");
+  return value;
+}
+
 struct cli_options {
   // driver
   std::size_t shards = 0;
-  engine::shard_policy policy = engine::shard_policy::contiguous;
   // worker
   std::optional<engine::shard_spec> worker;
   std::string socket_path;
@@ -425,9 +449,7 @@ shard_run_report run_sharded(const cli_options& opt, const std::string& exe,
   std::vector<std::filesystem::path> caches;
   std::vector<engine::worker_command> commands;
   for (std::size_t i = 0; i < shards; ++i) {
-    std::string worker_spec =
-        std::to_string(i) + "/" + std::to_string(shards);
-    if (opt.policy == engine::shard_policy::strided) worker_spec += ":strided";
+    const std::string worker_spec = engine::shard_spec{i, shards}.label();
     const std::string csv = opt.csv_path + ".shard" + std::to_string(i);
     csvs.push_back(csv);
     std::vector<std::string> args{"--worker",    worker_spec,
@@ -530,10 +552,6 @@ std::string render_manifest(const cli_options& opt,
   json += "  \"sweep\": \"" + json_escape(opt.sweep) + "\",\n";
   json += "  \"scenarios\": " + std::to_string(report.scenarios) + ",\n";
   json += "  \"shards\": " + std::to_string(shards) + ",\n";
-  json += std::string("  \"policy\": \"") +
-          (opt.policy == engine::shard_policy::strided ? "strided"
-                                                       : "contiguous") +
-          "\",\n";
   json += "  \"workers\": [\n";
   for (std::size_t i = 0; i < report.workers.outcomes.size(); ++i) {
     const engine::worker_outcome& o = report.workers.outcomes[i];
@@ -749,18 +767,9 @@ int main(int argc, char** argv) {
     };
     try {
       if (arg == "--shards") {
-        opt.shards = std::stoul(next("--shards"));
+        opt.shards = parse_cli_number<std::size_t>(arg, next("--shards"));
         if (opt.shards == 0)
           return bad_cli("--shards must be positive", i);
-      } else if (arg == "--policy") {
-        const std::string value = next("--policy");
-        if (value == "contiguous") {
-          opt.policy = engine::shard_policy::contiguous;
-        } else if (value == "strided") {
-          opt.policy = engine::shard_policy::strided;
-        } else {
-          return bad_cli("unknown policy '" + value + "'", i);
-        }
       } else if (arg == "--worker") {
         opt.worker = engine::parse_shard_spec(next("--worker"));
       } else if (arg == "--sweep") {
@@ -772,21 +781,18 @@ int main(int argc, char** argv) {
       } else if (arg == "--cache-file") {
         opt.cache_path = next("--cache-file");
       } else if (arg == "--threads") {
-        opt.threads = std::stoul(next("--threads"));
+        opt.threads = parse_cli_number<std::size_t>(arg, next("--threads"));
       } else if (arg == "--batch-width") {
-        opt.batch_width = std::stoul(next("--batch-width"));
+        opt.batch_width =
+            parse_cli_number<std::size_t>(arg, next("--batch-width"));
       } else if (arg == "--socket") {
         opt.socket_path = next("--socket");
       } else if (arg == "--timeout") {
-        opt.timeout_sec = std::stod(next("--timeout"));
-        if (opt.timeout_sec < 0)
-          return bad_cli("--timeout must be non-negative", i);
+        opt.timeout_sec = parse_cli_number<double>(arg, next("--timeout"));
       } else if (arg == "--retries") {
-        opt.retries = std::stoul(next("--retries"));
+        opt.retries = parse_cli_number<std::size_t>(arg, next("--retries"));
       } else if (arg == "--backoff") {
-        opt.backoff_ms = std::stod(next("--backoff"));
-        if (opt.backoff_ms < 0)
-          return bad_cli("--backoff must be non-negative", i);
+        opt.backoff_ms = parse_cli_number<double>(arg, next("--backoff"));
       } else if (arg == "--allow-partial") {
         opt.allow_partial = true;
       } else if (arg == "--manifest") {
@@ -803,14 +809,15 @@ int main(int argc, char** argv) {
       } else if (arg == "--bench-out") {
         opt.bench_out = next("--bench-out");
       } else if (arg == "--bench-rates") {
-        opt.bench_rates = std::stoul(next("--bench-rates"));
+        opt.bench_rates =
+            parse_cli_number<std::size_t>(arg, next("--bench-rates"));
         if (opt.bench_rates == 0)
           return bad_cli("--bench-rates must be positive", i);
       } else if (arg == "--bench-shards") {
         opt.bench_shards.clear();
         for (const std::string& piece :
              engine::split_keep_empty(next("--bench-shards"), ',')) {
-          const std::size_t n = std::stoul(piece);
+          const std::size_t n = parse_cli_number<std::size_t>(arg, piece);
           if (n == 0) return bad_cli("shard count must be positive", i);
           opt.bench_shards.push_back(n);
         }
@@ -827,7 +834,7 @@ int main(int argc, char** argv) {
         return bad_cli("unknown argument '" + arg + "'", i);
       }
     } catch (const std::exception& e) {
-      // std::stoul / parse_shard_spec rejections, positioned at the value.
+      // Number / spec rejections, positioned at the value.
       return bad_cli(e.what(), i);
     }
   }
