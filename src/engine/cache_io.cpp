@@ -526,7 +526,17 @@ void persistent_cache::flush() {
   save_cache(cache_, path_);
 }
 
+void persistent_cache::close() {
+  if (closed_) return;
+  closed_ = true;
+  // Uninstalled first, so even a failed final flush leaves no observer
+  // writing to a journal nobody will checkpoint.
+  cache_.set_write_observer({});
+  flush();
+}
+
 persistent_cache::~persistent_cache() {
+  if (closed_) return;
   try {
     flush();
   } catch (const std::exception& e) {

@@ -200,6 +200,7 @@ class persistent_cache {
   persistent_cache& operator=(const persistent_cache&) = delete;
 
   [[nodiscard]] solve_cache& cache() noexcept { return cache_; }
+  [[nodiscard]] const solve_cache& cache() const noexcept { return cache_; }
   [[nodiscard]] const std::filesystem::path& path() const noexcept {
     return path_;
   }
@@ -228,6 +229,13 @@ class persistent_cache {
   /// journaling.  Throws std::runtime_error on I/O failure.
   void flush();
 
+  /// The final save: flush(), then stop journaling and disarm the
+  /// destructor's save, so later inserts stay in memory only and the
+  /// file is not rewritten.  For owners whose shutdown is the save
+  /// point (dl_service::stop).  Throws like flush(); the cache stays
+  /// readable either way.
+  void close();
+
  private:
   std::filesystem::path path_;
   solve_cache cache_;
@@ -236,6 +244,7 @@ class persistent_cache {
   std::unique_ptr<cache_journal> journal_;
   journal_options journal_options_;
   std::string write_error_;
+  bool closed_ = false;
 };
 
 /// The WAL path persistent_cache uses for a given snapshot path.

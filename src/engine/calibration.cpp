@@ -196,4 +196,32 @@ scenario_calibration calibrate_scenario(const scenario& sc,
   return result;
 }
 
+scenario_calibration diffusion_model::calibrate(
+    const scenario& sc, const dataset_slice& slice,
+    const fit::calibration_options& options, solve_cache* cache,
+    thread_pool* pool) const {
+  return calibrate_scenario(sc, slice, options, cache, pool);
+}
+
+prepared_solve prepare_solve(const diffusion_model& model, const scenario& sc,
+                             const dataset_slice& slice,
+                             const fit::calibration_options& options,
+                             solve_cache* cache, thread_pool* pool) {
+  prepared_solve prepared{sc, std::nullopt};
+  if (!model.uses_rate() || !is_calibrate_spec(sc.rate)) return prepared;
+  if (!model.supports_calibration())
+    throw std::invalid_argument("model '" + sc.model +
+                                "' does not support calibrate rate specs");
+  if (sc.rate.starts_with("calibrate-spatial") &&
+      !model.supports_spatial_rate())
+    throw std::invalid_argument("model '" + sc.model +
+                                "' does not support spatial rate specs");
+  const scenario_calibration& cal = prepared.calibration.emplace(
+      model.calibrate(sc, slice, options, cache, pool));
+  prepared.solved.rate = cal.resolved_rate;
+  prepared.solved.d_override = cal.fit.params.d;
+  prepared.solved.k_override = cal.fit.params.k;
+  return prepared;
+}
+
 }  // namespace dlm::engine

@@ -24,9 +24,11 @@
 // PDE solve entirely.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "engine/diffusion_model.h"
 #include "engine/scenario.h"
 #include "engine/solve_cache.h"
 #include "engine/thread_pool.h"
@@ -82,5 +84,28 @@ struct scenario_calibration {
     const scenario& sc, const dataset_slice& slice,
     const fit::calibration_options& base, solve_cache* cache,
     thread_pool* pool);
+
+/// A scenario made ready to solve.
+struct prepared_solve {
+  /// What the model solves: the scenario itself, or — after a
+  /// calibration — the scenario with the resolved rate and the fitted
+  /// d/K overrides.
+  scenario solved;
+  /// Set iff the scenario's rate spec was calibrated.
+  std::optional<scenario_calibration> calibration;
+};
+
+/// The one calibrate-then-solve step every executor shares (run_sweep,
+/// dl_service).  A "calibrate" rate spec on a rate-using model is fitted
+/// through model.calibrate (`options`, `cache` and `pool` as in
+/// calibrate_scenario) and the scenario rewritten with the fit; any other
+/// scenario passes through unchanged.  Throws std::invalid_argument
+/// "model '<name>' does not support calibrate rate specs" (or "... spatial
+/// rate specs" for "calibrate-spatial") when the model lacks the
+/// capability.
+[[nodiscard]] prepared_solve prepare_solve(
+    const diffusion_model& model, const scenario& sc,
+    const dataset_slice& slice, const fit::calibration_options& options,
+    solve_cache* cache, thread_pool* pool);
 
 }  // namespace dlm::engine

@@ -14,7 +14,15 @@
 
 #include "engine/scenario.h"
 
+namespace dlm::fit {
+struct calibration_options;
+}  // namespace dlm::fit
+
 namespace dlm::engine {
+
+class solve_cache;
+class thread_pool;
+struct scenario_calibration;
 
 /// A model's predicted density surface over integer distances × hours.
 struct model_trace {
@@ -71,6 +79,17 @@ class diffusion_model {
   /// floor(t0)+1 .. min(floor(t_end), slice.horizon_hours).
   [[nodiscard]] virtual model_trace solve(const scenario& sc,
                                           const dataset_slice& slice) const = 0;
+
+  /// Fits the "calibrate" rate spec `sc.rate` on the slice's early
+  /// window (see engine/calibration.h for `options`, `cache` and
+  /// `pool`).  The default runs calibrate_scenario in this process; a
+  /// model that executes elsewhere (engine::remote_registry) fits there.
+  /// Callers go through prepare_solve, which checks the capability
+  /// flags first.
+  [[nodiscard]] virtual scenario_calibration calibrate(
+      const scenario& sc, const dataset_slice& slice,
+      const fit::calibration_options& options, solve_cache* cache,
+      thread_pool* pool) const;
 
   /// Whether solve_batch advances multiple scenarios in one pass (the DL
   /// adapter's lockstep SoA solve).  The runner only groups scenarios of

@@ -53,8 +53,10 @@ struct batch_key {
   bool operator==(const batch_key&) const = default;
 };
 
-}  // namespace
-
+/// Mean prediction accuracy of a trace against the slice's observed
+/// surface, over cells with a nonzero observation (paper Eq. 8
+/// convention; zero-density cells carry no signal).  Returns
+/// {accuracy, scored cell count}.
 std::pair<double, std::size_t> score_trace(const model_trace& trace,
                                            const dataset_slice& slice) {
   double sum = 0.0;
@@ -70,6 +72,8 @@ std::pair<double, std::size_t> score_trace(const model_trace& trace,
   }
   return {cells == 0 ? 0.0 : sum / static_cast<double>(cells), cells};
 }
+
+}  // namespace
 
 std::vector<std::vector<std::size_t>> batch_sweep(
     std::span<const scenario> scenarios, const model_registry& registry,
@@ -292,10 +296,10 @@ sweep_result run_sweep(const scenario_context& context,
       }
     };
 
-    // Row fields shared by both paths; the fit_* columns are written by
-    // the scalar path only (calibrate specs never batch).
+    // Every row is built here, for both paths; `cal` is set only on the
+    // scalar path (calibrate specs never batch).
     const auto fill_row = [&](std::size_t i, const scenario& sc,
-                              const scenario& solved, bool calibrated,
+                              const scenario_calibration* cal,
                               const diffusion_model& model,
                               const dataset_slice& slice, model_trace& trace,
                               double wall) {
@@ -314,8 +318,8 @@ sweep_result run_sweep(const scenario_context& context,
       row.rate = model.uses_rate() ? sc.rate : "-";
       row.resolved_rate =
           model.uses_rate()
-              ? (calibrated ? solved.rate
-                            : resolve_rate_spec(sc.rate, slice.metric))
+              ? (cal != nullptr ? cal->resolved_rate
+                                : resolve_rate_spec(sc.rate, slice.metric))
               : "-";
       row.t0 = sc.t0;
       row.t_end = sc.t_end;
@@ -323,6 +327,18 @@ sweep_result run_sweep(const scenario_context& context,
       row.cells = cells;
       row.accuracy = accuracy;
       row.wall_ms = wall;
+      if (cal != nullptr) {
+        row.fit_d = cal->fit.params.d;
+        row.fit_k = cal->fit.params.k;
+        row.fit_a = cal->fit_a;
+        row.fit_b = cal->fit_b;
+        row.fit_c = cal->fit_c;
+        row.fit_m = cal->multipliers;
+        row.fit_sse = cal->fit.sse;
+        row.fit_evals = cal->fit.evaluations;
+        row.fit_solves = cal->fit.pde_solves;
+        row.fit_hits = cal->fit.cache_hits;
+      }
       if (options.keep_traces) result.traces[local[i]] = std::move(trace);
     };
 
@@ -330,47 +346,19 @@ sweep_result run_sweep(const scenario_context& context,
       const scenario& sc = scenarios[i];
       const dataset_slice& slice = context.slice(sc.slice);
       const std::unique_ptr<diffusion_model> model = registry.make(sc.model);
-
       const clock::time_point start = clock::now();
-      result_row& row = rows[local[i]];
 
-      // Calibrate rate specs: fit first, then solve the rewritten
-      // scenario (resolved rate + fitted d/K overrides).  The coarse
-      // lattice fans back out over this same pool — run_batch has
-      // the submitting worker participate, so a nested batch cannot
-      // deadlock even with every worker busy calibrating.
-      scenario solved = sc;
-      const bool calibrated = model->uses_rate() && is_calibrate_spec(sc.rate);
-      if (calibrated) {
-        if (!model->supports_calibration())
-          throw std::invalid_argument("run_sweep: model '" + sc.model +
-                                      "' does not support calibrate rate "
-                                      "specs");
-        if (sc.rate.starts_with("calibrate-spatial") &&
-            !model->supports_spatial_rate())
-          throw std::invalid_argument("run_sweep: model '" + sc.model +
-                                      "' does not support spatial rate specs");
-        const scenario_calibration cal = calibrate_scenario(
-            sc, slice, options.calibration, options.cache, &pool);
-        solved.rate = cal.resolved_rate;
-        solved.d_override = cal.fit.params.d;
-        solved.k_override = cal.fit.params.k;
-        row.fit_d = cal.fit.params.d;
-        row.fit_k = cal.fit.params.k;
-        row.fit_a = cal.fit_a;
-        row.fit_b = cal.fit_b;
-        row.fit_c = cal.fit_c;
-        row.fit_m = cal.multipliers;
-        row.fit_sse = cal.fit.sse;
-        row.fit_evals = cal.fit.evaluations;
-        row.fit_solves = cal.fit.pde_solves;
-        row.fit_hits = cal.fit.cache_hits;
-      }
-
+      // Calibrate rate specs fit first, then solve the rewritten
+      // scenario.  The coarse lattice fans back out over this same pool
+      // — run_batch has the submitting worker participate, so a nested
+      // batch cannot deadlock even with every worker busy calibrating.
+      const prepared_solve prepared = prepare_solve(
+          *model, sc, slice, options.calibration, options.cache, &pool);
       model_trace trace =
-          solve_with_cache(*model, solved, slice, options.cache);
-      fill_row(i, sc, solved, calibrated, *model, slice, trace,
-               elapsed_ms(start));
+          solve_with_cache(*model, prepared.solved, slice, options.cache);
+      fill_row(i, sc,
+               prepared.calibration ? &*prepared.calibration : nullptr,
+               *model, slice, trace, elapsed_ms(start));
     };
 
     const auto run_scalar = [&](std::size_t i) {
@@ -427,7 +415,7 @@ sweep_result run_sweep(const scenario_context& context,
           const scenario& sc = scenarios[chunk[m]];
           model_trace trace =
               cached[m] != nullptr ? *cached[m] : std::move(fresh[next++]);
-          fill_row(chunk[m], sc, sc, false, *model, slice, trace, wall);
+          fill_row(chunk[m], sc, nullptr, *model, slice, trace, wall);
         }
       } catch (...) {
         for (const std::size_t i : chunk) run_scalar(i);

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <functional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "engine/diffusion_model.h"
@@ -82,14 +81,6 @@ struct sweep_result {
   /// the serial sum).
   double wall_ms = 0.0;
 };
-
-/// Mean prediction accuracy of a trace against the slice's observed
-/// surface, over cells with a nonzero observation (paper Eq. 8
-/// convention; zero-density cells carry no signal).  Returns
-/// {accuracy, scored cell count}.  Exposed for the remote-shard executor
-/// (engine/shard.h), which scores server-solved traces locally.
-[[nodiscard]] std::pair<double, std::size_t> score_trace(
-    const model_trace& trace, const dataset_slice& slice);
 
 /// Expands the sweep into scenarios: slices × models × (the axes each
 /// model consumes).  Axes a model ignores are collapsed and recorded as

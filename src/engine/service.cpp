@@ -8,11 +8,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <charconv>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 #include "engine/calibration.h"
@@ -76,16 +78,19 @@ std::vector<std::string> tokenize(const std::string& text) {
   return tokens;
 }
 
-bool parse_double(std::string_view text, double& out) {
+/// Reads the whole of `text` as a T; false on any leftover byte.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, out);
   return ec == std::errc() && ptr == end;
 }
 
-bool parse_size(std::string_view text, std::size_t& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end;
+/// A request's real-valued argument: parsed whole and finite (NaN is
+/// scenario's "unset" sentinel for d/k, so it must never arrive as a
+/// value).
+bool parse_finite(std::string_view text, double& out) {
+  return parse_number(text, out) && std::isfinite(out);
 }
 
 bool parse_scheme(std::string_view text, core::dl_scheme& out) {
@@ -137,32 +142,37 @@ std::string parse_request_args(const std::vector<std::string>& tokens,
         return "err unknown scheme '" + value +
                "' (ftcs, strang-cn, implicit-newton, mol-rk4)";
     } else if (key == "grid") {
-      if (!parse_size(value, args.sc.points_per_unit)) return bad_value();
+      if (!parse_number(value, args.sc.points_per_unit)) return bad_value();
     } else if (key == "dt") {
-      if (!parse_double(value, args.sc.dt)) return bad_value();
+      if (!parse_finite(value, args.sc.dt)) return bad_value();
     } else if (key == "rate") {
       args.sc.rate = value;
     } else if (key == "domain") {
       args.sc.domain = value;
     } else if (key == "t0") {
-      if (!parse_double(value, args.sc.t0)) return bad_value();
+      if (!parse_finite(value, args.sc.t0)) return bad_value();
     } else if (key == "t_end") {
-      if (!parse_double(value, args.sc.t_end)) return bad_value();
+      if (!parse_finite(value, args.sc.t_end)) return bad_value();
     } else if (key == "seed") {
       std::size_t seed = 0;
-      if (!parse_size(value, seed)) return bad_value();
+      if (!parse_number(value, seed)) return bad_value();
       args.sc.seed = seed;
     } else if (key == "d") {
-      if (!parse_double(value, args.sc.d_override)) return bad_value();
+      if (!parse_finite(value, args.sc.d_override)) return bad_value();
     } else if (key == "k") {
-      if (!parse_double(value, args.sc.k_override)) return bad_value();
+      if (!parse_finite(value, args.sc.k_override)) return bad_value();
     } else if (key == "x") {
+      // An integral value inside int's range (NaN and infinities fail
+      // the comparisons), checked before the cast.
       double x = 0.0;
-      if (!parse_double(value, x) || x != std::floor(x)) return bad_value();
+      if (!parse_number(value, x) || x != std::floor(x) ||
+          !(x >= std::numeric_limits<int>::min() &&
+            x <= std::numeric_limits<int>::max()))
+        return bad_value();
       args.x = static_cast<int>(x);
       args.have_x = true;
     } else if (key == "t") {
-      if (!parse_double(value, args.t)) return bad_value();
+      if (!parse_finite(value, args.t)) return bad_value();
       args.have_t = true;
     } else {
       return "err unknown key '" + key + "'";
@@ -191,6 +201,224 @@ std::string format_trace(const model_trace& trace) {
   }
   return out;
 }
+
+[[noreturn]] void bad_reply(const std::string& reply) {
+  throw std::runtime_error("remote_registry: malformed server reply '" +
+                           reply + "'");
+}
+
+/// The value of the "key=" token among `tokens`; a reply without it is
+/// malformed.
+std::string_view reply_field(const std::vector<std::string>& tokens,
+                             std::string_view key, const std::string& reply) {
+  for (const std::string& token : tokens)
+    if (token.size() > key.size() && token.starts_with(key) &&
+        token[key.size()] == '=')
+      return std::string_view(token).substr(key.size() + 1);
+  bad_reply(reply);
+}
+
+template <typename T>
+T reply_number(std::string_view text, const std::string& reply) {
+  T value{};
+  if (!parse_number(text, value)) bad_reply(reply);
+  return value;
+}
+
+/// format_trace's inverse.  Every double went out through
+/// format_full_precision, so parsing recovers the server's exact bits —
+/// which is what keeps remote rows byte-identical to local ones.
+model_trace parse_trace_reply(const std::string& reply) {
+  const std::vector<std::string> lines = split_keep_empty(reply, '\n');
+  if (lines.size() < 3) bad_reply(reply);
+  const std::vector<std::string> head = tokenize(lines[0]);
+  if (head.size() < 2 || head[0] != "ok" || head[1] != "trace")
+    bad_reply(reply);
+  const auto rows =
+      reply_number<std::size_t>(reply_field(head, "rows", reply), reply);
+  const auto cols =
+      reply_number<std::size_t>(reply_field(head, "cols", reply), reply);
+  model_trace trace;
+  trace.effective_dt =
+      reply_number<double>(reply_field(head, "effective_dt", reply), reply);
+  // "domain=" is present only for non-line domains.
+  if (lines[0].find(" domain=") != std::string::npos)
+    trace.domain = std::string(reply_field(head, "domain", reply));
+  if (lines.size() != 3 + rows) bad_reply(reply);
+
+  // The body: one "<tag> v..." line each for x, t and every p row.
+  const auto body_line = [&](std::size_t line, std::string_view tag,
+                             std::size_t count) {
+    std::vector<std::string> tokens = tokenize(lines[line]);
+    if (tokens.size() != count + 1 || tokens[0] != tag) bad_reply(reply);
+    tokens.erase(tokens.begin());
+    return tokens;
+  };
+  for (const std::string& x : body_line(1, "x", rows))
+    trace.distances.push_back(reply_number<int>(x, reply));
+  for (const std::string& t : body_line(2, "t", cols))
+    trace.times.push_back(reply_number<double>(t, reply));
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<double>& row = trace.predicted.emplace_back();
+    row.reserve(cols);
+    for (const std::string& p : body_line(3 + r, "p", cols))
+      row.push_back(reply_number<double>(p, reply));
+  }
+  return trace;
+}
+
+/// The "calibrate" reply ("ok fit d=... k=... a=... b=... c=... m=...
+/// sse=... evals=... rate=...") as the calibration it reports.  The
+/// server's pde_solves / cache_hits are not on the wire and stay 0.
+scenario_calibration parse_fit_reply(const std::string& reply) {
+  const std::vector<std::string> tokens = tokenize(reply);
+  if (tokens.size() < 2 || tokens[0] != "ok" || tokens[1] != "fit")
+    bad_reply(reply);
+  const auto number = [&](std::string_view key) {
+    return reply_number<double>(reply_field(tokens, key, reply), reply);
+  };
+  scenario_calibration cal;
+  cal.fit.params.d = number("d");
+  cal.fit.params.k = number("k");
+  cal.fit_a = number("a");
+  cal.fit_b = number("b");
+  cal.fit_c = number("c");
+  cal.fit.sse = number("sse");
+  cal.fit.evaluations =
+      reply_number<std::size_t>(reply_field(tokens, "evals", reply), reply);
+  cal.resolved_rate = std::string(reply_field(tokens, "rate", reply));
+  if (const std::string_view m = reply_field(tokens, "m", reply); m != "-")
+    for (const std::string& piece : split_keep_empty(m, ','))
+      cal.multipliers.push_back(reply_number<double>(piece, reply));
+  return cal;
+}
+
+/// The request tail shared by solve and calibrate: the axes the model
+/// consumes, spelled exactly as run_sweep's cache keys and CSV spell
+/// them.
+std::string request_tail(const scenario& sc, const dataset_slice& slice,
+                         const diffusion_model& model) {
+  std::string req = " model=" + sc.model + " slice=" + slice.name;
+  if (model.uses_scheme()) {
+    req += " scheme=" + core::to_string(sc.scheme);
+    req += " dt=" + format_full_precision(sc.dt);
+  }
+  if (model.uses_grid()) req += " grid=" + std::to_string(sc.points_per_unit);
+  req += " t0=" + format_full_precision(sc.t0) +
+         " t_end=" + format_full_precision(sc.t_end) +
+         " seed=" + std::to_string(sc.seed);
+  if (model.supports_domain() && !make_domain(sc.domain).is_line())
+    req += " domain=" + sc.domain;
+  return req;
+}
+
+/// The connections one remote_registry's models share.  Idle clients
+/// wait here between requests: a request takes one (or connects when
+/// none is idle) and hands it back after the reply, so the pool never
+/// holds more connections than requests ever ran at once.
+class remote_link {
+ public:
+  remote_link(std::string socket_path, remote_options options)
+      : socket_path_(std::move(socket_path)), options_(options) {}
+
+  /// One round-trip.  Connection-level failures reconnect and retry with
+  /// backoff per remote_options; the final one propagates.
+  std::string request(const std::string& payload) {
+    std::unique_ptr<service_client> client;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!idle_.empty()) {
+        client = std::move(idle_.back());
+        idle_.pop_back();
+      }
+    }
+    double backoff = options_.backoff_initial_ms;
+    for (std::size_t attempt = 0;;) {
+      const bool reused = client != nullptr;
+      try {
+        if (!reused) client = std::make_unique<service_client>(socket_path_);
+        std::string reply = client->request(payload);
+        const std::lock_guard<std::mutex> lock(mutex_);
+        idle_.push_back(std::move(client));
+        return reply;
+      } catch (const std::exception& e) {
+        client.reset();  // the connection is suspect: reconnect next try
+        // A pooled connection may have idled past the server's I/O
+        // timeout and been closed: that is stale, not a failure, so it
+        // reconnects at once without spending a retry.
+        if (reused) continue;
+        if (attempt++ >= options_.retries) throw;
+        std::fprintf(stderr,
+                     "remote_registry: %s; retrying in %.0f ms "
+                     "(attempt %zu of %zu)\n",
+                     e.what(), backoff, attempt, options_.retries + 1);
+        std::this_thread::sleep_for(
+            std::chrono::duration<double, std::milli>(backoff));
+        backoff *= options_.backoff_multiplier;
+      }
+    }
+  }
+
+ private:
+  std::string socket_path_;
+  remote_options options_;
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<service_client>> idle_;
+};
+
+/// A model whose solves and fits run on the server; everything else is
+/// the wrapped local model's answer.
+class remote_model final : public diffusion_model {
+ public:
+  remote_model(std::unique_ptr<diffusion_model> local,
+               std::shared_ptr<remote_link> link)
+      : local_(std::move(local)), link_(std::move(link)) {}
+
+  std::string name() const override { return local_->name(); }
+  bool uses_scheme() const override { return local_->uses_scheme(); }
+  bool uses_grid() const override { return local_->uses_grid(); }
+  bool uses_rate() const override { return local_->uses_rate(); }
+  bool supports_spatial_rate() const override {
+    return local_->supports_spatial_rate();
+  }
+  bool supports_calibration() const override {
+    return local_->supports_calibration();
+  }
+  bool supports_domain() const override { return local_->supports_domain(); }
+  bool supports_batch() const override { return local_->supports_batch(); }
+
+  model_trace solve(const scenario& sc,
+                    const dataset_slice& slice) const override {
+    std::string req = "solve" + request_tail(sc, slice, *local_);
+    if (local_->uses_rate()) {
+      req += " rate=" + sc.rate;
+      if (!std::isnan(sc.d_override))
+        req += " d=" + format_full_precision(sc.d_override);
+      if (!std::isnan(sc.k_override))
+        req += " k=" + format_full_precision(sc.k_override);
+    }
+    return parse_trace_reply(ok_reply(req));
+  }
+
+  scenario_calibration calibrate(const scenario& sc,
+                                 const dataset_slice& slice,
+                                 const fit::calibration_options&,
+                                 solve_cache*, thread_pool*) const override {
+    return parse_fit_reply(
+        ok_reply("calibrate rate=" + sc.rate + request_tail(sc, slice, *local_)));
+  }
+
+ private:
+  /// The reply to `req`; an "err" reply throws with its text.
+  std::string ok_reply(const std::string& req) const {
+    std::string reply = link_->request(req);
+    if (reply.starts_with("err")) throw std::runtime_error(reply);
+    return reply;
+  }
+
+  std::unique_ptr<diffusion_model> local_;
+  std::shared_ptr<remote_link> link_;
+};
 
 }  // namespace
 
@@ -276,56 +504,29 @@ std::string service_client::request(std::string_view payload) {
   return reply;
 }
 
+model_registry remote_registry(const std::string& socket_path,
+                               const remote_options& remote,
+                               const model_registry& base) {
+  auto link = std::make_shared<remote_link>(socket_path, remote);
+  auto local = std::make_shared<const model_registry>(base);
+  model_registry registry;
+  for (const std::string& name : local->names())
+    registry.register_model(name, [name, link, local] {
+      return std::make_unique<remote_model>(local->make(name), link);
+    });
+  return registry;
+}
+
 // ---------------------------------------------------------------- service
 
 dl_service::dl_service(scenario_context context, service_options options)
-    : context_(std::move(context)),
-      options_(std::move(options)),
-      cache_(options_.cache_max_entries) {
+    : context_(std::move(context)), options_(std::move(options)) {
   if (options_.socket_path.empty())
     throw std::invalid_argument("dl_service: socket_path is required");
-  if (!options_.cache_file.empty()) {
-    startup_load_ = load_cache(cache_, options_.cache_file);
-    if (options_.journal) {
-      // Snapshot first, WAL on top (first insert wins), then journal
-      // every winning insert from here on — the same crash-safety
-      // wiring as persistent_cache (engine/cache_io.h).
-      const std::filesystem::path wal =
-          cache_journal_path(options_.cache_file);
-      replay_journal(cache_, wal);
-      try {
-        journal_ = std::make_unique<cache_journal>(wal);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "dl_service: %s — journaling disabled\n",
-                     e.what());
-      }
-      if (journal_ != nullptr) {
-        cache_journal* jrnl = journal_.get();
-        const std::uint64_t compact = options_.journal_compact_bytes;
-        solve_cache* cache = &cache_;
-        const std::string snapshot = options_.cache_file;
-        cache_.set_write_observer([jrnl, compact, cache, snapshot](
-                                      const std::string& key,
-                                      const model_trace* trace,
-                                      const double* value) {
-          if (trace != nullptr) jrnl->append_trace(key, *trace);
-          if (value != nullptr) jrnl->append_value(key, *value);
-          if (compact != 0 && jrnl->bytes() > compact &&
-              jrnl->write_error().empty()) {
-            try {
-              jrnl->checkpoint([cache, &snapshot] {
-                save_cache(*cache, snapshot);
-              });
-            } catch (const std::exception& e) {
-              std::fprintf(stderr,
-                           "dl_service: auto-checkpoint of '%s' failed: %s\n",
-                           snapshot.c_str(), e.what());
-            }
-          }
-        });
-      }
-    }
-  }
+  if (!(options_.io_timeout_sec >= 0.0 &&
+        options_.io_timeout_sec <= kMaxIoTimeoutSec))
+    throw std::invalid_argument(
+        "dl_service: io_timeout_sec must lie in [0, 1e9] seconds");
   pool_ = std::make_unique<thread_pool>(options_.threads);
 
   listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -352,6 +553,19 @@ dl_service::dl_service(scenario_context context, service_options options)
     ::close(listen_fd_);
     errno = saved;
     throw_errno("dl_service: listen");
+  }
+  // The cache comes up once the socket is bound, so a service that fails
+  // to start never writes a cache file (persistent_cache saves on
+  // destruction); no request is read before the accept thread starts.
+  if (options_.cache_file.empty()) {
+    memory_cache_.emplace(options_.cache_max_entries);
+  } else {
+    journal_options journal;
+    journal.enabled = options_.journal;
+    journal.compact_bytes = options_.journal_compact_bytes;
+    persistent_.emplace(options_.cache_file, options_.cache_max_entries,
+                        journal);
+    startup_load_ = persistent_->startup_load();
   }
   accept_thread_ = std::thread(&dl_service::accept_loop, this);
   lifecycle_thread_ = std::thread(&dl_service::lifecycle_loop, this);
@@ -445,8 +659,10 @@ std::string dl_service::handle_request(const std::string& payload,
         // Liveness for supervisors: a reply at all means the accept and
         // worker machinery is up; the journal state distinguishes
         // healthy from degraded-but-serving.
-        if (journal_ != nullptr && !journal_->write_error().empty())
-          return "ok degraded journal_error=" + journal_->write_error();
+        const cache_journal* journal =
+            persistent_ ? persistent_->journal() : nullptr;
+        if (journal != nullptr && !journal->write_error().empty())
+          return "ok degraded journal_error=" + journal->write_error();
         return "ok healthy";
       }
       if (verb == "slices") {
@@ -456,27 +672,22 @@ std::string dl_service::handle_request(const std::string& payload,
         return reply;
       }
       if (verb == "stats") {
-        const cache_stats stats = cache_.stats();
+        const cache_stats stats = cache().stats();
         return "ok stats hits=" + std::to_string(stats.hits) +
                " misses=" + std::to_string(stats.misses) +
                " evictions=" + std::to_string(stats.evictions) +
                " load_rejected=" + std::to_string(stats.load_rejected) +
                " merged=" + std::to_string(stats.merged_entries) +
                " merge_conflicts=" + std::to_string(stats.merge_conflicts) +
-               " entries=" + std::to_string(cache_.size()) +
+               " entries=" + std::to_string(cache().size()) +
                " requests=" + std::to_string(requests_.load()) +
                " dropped=" + std::to_string(dropped_.load());
       }
       if (verb == "flush") {
-        if (options_.cache_file.empty())
-          return "err no cache file configured";
+        if (!persistent_) return "err no cache file configured";
         const std::lock_guard<std::mutex> lock(flush_mutex_);
-        if (journal_ != nullptr)
-          journal_->checkpoint(
-              [this] { save_cache(cache_, options_.cache_file); });
-        else
-          save_cache(cache_, options_.cache_file);
-        return "ok flushed " + std::to_string(cache_.size()) +
+        persistent_->flush();
+        return "ok flushed " + std::to_string(cache().size()) +
                " entries to " + options_.cache_file;
       }
       shutdown_after_reply = true;
@@ -515,29 +726,14 @@ std::string dl_service::handle_request(const std::string& payload,
     // Calibrate specs resolve exactly as in run_sweep: fit on the early
     // window (lattice fanned out over the resident pool, every probe
     // memoized in the resident cache), then solve the rewritten scenario.
-    scenario solved = args.sc;
-    scenario_calibration cal;
-    const bool calibrated =
-        model->uses_rate() && is_calibrate_spec(args.sc.rate);
-    if (verb == "calibrate" && !calibrated)
-      return "err calibrate requires a calibrate rate spec (rate='" +
-             args.sc.rate + "')";
-    if (calibrated) {
-      if (!model->supports_calibration())
-        return "err model '" + args.sc.model +
-               "' does not support calibrate rate specs";
-      if (args.sc.rate.starts_with("calibrate-spatial") &&
-          !model->supports_spatial_rate())
-        return "err model '" + args.sc.model +
-               "' does not support spatial rate specs";
-      cal = calibrate_scenario(args.sc, slice, options_.calibration, &cache_,
-                               pool_.get());
-      solved.rate = cal.resolved_rate;
-      solved.d_override = cal.fit.params.d;
-      solved.k_override = cal.fit.params.k;
-    }
-
-    if (verb == "calibrate")
+    solve_cache& cache = this->cache();
+    const prepared_solve prepared = prepare_solve(
+        *model, args.sc, slice, options_.calibration, &cache, pool_.get());
+    if (verb == "calibrate") {
+      if (!prepared.calibration)
+        return "err calibrate requires a calibrate rate spec (rate='" +
+               args.sc.rate + "')";
+      const scenario_calibration& cal = *prepared.calibration;
       return "ok fit d=" + format_full_precision(cal.fit.params.d) +
              " k=" + format_full_precision(cal.fit.params.k) +
              " a=" + format_full_precision(cal.fit_a) +
@@ -548,14 +744,16 @@ std::string dl_service::handle_request(const std::string& payload,
              " sse=" + format_full_precision(cal.fit.sse) +
              " evals=" + std::to_string(cal.fit.evaluations) +
              " rate=" + cal.resolved_rate;
+    }
 
     // Solve through the resident cache: a repeated request — from this
     // client or any other — is a pure lookup.
-    const std::string key = scenario_cache_key(solved, slice, *model);
-    std::shared_ptr<const model_trace> trace = cache_.find_trace(key);
+    const std::string key =
+        scenario_cache_key(prepared.solved, slice, *model);
+    std::shared_ptr<const model_trace> trace = cache.find_trace(key);
     if (trace == nullptr) {
-      cache_.store_trace(key, model->solve(solved, slice));
-      trace = cache_.find_trace(key);
+      cache.store_trace(key, model->solve(prepared.solved, slice));
+      trace = cache.find_trace(key);
     }
 
     if (verb == "solve") return format_trace(*trace);
@@ -622,24 +820,17 @@ void dl_service::do_stop() {
 
   ::unlink(options_.socket_path.c_str());
 
-  // Every request has drained: flush the warm cache to disk (a journal
-  // checkpoint when journaling, so the WAL resets alongside).
-  if (!options_.cache_file.empty()) {
+  // Every request has drained: the final flush of the warm cache (a
+  // journal checkpoint when journaling, so the WAL resets alongside).
+  if (persistent_) {
     const std::lock_guard<std::mutex> lock(flush_mutex_);
     try {
-      if (journal_ != nullptr)
-        journal_->checkpoint(
-            [this] { save_cache(cache_, options_.cache_file); });
-      else
-        save_cache(cache_, options_.cache_file);
+      persistent_->close();
     } catch (const std::exception& e) {
       std::fprintf(stderr, "dl_service: cache flush to '%s' failed: %s\n",
                    options_.cache_file.c_str(), e.what());
     }
   }
-  // The observer holds a raw pointer into journal_; nothing inserts
-  // after the drain, but uninstall it anyway before the member dies.
-  cache_.set_write_observer({});
 }
 
 void dl_service::stop() {

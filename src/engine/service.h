@@ -35,13 +35,23 @@
 //                                    service drains in-flight requests,
 //                                    flushes the cache and stops
 //
-// Every malformed request — unknown verb, bad key, unparsable value,
-// unknown slice or model — is answered with an "err <reason>" frame and
-// the connection stays usable.  A frame whose declared length exceeds
-// max_frame_bytes is drained and answered with an error frame, so one
-// oversized request cannot desynchronize the stream.  Responses never
+// Every malformed request — unknown verb, bad key, unparsable or
+// non-finite value, out-of-range x, unknown slice or model — is answered
+// with an "err <reason>" frame and the connection stays usable.  A frame
+// whose declared length exceeds max_frame_bytes is drained and answered
+// with an error frame, so one oversized request cannot desynchronize the
+// stream.  Responses never
 // include timings: a response is a pure function of the request and the
 // slice data, so concurrent clients always read deterministic bytes.
+//
+// Client side: service_client is one blocking connection.
+// remote_registry wraps a model registry so that its models solve and
+// calibrate through "solve" / "calibrate" requests — the replies parsed
+// back exactly, since every double crosses the wire at %.17g — while
+// answering every capability query locally.  A sweep run through
+// run_sweep with that registry is a remote sweep (or remote shard) with
+// run_sweep's batching, partition, error attribution and row
+// construction; no second executor exists.
 #pragma once
 
 #include <atomic>
@@ -49,6 +59,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -66,6 +77,10 @@ namespace dlm::engine {
 /// Default frame-size cap: far above any request and any trace response
 /// the engine produces, far below a resource-exhaustion payload.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 1 << 20;
+
+/// Largest accepted service_options::io_timeout_sec (about 31 years):
+/// any value up to it converts to a timeval without overflow.
+inline constexpr double kMaxIoTimeoutSec = 1e9;
 
 struct service_options {
   /// AF_UNIX socket path to listen on (required; a stale socket file
@@ -88,7 +103,8 @@ struct service_options {
   /// Per-connection socket I/O timeout in seconds (SO_RCVTIMEO /
   /// SO_SNDTIMEO on each accepted connection): a client that stalls
   /// mid-frame is dropped instead of pinning its worker thread forever.
-  /// 0 disables (the historical blocking behaviour).  Note the receive
+  /// 0 disables (the historical blocking behaviour); values outside
+  /// [0, kMaxIoTimeoutSec] (or NaN) are rejected.  Note the receive
   /// timeout also bounds *idle* time between requests — pick a value
   /// comfortably above the client's think time, or have clients
   /// reconnect (engine::remote_options does, transparently).
@@ -143,6 +159,37 @@ class service_client {
   int fd_ = -1;
 };
 
+/// Connection-resilience knobs for remote_registry.
+struct remote_options {
+  /// Retries after a *connection-level* failure (connect refused, server
+  /// closed mid-request, I/O timeout) — each retry reconnects and
+  /// re-sends.  Safe to repeat: a reply is a pure function of the
+  /// request, so a re-send can only reproduce the same bytes.  "err"
+  /// replies are protocol answers, not connection failures, and are
+  /// never retried.  0 (default): fail on the first error.
+  std::size_t retries = 0;
+  /// Backoff before retry r is initial * multiplier^(r-1) milliseconds.
+  double backoff_initial_ms = 50.0;
+  double backoff_multiplier = 2.0;
+};
+
+/// A registry with one model per name in `base`, each wrapping
+/// base.make(name): every capability flag (supports_batch included) is
+/// the local model's, so expand_sweep, batch_sweep and shard_chunks see
+/// exactly what a local run sees, while solve() and calibrate() are
+/// "solve" / "calibrate" requests to the dl_serve server at
+/// `socket_path`.  solve_batch keeps the default per-scenario loop.  The
+/// models share one connection pool: a connection is opened lazily when
+/// no idle one is free and returned after each request, so a sweep holds
+/// at most one per concurrently requesting pool worker and reuses it
+/// across scenarios.  An "err" reply throws std::runtime_error carrying
+/// the reply (run_sweep adds the scenario's identity).  For calibrate
+/// rows to match a local run, the server's calibration options must
+/// equal the runner's.
+[[nodiscard]] model_registry remote_registry(
+    const std::string& socket_path, const remote_options& remote = {},
+    const model_registry& base = default_registry());
+
 // --------------------------------------------------------------- service
 
 class dl_service {
@@ -173,8 +220,12 @@ class dl_service {
   }
   /// The resident cache (shared with in-flight requests; the cache is
   /// internally synchronized).
-  [[nodiscard]] solve_cache& cache() noexcept { return cache_; }
-  [[nodiscard]] cache_stats stats() const { return cache_.stats(); }
+  [[nodiscard]] solve_cache& cache() noexcept {
+    return persistent_ ? persistent_->cache() : *memory_cache_;
+  }
+  [[nodiscard]] cache_stats stats() const {
+    return persistent_ ? persistent_->cache().stats() : memory_cache_->stats();
+  }
   /// What loading options.cache_file on start saw.
   [[nodiscard]] const cache_load_result& startup_load() const noexcept {
     return startup_load_;
@@ -205,7 +256,11 @@ class dl_service {
 
   scenario_context context_;
   service_options options_;
-  solve_cache cache_;
+  /// The resident cache: a persistent_cache (snapshot load, WAL replay
+  /// and journaling, flush) when options_.cache_file is set, otherwise
+  /// an in-memory solve_cache.  Exactly one is engaged.
+  std::optional<persistent_cache> persistent_;
+  std::optional<solve_cache> memory_cache_;
   cache_load_result startup_load_;
   std::unique_ptr<thread_pool> pool_;
 
@@ -225,10 +280,6 @@ class dl_service {
   std::mutex flush_mutex_;  ///< serializes "flush" verb vs shutdown flush
   std::atomic<std::size_t> requests_{0};
   std::atomic<std::size_t> dropped_{0};
-  /// Live WAL when options_.journal is on (null otherwise); the cache's
-  /// write observer holds a raw pointer into it, so do_stop() clears
-  /// the observer before this member dies.
-  std::unique_ptr<cache_journal> journal_;
 };
 
 }  // namespace dlm::engine

@@ -26,6 +26,15 @@
 // no floating-point sums whose order could differ — and every chunk is
 // covered exactly once, so the merged output is byte-identical to the
 // unsharded run's.
+//
+// This module only partitions; where a shard executes is the model
+// registry's business.  Every shard runs run_sweep with
+// runner_options::shard — a local one over the built-in registry, a
+// remote one over engine::remote_registry (engine/service.h), whose
+// models solve and calibrate on a resident dl_serve server but answer
+// every capability query from the local model.  batch_sweep therefore
+// forms the same chunks and this partition assigns them the same way on
+// either side, so local and remote shards of one sweep merge.
 #pragma once
 
 #include <cstddef>
@@ -34,8 +43,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/model_registry.h"
-#include "engine/result_table.h"
 #include "engine/scenario.h"
 
 namespace dlm::engine {
@@ -84,47 +91,5 @@ struct shard_spec {
 [[nodiscard]] std::vector<std::vector<std::size_t>> shard_chunks(
     const std::vector<std::vector<std::size_t>>& chunks,
     std::span<const scenario> scenarios, const shard_spec& shard);
-
-/// Convenience: the ascending global scenario indices `shard` owns, via
-/// batch_sweep + shard_chunks (`batch_width` as in runner_options; the
-/// width must match the one the runs use for the partition to be
-/// chunk-aligned with them).
-[[nodiscard]] std::vector<std::size_t> shard_scenarios(
-    std::span<const scenario> scenarios, const shard_spec& shard,
-    const model_registry& registry = default_registry(),
-    std::size_t batch_width = 0);
-
-/// Connection-resilience knobs for run_shard_remote.
-struct remote_options {
-  /// Retries after a *connection-level* failure (connect refused, server
-  /// closed mid-request, I/O timeout) — each retry reconnects and
-  /// re-sends.  Safe to repeat: a reply is a pure function of the
-  /// request, so a re-send can only reproduce the same bytes.  "err"
-  /// replies are protocol answers, not connection failures, and are
-  /// never retried.  0 (default): the historical fail-on-first-error.
-  std::size_t retries = 0;
-  /// Backoff before retry r is initial * multiplier^(r-1) milliseconds.
-  double backoff_initial_ms = 50.0;
-  double backoff_multiplier = 2.0;
-};
-
-/// Executes the owned scenarios of one shard against a resident
-/// dl_serve server (engine/service.h) instead of solving locally: each
-/// scenario becomes one "solve" request — calibrate specs first issue a
-/// "calibrate" request and re-solve with the fitted overrides, exactly
-/// run_sweep's order of operations — and the returned trace is scored
-/// locally.  Because every double crosses the wire through
-/// format_full_precision (exact round-trip), the resulting rows are
-/// byte-identical to a local run's, so remote shards merge with local
-/// ones transparently.  Note the server's calibration options must
-/// match the local runner_options::calibration for calibrate rows to
-/// agree.  `owned` lists ascending global scenario indices (from
-/// shard_scenarios).  Throws std::runtime_error naming the scenario on
-/// any "err" reply or connection failure.
-[[nodiscard]] result_table run_shard_remote(
-    const scenario_context& context, std::span<const scenario> scenarios,
-    std::span<const std::size_t> owned, const std::string& socket_path,
-    const model_registry& registry = default_registry(),
-    const remote_options& remote = {});
 
 }  // namespace dlm::engine

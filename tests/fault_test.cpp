@@ -17,8 +17,8 @@
 //    indices in the manifest; --retries turns the same crash into a
 //    full-success run;
 //  * the resident service answers "health", bounds wedged clients with
-//    io_timeout_sec (counting them in stats dropped=), and
-//    run_shard_remote reconnects through remote_options.
+//    io_timeout_sec (counting them in stats dropped=), and a sweep over
+//    remote_registry reconnects through remote_options.
 
 #include "engine/fault.h"
 
@@ -469,8 +469,6 @@ TEST(ServiceResilience, RemoteShardReconnectsThroughRetries) {
   spec.rates = {"preset", "constant:0.5"};
   const std::vector<engine::scenario> scenarios =
       engine::expand_sweep(spec, ctx);
-  const std::vector<std::size_t> owned =
-      engine::shard_scenarios(scenarios, engine::shard_spec{0, 1});
 
   engine::runner_options local_options;
   local_options.threads = 1;
@@ -490,18 +488,51 @@ TEST(ServiceResilience, RemoteShardReconnectsThroughRetries) {
   remote.retries = 20;
   remote.backoff_initial_ms = 50.0;
   remote.backoff_multiplier = 1.0;  // steady 50 ms probes
+  const engine::model_registry retrying =
+      engine::remote_registry(socket_path, remote);
+  engine::runner_options remote_run;
+  remote_run.threads = 1;
+  remote_run.registry = &retrying;
   const engine::result_table table =
-      engine::run_shard_remote(ctx, scenarios, owned, socket_path,
-                               engine::default_registry(), remote);
+      engine::run_sweep(ctx, scenarios, remote_run).table;
   late_starter.join();
   EXPECT_EQ(table.to_csv(), local_csv)
       << "reconnected rows diverged from the local run";
 
   // Zero retries keeps the historical fail-on-first-error contract.
   service->stop();
-  EXPECT_THROW((void)engine::run_shard_remote(ctx, scenarios, owned,
-                                              socket_path),
+  const engine::model_registry impatient = engine::remote_registry(socket_path);
+  remote_run.registry = &impatient;
+  EXPECT_THROW((void)engine::run_sweep(ctx, scenarios, remote_run),
                std::runtime_error);
+}
+
+TEST(ServiceResilience, IdlePooledConnectionsOutliveTheServerIoTimeout) {
+  // The server's I/O timeout also bounds idle time, so it closes pooled
+  // connections between sweeps.  A stale pooled connection reconnects
+  // without spending a retry: even zero retries succeed.
+  engine::service_options options;
+  options.socket_path = fresh_socket_path("idle");
+  options.threads = 1;
+  options.io_timeout_sec = 0.2;
+  engine::dl_service service(make_context("svc"), options);
+  const engine::scenario_context ctx = make_context("svc");
+  engine::sweep_spec spec;
+  spec.models = {"dl"};
+  spec.grid = {12};
+  const std::vector<engine::scenario> scenarios =
+      engine::expand_sweep(spec, ctx);
+  const engine::model_registry remote =
+      engine::remote_registry(service.socket_path());
+  engine::runner_options run;
+  run.threads = 1;
+  run.registry = &remote;
+  const std::string first = engine::run_sweep(ctx, scenarios, run).table.to_csv();
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  EXPECT_EQ(engine::run_sweep(ctx, scenarios, run).table.to_csv(), first);
+  EXPECT_GE(service.connections_dropped(), 1u)
+      << "the idle connection was never timed out";
+  service.stop();
 }
 
 // ----------------------------------------------------- dl_shard end-to-end

@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -139,6 +141,31 @@ TEST(Service, AnswersPingAndSurvivesMalformedRequests) {
                   .starts_with("err"));
   EXPECT_TRUE(client.request("solve model=dl slice=" + ts.slice + " dt=zebra")
                   .starts_with("err cannot parse dt="));
+  // Non-finite reals and an x outside int's range are rejected at the
+  // boundary: NaN is the "unset" sentinel for d/k, and x is cast to int.
+  const struct {
+    const char* args;
+    const char* reply;
+  } boundary[] = {
+      {"dt=inf", "err cannot parse dt='inf'"},
+      {"t0=nan", "err cannot parse t0='nan'"},
+      {"t_end=-inf", "err cannot parse t_end='-inf'"},
+      {"d=nan", "err cannot parse d='nan'"},
+      {"k=inf", "err cannot parse k='inf'"},
+      {"x=2 t=nan", "err cannot parse t='nan'"},
+      {"x=99999999999 t=3", "err cannot parse x='99999999999'"},
+      {"x=-99999999999 t=3", "err cannot parse x='-99999999999'"},
+      {"x=inf t=3", "err cannot parse x='inf'"},
+  };
+  for (const auto& c : boundary)
+    EXPECT_EQ(client.request("predict model=dl slice=" + ts.slice + " " +
+                             c.args),
+              c.reply);
+  // A model without the calibration capability, asked to calibrate.
+  for (const std::string verb : {"solve", "calibrate"})
+    EXPECT_EQ(client.request(verb + " model=logistic slice=" + ts.slice +
+                             " rate=calibrate"),
+              "err model 'logistic' does not support calibrate rate specs");
   EXPECT_TRUE(client.request("solve model=dl slice=" + ts.slice +
                              " scheme=euler")
                   .starts_with("err unknown scheme"));
@@ -382,5 +409,77 @@ TEST(Service, StopIsIdempotentAndTheDestructorIsSafeAfterIt) {
   EXPECT_TRUE(ts.service->stopped());
   ts.service.reset();  // destructor after an explicit stop
 }
+
+// ------------------------------------------------------- dl_serve CLI
+//
+// DLM_SERVE_BIN is the built dl_serve tool (wired in CMakeLists.txt).
+// Numeric flags parse strictly: each bad value is a usage error (exit 2)
+// naming the flag and its argv position.  Every case also passes
+// --request against a socket nobody serves, so a flag that slipped
+// through ends in a failed connect (exit 1), never a running server.
+
+#ifdef DLM_SERVE_BIN
+
+struct cli_outcome {
+  int exit_code = -1;
+  std::string output;  ///< stdout and stderr together
+};
+
+cli_outcome run_dl_serve(const std::string& flags) {
+  const std::string command = std::string(DLM_SERVE_BIN) +
+                              " --socket " + fresh_socket_path() +
+                              " --request ping " + flags + " 2>&1";
+  cli_outcome outcome;
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return outcome;
+  char buffer[512];
+  std::size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0)
+    outcome.output.append(buffer, n);
+  const int status = ::pclose(pipe);
+  outcome.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  return outcome;
+}
+
+void expect_usage_error(const std::string& flags, const std::string& reason) {
+  const cli_outcome outcome = run_dl_serve(flags);
+  EXPECT_EQ(outcome.exit_code, 2) << flags << "\n" << outcome.output;
+  EXPECT_NE(outcome.output.find(reason), std::string::npos)
+      << flags << "\n" << outcome.output;
+  EXPECT_NE(outcome.output.find("at position 6 in command line"),
+            std::string::npos)
+      << flags << "\n" << outcome.output;
+  EXPECT_NE(outcome.output.find("usage: dl_serve"), std::string::npos)
+      << flags << "\n" << outcome.output;
+}
+
+TEST(ServeCli, RejectsANegativeThreadCount) {
+  expect_usage_error("--threads -1", "--threads expects a non-negative integer");
+}
+
+TEST(ServeCli, RejectsTrailingBytesInTheThreadCount) {
+  expect_usage_error("--threads 4x", "--threads expects a non-negative integer");
+}
+
+TEST(ServeCli, RejectsANonNumericFrameCap) {
+  expect_usage_error("--max-frame abc",
+                     "--max-frame expects a non-negative integer");
+}
+
+TEST(ServeCli, RejectsAZeroFrameCap) {
+  expect_usage_error("--max-frame 0", "--max-frame must be positive");
+}
+
+TEST(ServeCli, RejectsANanIoTimeout) {
+  expect_usage_error("--io-timeout nan",
+                     "--io-timeout expects a non-negative finite number");
+}
+
+TEST(ServeCli, RejectsAnIoTimeoutBeyondTheTimevalRange) {
+  expect_usage_error("--io-timeout 1e300",
+                     "--io-timeout must be at most 1e9 seconds");
+}
+
+#endif  // DLM_SERVE_BIN
 
 }  // namespace

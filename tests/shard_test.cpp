@@ -6,8 +6,9 @@
 // unsharded run *exactly* — CSV bytes, text-table bytes and the
 // serialized cache file — for any shard count and any merge order.
 // These tests pin that contract in-process (run_sweep with
-// runner_options::shard), over the wire (run_shard_remote against a
-// resident dl_service), through the real dl_shard driver and at the
+// runner_options::shard), over the wire (run_sweep over
+// engine::remote_registry against a resident dl_service, alone and
+// mixed with local shards), through the real dl_shard driver and at the
 // seams: spec parsing rejections, overlap/gap detection in the merge,
 // empty shards, bitwise conflict counting and the loud-failure path for
 // an unwritable cache file.
@@ -17,6 +18,7 @@
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -588,33 +590,71 @@ TEST(PersistentCache, WritablePathProbesClean) {
 
 // -------------------------------------------------------- remote shards
 
-/// Two shards executed over the dl_serve wire protocol against a
-/// resident service must merge to the local unsharded bytes — every
-/// double crosses the wire in full %.17g precision, and the executor
-/// mirrors run_sweep's calibrate-then-solve order.
+/// Shards executed over the dl_serve wire protocol — run_sweep over
+/// remote_registry — must merge to the local unsharded bytes: every
+/// double crosses the wire in full %.17g precision, and the remote
+/// models answer capability queries locally, so remote and local shards
+/// form the same partition.  calibrate-spatial scenarios join the
+/// calibrate-fixed / grid2d / comm mix, so both fit families cross the
+/// wire — on line and comm only, since one calibrate-spatial fit on
+/// grid2d alone takes seconds.
 TEST(RemoteShard, WireExecutedShardsMergeToTheLocalBytes) {
-  const engine::scenario_context local_ctx = make_context("svc");
-  const std::vector<engine::scenario> scenarios =
-      engine::expand_sweep(make_spec(), local_ctx);
+  const engine::scenario_context ctx = make_context("svc");
+  std::vector<engine::scenario> scenarios =
+      engine::expand_sweep(make_spec(), ctx);
+  engine::sweep_spec spatial = make_spec();
+  spatial.rates = {"calibrate-spatial:3"};
+  spatial.domains = {"line", "comm:2|mix=0.05"};
+  for (const engine::scenario& sc : engine::expand_sweep(spatial, ctx))
+    scenarios.push_back(sc);
 
-  engine::runner_options options;
-  options.threads = 1;
+  // The cache only speeds the local fits up; CSV bytes do not depend on
+  // it.
+  engine::solve_cache local_cache;
+  engine::runner_options local_options;
+  local_options.threads = 1;
+  local_options.cache = &local_cache;
   const std::string local_csv =
-      engine::run_sweep(local_ctx, scenarios, options).table.to_csv();
+      engine::run_sweep(ctx, scenarios, local_options).table.to_csv();
 
   engine::service_options service_options;
   service_options.socket_path = temp_path("remote.sock").string();
   service_options.threads = 1;
   engine::dl_service service(make_context("svc"), service_options);
+  const engine::model_registry remote =
+      engine::remote_registry(service.socket_path());
 
-  std::vector<engine::result_table> tables;
-  for (std::size_t i = 0; i < 2; ++i) {
-    const std::vector<std::size_t> owned =
-        engine::shard_scenarios(scenarios, shard_spec{i, 2});
-    tables.push_back(engine::run_shard_remote(
-        local_ctx, scenarios, owned, service.socket_path()));
+  // One shard through `registry`; null runs locally, reusing the warm
+  // local cache.
+  const auto run_shard = [&](const engine::model_registry* registry,
+                             shard_spec shard, std::size_t threads) {
+    engine::runner_options options;
+    options.threads = threads;
+    options.registry = registry;
+    options.shard = shard;
+    if (registry == nullptr) options.cache = &local_cache;
+    return engine::run_sweep(ctx, scenarios, options).table;
+  };
+
+  for (const std::size_t n : {2u, 3u}) {
+    std::vector<engine::result_table> tables;
+    for (std::size_t i = 0; i < n; ++i)
+      tables.push_back(run_shard(&remote, shard_spec{i, n}, 1));
+    EXPECT_EQ(engine::merge_tables(tables).to_csv(), local_csv) << "n=" << n;
   }
-  EXPECT_EQ(engine::merge_tables(tables).to_csv(), local_csv);
+
+  // One local and one remote shard of the same sweep.  They partition
+  // alike only because the remote models report the local capabilities,
+  // so both sides form the same chunks.
+  ASSERT_EQ(engine::batch_sweep(scenarios, remote),
+            engine::batch_sweep(scenarios));
+  const std::vector<engine::result_table> mixed = {
+      run_shard(nullptr, shard_spec{0, 2}, 1),
+      run_shard(&remote, shard_spec{1, 2}, 1)};
+  EXPECT_EQ(engine::merge_tables(mixed).to_csv(), local_csv);
+
+  // Four pool workers requesting at once over pooled connections.
+  EXPECT_EQ(run_shard(&remote, shard_spec{0, 1}, 4).to_csv(), local_csv);
 
   // The stats verb reports the merge counters alongside the hit/miss
   // line, so a fleet driver can watch shard-merge health remotely.
@@ -624,6 +664,47 @@ TEST(RemoteShard, WireExecutedShardsMergeToTheLocalBytes) {
   EXPECT_NE(stats.find(" merged="), std::string::npos) << stats;
   EXPECT_NE(stats.find(" merge_conflicts="), std::string::npos) << stats;
 
+  service.stop();
+}
+
+/// An "err" reply is the server's deterministic answer: it fails the
+/// scenario at once — no retries — with the reply and the scenario named.
+TEST(RemoteShard, ErrRepliesFailTheScenarioWithoutRetrying) {
+  engine::service_options service_options;
+  service_options.socket_path = temp_path("err.sock").string();
+  service_options.threads = 1;
+  engine::dl_service service(make_context("svc"), service_options);
+
+  // The local slice is "other"; the server only hosts "svc".
+  const engine::scenario_context ctx = make_context("other");
+  engine::sweep_spec spec = make_spec();
+  spec.rates = {"preset"};
+  spec.domains = {"line"};
+  const std::vector<engine::scenario> scenarios =
+      engine::expand_sweep(spec, ctx);
+  engine::remote_options patient;
+  patient.retries = 50;
+  patient.backoff_initial_ms = 1000.0;
+  const engine::model_registry remote =
+      engine::remote_registry(service.socket_path(), patient);
+  engine::runner_options options;
+  options.threads = 1;
+  options.registry = &remote;
+
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    (void)engine::run_sweep(ctx, scenarios, options);
+    ADD_FAILURE() << "an err reply must fail the sweep";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("scenario #0 (model 'dl', slice 'other')"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("err unknown slice 'other'"), std::string::npos)
+        << what;
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1))
+      << "an err reply was retried";
   service.stop();
 }
 
@@ -709,6 +790,19 @@ TEST(ShardCli, RejectsZeroCountsAndPolicies) {
   EXPECT_EQ(worker.exit_code, 2);
   EXPECT_NE(worker.output.find("accepted shard spec form:"), std::string::npos)
       << worker.output;
+}
+
+TEST(ShardCli, RejectsACacheFileForARemoteWorker) {
+  // The server owns the cache of a remote shard; a --cache-file there
+  // would silently never be written.
+  const cli_outcome outcome = run_dl_shard(
+      "--worker 0/2 --csv x.csv --socket /nonexistent.sock --cache-file c");
+  EXPECT_EQ(outcome.exit_code, 2) << outcome.output;
+  EXPECT_NE(outcome.output.find("--cache-file does not apply with --socket"),
+            std::string::npos)
+      << outcome.output;
+  EXPECT_NE(outcome.output.find("at position 7"), std::string::npos)
+      << outcome.output;
 }
 
 std::string read_bytes(const std::string& path) {

@@ -12,6 +12,10 @@
 //            [--threads N] [--max-frame BYTES] [--test-surface]
 //            [--io-timeout SEC] [--journal]
 //
+// Numeric flags are parsed strictly (no sign, no trailing bytes, no NaN
+// or infinity; --max-frame positive, --io-timeout at most 1e9 s): a bad
+// value is a usage error naming the flag and its argv position.
+//
 // Failure handling (docs/robustness.md): the server ignores SIGPIPE so
 // a client that vanishes mid-reply costs one dropped connection (the
 // "stats" verb reports dropped=N), never the process.  --io-timeout
@@ -46,9 +50,8 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
-#include <vector>
 
-#include "core/dl_model.h"
+#include "cli_common.h"
 #include "digg/simulator.h"
 #include "engine/service.h"
 
@@ -58,35 +61,14 @@ std::atomic<bool> g_signal_stop{false};
 
 void on_signal(int) { g_signal_stop.store(true); }
 
-/// The tiny self-contained DL slice the perf benches use: a surface
-/// generated by the model itself, so "calibrate" requests recover the
-/// generating parameters.
-dlm::engine::scenario_context make_test_surface() {
-  using namespace dlm;
-  core::dl_parameters truth = core::dl_parameters::paper_hops(6.0);
-  truth.d = 0.06;
-  truth.k = 22.0;
-  const std::vector<double> initial{1.9, 0.8, 1.1, 0.6, 0.4, 0.3};
-  const core::dl_model model(truth, initial, 1.0, 6.0);
-  std::vector<std::vector<double>> surface(initial.size());
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    surface[i].push_back(initial[i]);
-    for (int t = 2; t <= 6; ++t)
-      surface[i].push_back(model.predict(static_cast<int>(i) + 1, t));
-  }
-  return engine::scenario_context::from_surface(
-      "bench", social::distance_metric::friendship_hops, std::move(surface),
-      core::dl_parameters::paper_hops(6.0));
-}
+const char* kUsage =
+    "usage: dl_serve --socket <path> [--cache-file <path>] [--threads N]\n"
+    "                [--max-frame BYTES] [--test-surface]\n"
+    "                [--io-timeout SEC] [--journal]\n"
+    "       dl_serve --socket <path> --request \"<verb> ...\"\n";
 
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --socket <path> [--cache-file <path>] "
-               "[--threads N] [--max-frame BYTES] [--test-surface]\n"
-               "          [--io-timeout SEC] [--journal]\n"
-               "       %s --socket <path> --request \"<verb> ...\"\n",
-               argv0, argv0);
-  return 2;
+int bad_cli(const std::string& reason, int position) {
+  return dlm::cli::bad_cli("dl_serve", reason, position, kUsage);
 }
 
 }  // namespace
@@ -104,42 +86,40 @@ int main(int argc, char** argv) {
   bool journal = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    const auto next = [&]() -> std::string {
+      if (i + 1 >= argc) std::exit(bad_cli(arg + " needs a value", i));
+      return argv[++i];
     };
-    if (arg == "--socket") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      socket_path = v;
-    } else if (arg == "--cache-file") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      cache_file = v;
-    } else if (arg == "--request") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      request = v;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      threads = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--max-frame") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      max_frame = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    } else if (arg == "--io-timeout") {
-      const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      io_timeout = std::strtod(v, nullptr);
-    } else if (arg == "--journal") {
-      journal = true;
-    } else if (arg == "--test-surface") {
-      test_surface = true;
-    } else {
-      return usage(argv[0]);
+    try {
+      if (arg == "--socket") {
+        socket_path = next();
+      } else if (arg == "--cache-file") {
+        cache_file = next();
+      } else if (arg == "--request") {
+        request = next();
+      } else if (arg == "--threads") {
+        threads = cli::parse_cli_number<std::size_t>(arg, next());
+      } else if (arg == "--max-frame") {
+        max_frame = cli::parse_cli_number<std::size_t>(arg, next());
+        if (max_frame == 0) return bad_cli("--max-frame must be positive", i);
+      } else if (arg == "--io-timeout") {
+        io_timeout = cli::parse_cli_number<double>(arg, next());
+        // Bounded so the timeval conversion cannot overflow.
+        if (io_timeout > engine::kMaxIoTimeoutSec)
+          return bad_cli("--io-timeout must be at most 1e9 seconds", i);
+      } else if (arg == "--journal") {
+        journal = true;
+      } else if (arg == "--test-surface") {
+        test_surface = true;
+      } else {
+        return bad_cli("unknown argument '" + arg + "'", i);
+      }
+    } catch (const std::exception& e) {
+      // Number rejections, positioned at the value.
+      return bad_cli(e.what(), i);
     }
   }
-  if (socket_path.empty()) return usage(argv[0]);
+  if (socket_path.empty()) return bad_cli("--socket is required", 0);
 
   // ---- client mode ----
   if (!request.empty()) {
@@ -167,7 +147,7 @@ int main(int argc, char** argv) {
 
   engine::scenario_context context;
   if (test_surface) {
-    context = make_test_surface();
+    context = cli::make_test_surface();
   } else {
     const digg::scenario_config config = digg::test_scale_scenario();
     std::printf("generating synthetic Digg dataset (%zu users, seed %llu)...\n",

@@ -37,9 +37,11 @@
 //            [--cache-file f] [--threads T] [--batch-width W]
 //            [--socket /path/dlm.sock]
 //       run one shard (the driver spawns these; also usable by hand —
-//       e.g. one per machine).  With --socket the shard's scenarios
-//       execute against a resident dl_serve server over the wire
-//       protocol instead of solving locally (engine::run_shard_remote).
+//       e.g. one per machine).  With --socket the same run_sweep solves
+//       and calibrates on a resident dl_serve server instead of locally
+//       (its models come from engine::remote_registry), so remote and
+//       local shards of one sweep merge.  The server owns the cache
+//       there, so --cache-file with --socket is a usage error.
 //
 //   dl_shard --merge out.csv in0.csv in1.csv ...
 //   dl_shard --merge-cache out.cache in0.cache in1.cache ...
@@ -63,27 +65,21 @@
 
 #include <unistd.h>
 
-#include <charconv>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
-#include "core/dl_model.h"
+#include "cli_common.h"
 #include "digg/simulator.h"
 #include "engine/cache_io.h"
 #include "engine/fault.h"
 #include "engine/format.h"
 #include "engine/scenario_runner.h"
+#include "engine/service.h"
 #include "engine/shard.h"
 #include "engine/supervisor.h"
 #include "graph/generators.h"
@@ -91,12 +87,7 @@
 namespace {
 
 using namespace dlm;
-using clock_type = std::chrono::steady_clock;
-
-double elapsed_ms(clock_type::time_point start) {
-  return std::chrono::duration<double, std::milli>(clock_type::now() - start)
-      .count();
-}
+using namespace dlm::cli;
 
 // ------------------------------------------------------------------ CLI
 
@@ -108,40 +99,16 @@ const char* kUsage =
     "                [--retries R] [--backoff MS] [--allow-partial]\n"
     "                [--manifest out.json] [--journal] [--fault PLAN]\n"
     "       dl_shard --worker <i>/<N> --csv out.csv\n"
-    "                [--sweep ...] [--cache-file f] [--threads T]\n"
-    "                [--batch-width W] [--socket /path/dlm.sock]\n"
-    "                [--journal] [--fault PLAN]\n"
+    "                [--sweep ...] [--threads T] [--batch-width W]\n"
+    "                [--cache-file f [--journal] | --socket /path/dlm.sock]\n"
+    "                [--fault PLAN]\n"
     "       dl_shard --merge out.csv in0.csv in1.csv ...\n"
     "       dl_shard --merge-cache out.cache in0.cache in1.cache ...\n"
     "       dl_shard --bench [--bench-out BENCH_shard.json]\n"
     "                [--bench-shards 1,2,4,8] [--bench-rates R]\n";
 
-/// CLI rejection in the spec-grammar style: the reason and the 1-based
-/// argv position of the offending argument, then the usage block.
 int bad_cli(const std::string& reason, int position) {
-  std::fprintf(stderr, "dl_shard: %s at position %d in command line\n\n%s",
-               reason.c_str(), position, kUsage);
-  return 2;
-}
-
-/// Reads the whole of `text` as a number through std::from_chars.
-/// Unlike std::stoul / std::stod it rejects a sign (no "-1" wrapping to
-/// 2^64 - 1), trailing bytes ("4x") and, for doubles, NaN and infinity.
-/// Throws std::invalid_argument naming `flag`.
-template <typename T>
-T parse_cli_number(const std::string& flag, std::string_view text) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  bool ok = !text.empty() && text.front() != '-' && ec == std::errc{} &&
-            ptr == end;
-  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
-  if (!ok)
-    throw std::invalid_argument(
-        flag + " expects a non-negative " +
-        (std::is_floating_point_v<T> ? "finite number" : "integer") +
-        ", got '" + std::string(text) + "'");
-  return value;
+  return cli::bad_cli("dl_shard", reason, position, kUsage);
 }
 
 struct cli_options {
@@ -155,6 +122,7 @@ struct cli_options {
   std::string csv_path;
   std::string text_path;
   std::string cache_path;
+  int cache_position = 0;  ///< argv position of --cache-file, for errors
   std::size_t threads = 0;
   std::size_t batch_width = 0;
   // failure domain (driver: supervision; worker: fault arming + journal)
@@ -183,25 +151,6 @@ struct sweep_setup {
   engine::sweep_spec spec;
   fit::calibration_options calibration;
 };
-
-/// The dl_serve --test-surface slice: a surface generated by the DL
-/// model itself, so calibrate specs recover the generating parameters.
-engine::scenario_context make_test_surface() {
-  core::dl_parameters truth = core::dl_parameters::paper_hops(6.0);
-  truth.d = 0.06;
-  truth.k = 22.0;
-  const std::vector<double> initial{1.9, 0.8, 1.1, 0.6, 0.4, 0.3};
-  const core::dl_model model(truth, initial, 1.0, 6.0);
-  std::vector<std::vector<double>> surface(initial.size());
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    surface[i].push_back(initial[i]);
-    for (int t = 2; t <= 6; ++t)
-      surface[i].push_back(model.predict(static_cast<int>(i) + 1, t));
-  }
-  return engine::scenario_context::from_surface(
-      "bench", social::distance_metric::friendship_hops, std::move(surface),
-      core::dl_parameters::paper_hops(6.0));
-}
 
 /// Pure-throughput sweep for the scaling bench: one slice, one scheme,
 /// 3 grid resolutions × `rate_count` distinct constant rates (distinct
@@ -263,27 +212,6 @@ sweep_setup make_sweep(const std::string& name, std::size_t bench_rates) {
                               "' (bench, comparison)");
 }
 
-// ------------------------------------------------------------- file I/O
-
-std::string read_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw std::runtime_error("cannot open '" + path.string() + "'");
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::filesystem::path& path, std::string_view bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out)
-    throw std::runtime_error("cannot open '" + path.string() +
-                             "' for writing");
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  if (!out)
-    throw std::runtime_error("write to '" + path.string() + "' failed");
-}
-
 // ----------------------------------------------------- process spawning
 
 /// The path this binary was launched from, for re-exec'ing workers.
@@ -295,31 +223,6 @@ std::string self_executable(const char* argv0) {
     return buffer;
   }
   return argv0;
-}
-
-/// Minimal JSON string escaping for the partial-run manifest (worker
-/// diagnostics carry signal names and quoted paths).
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // ------------------------------------------------------------- the merge
@@ -365,34 +268,31 @@ int run_worker(const cli_options& opt) {
     fault = engine::parse_fault_plan(opt.fault_spec);
   const std::size_t attempt = engine::worker_attempt_from_env();
 
-  engine::result_table table;
-  std::optional<engine::persistent_cache> persist;
+  engine::runner_options options;
+  options.threads = opt.threads;
+  options.batch_width = opt.batch_width;
+  options.shard = *opt.worker;
+  options.calibration = setup.calibration;
+  options.on_chunk_start =
+      engine::make_fault_hook(fault, opt.worker->index, attempt);
+  // Remote execution: the same sweep, its models solving and calibrating
+  // on a resident dl_serve server (which owns the warm cache).
+  engine::model_registry remote;
   if (!opt.socket_path.empty()) {
-    // Remote execution: this shard's scenarios run on a resident
-    // dl_serve server; only scoring happens here.  The server owns the
-    // warm cache, so --cache-file does not apply.
-    const std::vector<std::size_t> owned = engine::shard_scenarios(
-        scenarios, *opt.worker, engine::default_registry(), opt.batch_width);
-    table = engine::run_shard_remote(setup.context, scenarios, owned,
-                                     opt.socket_path);
-  } else {
-    engine::runner_options options;
-    options.threads = opt.threads;
-    options.batch_width = opt.batch_width;
-    options.shard = *opt.worker;
-    options.calibration = setup.calibration;
-    options.on_chunk_start =
-        engine::make_fault_hook(fault, opt.worker->index, attempt);
-    if (!opt.cache_path.empty()) {
-      engine::journal_options jopt;
-      jopt.enabled = opt.journal;
-      jopt.torn_write_record = fault.torn_write_record(attempt);
-      persist.emplace(opt.cache_path, 0, jopt);
-      if (!persist->write_error().empty()) return 1;  // already on stderr
-      options.cache = &persist->cache();
-    }
-    table = engine::run_sweep(setup.context, scenarios, options).table;
+    remote = engine::remote_registry(opt.socket_path);
+    options.registry = &remote;
   }
+  std::optional<engine::persistent_cache> persist;
+  if (!opt.cache_path.empty()) {
+    engine::journal_options jopt;
+    jopt.enabled = opt.journal;
+    jopt.torn_write_record = fault.torn_write_record(attempt);
+    persist.emplace(opt.cache_path, 0, jopt);
+    if (!persist->write_error().empty()) return 1;  // already on stderr
+    options.cache = &persist->cache();
+  }
+  const engine::result_table table =
+      engine::run_sweep(setup.context, scenarios, options).table;
 
   write_file(opt.csv_path, table.to_csv());
   std::printf("worker %s: %zu of %zu scenarios -> %s\n",
@@ -779,6 +679,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--text") {
         opt.text_path = next("--text");
       } else if (arg == "--cache-file") {
+        opt.cache_position = i;
         opt.cache_path = next("--cache-file");
       } else if (arg == "--threads") {
         opt.threads = parse_cli_number<std::size_t>(arg, next("--threads"));
@@ -856,6 +757,11 @@ int main(int argc, char** argv) {
     if (opt.worker) {
       if (opt.csv_path.empty())
         return bad_cli("--worker requires --csv", 1);
+      if (!opt.socket_path.empty() && !opt.cache_path.empty())
+        return bad_cli(
+            "--cache-file does not apply with --socket (the server owns "
+            "the cache)",
+            opt.cache_position);
       return run_worker(opt);
     }
     if (opt.csv_path.empty()) opt.csv_path = "dl_shard.csv";
