@@ -137,6 +137,38 @@ void bm_batched_strang_cn(benchmark::State& state) {
 }
 BENCHMARK(bm_batched_strang_cn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
+// Batched implicit-Newton lanes at the calibration probe shape: grid 20,
+// hours 1 → 4 (an auto fit window), per-lane d and K as a Nelder–Mead
+// round probes them.  Each lane iterates to its own convergence under a
+// mask, so width 1 (the scalar path) vs width 4/8 is the lane gain a
+// lockstep calibration round sees.
+void bm_batched_newton(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const core::dl_solver_options opts =
+      options_for(core::dl_scheme::implicit_newton, 20);
+  std::vector<core::dl_parameters> params;
+  params.reserve(width);
+  for (std::size_t l = 0; l < width; ++l) {
+    params.push_back(core::dl_parameters::paper_hops(6.0));
+    params.back().d *= 1.0 + 0.15 * static_cast<double>(l);
+    params.back().k *= 1.0 - 0.05 * static_cast<double>(l);
+  }
+  const core::initial_condition phi(observed);
+  std::vector<core::solve_request> requests;
+  requests.reserve(width);
+  for (std::size_t l = 0; l < width; ++l)
+    requests.push_back(
+        {.params = &params[l], .phi = &phi, .t_end = 4.0, .options = opts});
+  core::dl_batch_workspace ws;
+  for (auto _ : state) {
+    const std::vector<core::dl_solution> sols = core::solve_dl(requests, ws);
+    benchmark::DoNotOptimize(sols.back().states().back().data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(width));
+}
+BENCHMARK(bm_batched_newton)->Arg(1)->Arg(4)->Arg(8);
+
 // 2-D ADI sheet solve (core::domain::grid): Arg is points_per_unit on
 // the distance axis; the interest axis spans [1, 5] at the same
 // resolution, so Arg(20) steps an 80×121-node sheet.  The per-step

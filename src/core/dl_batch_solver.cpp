@@ -1,12 +1,13 @@
 // Batched DL solver: advances a span of solve_requests in lockstep.
 //
-// Compatible requests — same scheme, grid, dt, record cadence and time
-// window — form a group whose W lanes share one time loop over the
-// structure-of-arrays dl_batch_workspace (u[node*W + lane]).  The per-node
-// inner loops then run over W contiguous lanes: the Strang–CN forward
-// elimination and back substitution interleave W independent Thomas
-// chains (the serial division chain of lane A overlaps the multiplies of
-// lanes B..), and the logistic reaction substeps vectorize across lanes.
+// Compatible requests — same scheme, grid, dt, record cadence, time
+// window and Newton settings — form a group whose W lanes share one time
+// loop over the structure-of-arrays dl_batch_workspace (u[node*W + lane]).
+// The per-node inner loops then run over W contiguous lanes, so W
+// independent Thomas chains interleave (the serial division chain of lane
+// A overlaps the multiplies of lanes B..): the Strang–CN forward
+// elimination and back substitution, and each implicit-Newton
+// iteration's Jacobian solve.
 //
 // Bitwise identity with the scalar path is the load-bearing contract
 // (engine::solve_cache keys, golden fits and CSV output must not depend
@@ -15,14 +16,18 @@
 // `u[i*W + l]`: the shared helpers in dl_solver_internal.h supply the
 // propagator and matrix entries, each lane's Crank–Nicolson coefficients
 // come from the same num::tridiagonal_factorization the scalar path
-// solves with, and the accumulation order inside every loop is kept
-// verbatim.  Reordering lanes, changing W, or re-running with a reused
-// workspace cannot change a single bit of any lane (solver_batch_test).
+// solves with, each Newton lane stops at its own convergence (a per-lane
+// mask freezes its iterate, so it runs exactly the scalar iteration
+// count), and the accumulation order inside every loop is kept verbatim.
+// Reordering lanes, changing W, or re-running with a reused workspace
+// cannot change a single bit of any lane (solver_batch_test).
 //
-// Not batched (solved per-request on the scalar path instead): the
-// implicit_newton scheme (data-dependent Newton iteration counts defeat
-// lockstep), requests carrying their own dl_workspace (the caller asked
-// for exactly those buffers), and groups of one.
+// Not batched (solved per-request on the scalar path instead): lanes
+// that measured no faster than scalar solves — ftcs (0.58–0.85× across
+// grids and widths), mol_rk4 (0.68–0.96×) and strang_cn with a spatial
+// rate (about 1.0×: its per-node exps cost the same either way) — plus
+// non-line domains, requests carrying their own dl_workspace (the caller
+// asked for exactly those buffers), and groups of one.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -44,7 +49,7 @@ namespace {
 /// Everything that must match for two requests to share a lockstep time
 /// loop.  The diffusion coefficient d is deliberately absent: lanes with
 /// different d share the loop and get per-lane Crank–Nicolson
-/// factorizations from the workspace cache.
+/// factorizations from the workspace cache (or per-lane Jacobians).
 struct group_key {
   dl_scheme scheme = dl_scheme::strang_cn;
   std::size_t n = 0;  ///< grid node count
@@ -54,6 +59,8 @@ struct group_key {
   double record_dt = 0.0;  ///< effective (inf for final_state output)
   double t0 = 0.0;
   double t_end = 0.0;
+  int newton_max_iter = 0;
+  double newton_tol = 0.0;
 
   bool operator==(const group_key&) const = default;
 };
@@ -68,7 +75,9 @@ group_key key_of(const solve_request& request) {
           options.dt,
           options.record_dt,
           request.t0,
-          request.t_end};
+          request.t_end,
+          options.newton_max_iter,
+          options.newton_tol};
 }
 
 /// Mirrors the scalar path's workspace_guard for the batch workspace.
@@ -82,6 +91,114 @@ class batch_guard {
  private:
   dl_batch_workspace& ws_;
 };
+
+/// One implicit-Newton time step of W lanes, u → un: backward Euler,
+/// un − u − h·(d·A un + r·un·(1 − un/K)) = 0, with the scalar path's
+/// Newton iteration widened to W lanes (state node-major, [i*W + l]; `rt`
+/// holds r(x_i, t + h) in the same layout).  Each iteration is two passes
+/// over the nodes.  The first computes the residual (mirror-ghost
+/// Laplacian inline), its max-norm, and the forward elimination of the
+/// Jacobian I − h·(d·A + diag(r·(1 − 2un/K))) — solve_tridiagonal_in_place's
+/// expressions, W chains interleaved.  The second back-substitutes and
+/// applies the update.  A lane whose residual meets the tolerance drops
+/// out of the mask and keeps its iterate (its elimination, computed
+/// along, is discarded unused), so each lane runs exactly its scalar
+/// iteration count; the step ends when every lane has converged or the
+/// cap is reached (the scalar path then accepts the last iterate too).
+///
+/// A plain function rather than a solve_group lambda, with one
+/// branch-free lane loop per node row, so the restrict qualifiers reach
+/// the loops and they vectorize across lanes; W stays a runtime count,
+/// since fully unrolled fixed-width lanes are left scalar.
+void newton_step(std::size_t n, std::size_t W, double h, double dx,
+                 int max_iter, double tol, const double* __restrict u,
+                 double* __restrict un, const double* __restrict rt,
+                 const double* __restrict d, const double* __restrict kk,
+                 double* __restrict g, double* __restrict cs,
+                 double* __restrict lanes) {
+  // Per-lane rows of W: residual max-norm, µ = h·d/dx², zero-pivot flag
+  // and convergence mask.
+  double* __restrict norm = lanes;
+  double* __restrict mu = norm + W;
+  double* __restrict zero = mu + W;
+  double* __restrict active = zero + W;
+  const double inv = 1.0 / (dx * dx);
+
+  // Row i of the first pass; `Kind` is 0 for the first row, 1 inside, 2
+  // for the last row (the mirrored boundaries double the Laplacian's and
+  // the Jacobian's off-diagonal neighbour weight).
+  const auto row = [&]<int Kind>(std::size_t i) {
+    const double* __restrict ui = u + i * W;
+    const double* __restrict vi = un + i * W;
+    const double* __restrict ri = rt + i * W;
+    double* __restrict ci = cs + i * W;
+    double* __restrict gi = g + i * W;
+    const double* __restrict vp = Kind > 0 ? vi - W : vi;
+    const double* __restrict vn = Kind < 2 ? vi + W : vi;
+    const double* __restrict cp = Kind > 0 ? ci - W : ci;
+    const double* __restrict gp = Kind > 0 ? gi - W : gi;
+    for (std::size_t l = 0; l < W; ++l) {
+      const double v = vi[l];
+      double lap;
+      if constexpr (Kind == 0) {
+        lap = 2.0 * (vn[l] - v) * inv;
+      } else if constexpr (Kind == 1) {
+        lap = (vp[l] - 2.0 * v + vn[l]) * inv;
+      } else {
+        lap = 2.0 * (vp[l] - v) * inv;
+      }
+      const double res =
+          v - ui[l] - h * (d[l] * lap + ri[l] * v * (1.0 - v / kk[l]));
+      norm[l] = std::max(norm[l], std::abs(res));
+      const double diag =
+          1.0 + 2.0 * mu[l] - h * ri[l] * (1.0 - 2.0 * v / kk[l]);
+      if constexpr (Kind == 0) {
+        ci[l] = (-mu[l] * 2.0) / diag;
+        gi[l] = res / diag;
+        zero[l] = diag == 0.0 ? 1.0 : zero[l];
+      } else {
+        const double lower = -mu[l] * (Kind == 2 ? 2.0 : 1.0);
+        const double pivot = diag - lower * cp[l];
+        ci[l] = Kind == 1 ? (-mu[l] * 1.0) / pivot : 0.0;
+        gi[l] = (res - lower * gp[l]) / pivot;
+        zero[l] = pivot == 0.0 ? 1.0 : zero[l];
+      }
+    }
+  };
+
+  std::copy(u, u + n * W, un);  // warm start
+  for (std::size_t l = 0; l < W; ++l) active[l] = 1.0;
+  for (int it = 0; it < max_iter; ++it) {
+    for (std::size_t l = 0; l < W; ++l) {
+      norm[l] = 0.0;
+      mu[l] = h * d[l] / (dx * dx);
+      zero[l] = 0.0;
+    }
+    row.template operator()<0>(0);
+    for (std::size_t i = 1; i + 1 < n; ++i) row.template operator()<1>(i);
+    row.template operator()<2>(n - 1);
+
+    bool any = false;
+    for (std::size_t l = 0; l < W; ++l) {
+      if (norm[l] <= tol) active[l] = 0.0;
+      if (active[l] != 0.0 && zero[l] != 0.0)
+        throw std::domain_error("solve_tridiagonal: zero pivot");
+      any = any || active[l] != 0.0;
+    }
+    if (!any) return;
+
+    for (std::size_t i = n; i-- > 0;) {
+      double* __restrict gi = g + i * W;
+      double* __restrict vi = un + i * W;
+      if (i + 1 < n) {
+        const double* __restrict ci = cs + i * W;
+        for (std::size_t l = 0; l < W; ++l) gi[l] -= ci[l] * gi[W + l];
+      }
+      for (std::size_t l = 0; l < W; ++l)
+        vi[l] = active[l] != 0.0 ? vi[l] - gi[l] : vi[l];
+    }
+  }
+}
 
 /// Advances one group of W ≥ 2 compatible requests in lockstep and fills
 /// their slots in `solved`.  `members` lists request indices in original
@@ -116,13 +233,6 @@ void solve_group(std::span<const solve_request> requests,
       throw std::invalid_argument("solve_dl: t_end must exceed t0");
     if (!(options.dt > 0.0))
       throw std::invalid_argument("solve_dl: dt must be positive");
-    if (key.scheme == dl_scheme::ftcs && params.d > 0.0) {
-      const double dt_max = dx * dx / (2.0 * params.d);
-      if (options.dt > dt_max)
-        throw std::invalid_argument(
-            "solve_dl: FTCS unstable for dt > dx^2/(2d) = " +
-            std::to_string(dt_max));
-    }
     if (request.phi != nullptr) {
       samples = request.phi->sample(params.x_min, params.x_max, n);
       // Same clip as the scalar initial-condition overload: densities are
@@ -143,7 +253,6 @@ void solve_group(std::span<const solve_request> requests,
     bws.lane_k[l] = params.k;
     const rate_field& rate = params.r;
     bws.lane_factored[l] = rate.separable_form() ? 1 : 0;
-    bws.lane_uniform[l] = rate.spatial() ? 0 : 1;
     if (bws.lane_factored[l])
       for (std::size_t i = 0; i < n; ++i)
         bws.mod_rows[l * n + i] = rate.modulation(bws.node_x[i]);
@@ -165,22 +274,12 @@ void solve_group(std::span<const solve_request> requests,
       rate.profile(t, bws.node_x, out, bws.rate_scratch);
     }
   };
-  const auto integrals_lane = [&](std::size_t l, double from, double to,
-                                  std::span<double> out) {
+  // e^∫r over [from, to] of an x-uniform (strang_cn) lane: node 0's
+  // integrated rate is every node's, so the scalar path hoists this one
+  // exp per substep — the factored expression verbatim.
+  const auto growth_lane = [&](std::size_t l, double from, double to) {
     const rate_field& rate = requests[members[l]].params->r;
-    if (bws.lane_uniform[l]) {
-      // x-uniform lanes read only node 0's integrated rate (the Strang
-      // substep hoists one exp from it); filling the other n−1 identical
-      // entries would be pure waste.  Node 0's value is the factored
-      // expression verbatim, so the bits the kernel sees are unchanged.
-      out[0] = bws.mod_rows[l * n] * rate.base().integral(from, to);
-    } else if (bws.lane_factored[l]) {
-      const double base = rate.base().integral(from, to);
-      const double* mod = bws.mod_rows.data() + l * n;
-      for (std::size_t i = 0; i < n; ++i) out[i] = mod[i] * base;
-    } else {
-      rate.integral_profile(from, to, bws.node_x, out, bws.rate_scratch);
-    }
+    return std::exp(bws.mod_rows[l * n] * rate.base().integral(from, to));
   };
 
   // Per-lane Crank–Nicolson coefficients: one elimination per distinct
@@ -223,43 +322,12 @@ void solve_group(std::span<const solve_request> requests,
   };
   if (key.scheme == dl_scheme::strang_cn) build_cn(key.dt);
 
-  // SoA mirror-ghost Laplacian: neumann_laplacian's expressions per lane.
-  // (__restrict on the hot-path pointers: the SoA buffers never alias, and
-  // telling the compiler so is what lets the W-lane inner loops vectorize.)
-  const auto soa_laplacian = [&](const double* __restrict y,
-                                 double* __restrict out) {
-    const double inv = 1.0 / (dx * dx);
-    for (std::size_t l = 0; l < W; ++l)
-      out[l] = 2.0 * (y[W + l] - y[l]) * inv;
-    for (std::size_t i = 1; i + 1 < n; ++i)
-      for (std::size_t l = 0; l < W; ++l)
-        out[i * W + l] =
-            (y[(i - 1) * W + l] - 2.0 * y[i * W + l] + y[(i + 1) * W + l]) *
-            inv;
-    for (std::size_t l = 0; l < W; ++l)
-      out[(n - 1) * W + l] =
-          2.0 * (y[(n - 2) * W + l] - y[(n - 1) * W + l]) * inv;
-  };
-
-  const auto step_ftcs = [&](double t, double h) {
-    double* __restrict u = bws.u.data();
-    double* __restrict lap = bws.lap.data();
-    soa_laplacian(u, lap);
-    for (std::size_t l = 0; l < W; ++l)
-      rates_lane(l, t, lane_row(bws.rt_rows, l));
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t l = 0; l < W; ++l) {
-        const double ui = u[i * W + l];
-        u[i * W + l] =
-            ui + h * (bws.lane_d[l] * lap[i * W + l] +
-                      bws.rt_rows[l * n + i] * ui * (1.0 - ui / bws.lane_k[l]));
-      }
-  };
-
   const auto step_strang = [&](double t, double h) {
+    double* g1 = bws.growth1.data();
+    double* g2 = bws.growth2.data();
     for (std::size_t l = 0; l < W; ++l) {
-      integrals_lane(l, t, t + 0.5 * h, lane_row(bws.rint_rows, l));
-      integrals_lane(l, t + 0.5 * h, t + h, lane_row(bws.rt_rows, l));
+      g1[l] = growth_lane(l, t, t + 0.5 * h);
+      g2[l] = growth_lane(l, t + 0.5 * h, t + h);
     }
     // Coefficients were scattered for key.dt; rebuild for a short
     // trailing step (the scalar path does the same).
@@ -327,78 +395,27 @@ void solve_group(std::span<const solve_request> requests,
       }
     };
 
-    bool all_uniform = true;
-    for (std::size_t l = 0; l < W; ++l)
-      if (!bws.lane_uniform[l]) all_uniform = false;
-    double* g1 = bws.growth1.data();
-    double* g2 = bws.growth2.data();
     const double* kk = bws.lane_k.data();
-    for (std::size_t l = 0; l < W; ++l) {
-      // One exp per x-uniform lane per substep, exactly the scalar hoist
-      // (node 0's integrated rate is every node's integrated rate).
-      if (bws.lane_uniform[l]) {
-        g1[l] = std::exp(bws.rint_rows[l * n]);
-        g2[l] = std::exp(bws.rt_rows[l * n]);
-      }
-    }
-    if (all_uniform) {
-      // Branch-free lane loops for the common all-temporal-rate group.
-      fused(
-          [&](double v, std::size_t, std::size_t l) {
-            return detail::logistic_exact_with_growth(v, g1[l], kk[l]);
-          },
-          [&](double v, std::size_t, std::size_t l) {
-            return detail::logistic_exact_with_growth(v, g2[l], kk[l]);
-          });
-    } else {
-      fused(
-          [&](double v, std::size_t i, std::size_t l) {
-            return bws.lane_uniform[l]
-                       ? detail::logistic_exact_with_growth(v, g1[l], kk[l])
-                       : detail::logistic_exact(v, bws.rint_rows[l * n + i],
-                                                kk[l]);
-          },
-          [&](double v, std::size_t i, std::size_t l) {
-            return bws.lane_uniform[l]
-                       ? detail::logistic_exact_with_growth(v, g2[l], kk[l])
-                       : detail::logistic_exact(v, bws.rt_rows[l * n + i],
-                                                kk[l]);
-          });
-    }
+    fused(
+        [&](double v, std::size_t, std::size_t l) {
+          return detail::logistic_exact_with_growth(v, g1[l], kk[l]);
+        },
+        [&](double v, std::size_t, std::size_t l) {
+          return detail::logistic_exact_with_growth(v, g2[l], kk[l]);
+        });
   };
 
-  // Method of lines: num::rk4_step's stage expressions element-wise over
-  // the SoA state, with the scalar reaction term per lane.
-  const auto reaction = [&](double ts, const double* __restrict y,
-                            double* __restrict dydt) {
-    soa_laplacian(y, dydt);
+  // Backward Euler by Newton (newton_step), on node-major rates.
+  const auto step_newton = [&](double t, double h) {
     for (std::size_t l = 0; l < W; ++l)
-      rates_lane(l, ts, lane_row(bws.rt_rows, l));
+      rates_lane(l, t + h, lane_row(bws.rt_rows, l));
+    double* rt = bws.rhs.data();
     for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t l = 0; l < W; ++l)
-        dydt[i * W + l] =
-            bws.lane_d[l] * dydt[i * W + l] +
-            bws.rt_rows[l * n + i] * y[i * W + l] *
-                (1.0 - y[i * W + l] / bws.lane_k[l]);
-  };
-  const auto step_rk4 = [&](double t, double h) {
-    const std::size_t m = n * W;
-    double* __restrict u = bws.u.data();
-    double* __restrict u_next = bws.u_next.data();
-    double* __restrict k1 = bws.k1.data();
-    double* __restrict k2 = bws.k2.data();
-    double* __restrict k3 = bws.k3.data();
-    double* __restrict k4 = bws.k4.data();
-    double* __restrict tmp = bws.tmp.data();
-    reaction(t, u, k1);
-    for (std::size_t j = 0; j < m; ++j) tmp[j] = u[j] + 0.5 * h * k1[j];
-    reaction(t + 0.5 * h, tmp, k2);
-    for (std::size_t j = 0; j < m; ++j) tmp[j] = u[j] + 0.5 * h * k2[j];
-    reaction(t + 0.5 * h, tmp, k3);
-    for (std::size_t j = 0; j < m; ++j) tmp[j] = u[j] + h * k3[j];
-    reaction(t + h, tmp, k4);
-    for (std::size_t j = 0; j < m; ++j)
-      u_next[j] = u[j] + h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
+      for (std::size_t l = 0; l < W; ++l) rt[i * W + l] = bws.rt_rows[l * n + i];
+    newton_step(n, W, h, dx, key.newton_max_iter, key.newton_tol, bws.u.data(),
+                bws.u_next.data(), rt, bws.lane_d.data(), bws.lane_k.data(),
+                bws.newton_g.data(), bws.newton_c.data(),
+                bws.newton_lanes.data());
     bws.u.swap(bws.u_next);
   };
 
@@ -433,19 +450,10 @@ void solve_group(std::span<const solve_request> requests,
     const double t = key.t0 + static_cast<double>(step) * key.dt;
     const double h = std::min(key.dt, key.t_end - t);
     if (h <= 0.0) break;
-    switch (key.scheme) {
-      case dl_scheme::ftcs:
-        step_ftcs(t, h);
-        break;
-      case dl_scheme::strang_cn:
-        step_strang(t, h);
-        break;
-      case dl_scheme::mol_rk4:
-        step_rk4(t, h);
-        break;
-      case dl_scheme::implicit_newton:
-        break;  // never batched; routed to the scalar path by the caller
-    }
+    if (key.scheme == dl_scheme::strang_cn)
+      step_strang(t, h);
+    else
+      step_newton(t, h);
     const double t_new = t + h;
     if (t_new + 1e-12 >= next_record || step + 1 == total_steps) {
       times.push_back(t_new);
@@ -478,8 +486,11 @@ std::vector<dl_solution> solve_dl(std::span<const solve_request> requests,
     const solve_request& request = requests[i];
     if (request.params == nullptr)
       throw std::invalid_argument("solve_dl: request has no parameters");
-    if (request.workspace != nullptr ||
-        request.options.scheme == dl_scheme::implicit_newton ||
+    const dl_scheme scheme = request.options.scheme;
+    const bool lanes_win =
+        scheme == dl_scheme::implicit_newton ||
+        (scheme == dl_scheme::strang_cn && !request.params->r.spatial());
+    if (request.workspace != nullptr || !lanes_win ||
         !request.params->dom.is_line()) {
       // Non-line domains (2-D ADI, coupled communities) have their own
       // stepping loops; they run scalar rather than in SoA lockstep.

@@ -6,7 +6,6 @@ void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
                                  dl_scheme scheme) {
   const std::size_t soa = n * width;
   u.resize(soa);
-  lap.resize(soa);
   rhs.resize(soa);
 
   lane_d.resize(width);
@@ -16,11 +15,9 @@ void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
   v_next.resize(width);
   w.resize(width);
   lane_factored.resize(width);
-  lane_uniform.resize(width);
 
   mod_rows.resize(soa);
   rt_rows.resize(soa);
-  rint_rows.resize(soa);
 
   node_x.resize(n);
   row.resize(n);
@@ -36,13 +33,11 @@ void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
     growth1.resize(width);
     growth2.resize(width);
   }
-  if (scheme == dl_scheme::mol_rk4) {
+  if (scheme == dl_scheme::implicit_newton) {
     u_next.resize(soa);
-    k1.resize(soa);
-    k2.resize(soa);
-    k3.resize(soa);
-    k4.resize(soa);
-    tmp.resize(soa);
+    newton_g.resize(soa);
+    newton_c.resize(soa);
+    newton_lanes.resize(4 * width);
   }
 }
 

@@ -1,24 +1,25 @@
 // Structure-of-arrays scratch for the batched DL solver.
 //
 // solve_dl(std::span<const solve_request>) advances a group of compatible
-// scenarios (same scheme / grid / dt / time window) in lockstep: one time
-// loop steps W independent solves at once.  The state is packed
-// grid-node-major × scenario-minor — u[node * W + lane] — so the per-node
-// inner loops run over W contiguous lanes and auto-vectorize, and the
-// serial Thomas recurrence interleaves W independent chains, hiding the
-// division latency that dominates the scalar sweep.
+// strang_cn or implicit_newton scenarios (same scheme / grid / dt / time
+// window) in lockstep: one time loop steps W independent solves at once.
+// The state is packed grid-node-major × scenario-minor — u[node * W +
+// lane] — so the per-node inner loops run over W contiguous lanes and
+// auto-vectorize, and the serial Thomas recurrences interleave W
+// independent chains, hiding the division latency that dominates the
+// scalar sweep.
 //
 // Layouts at a glance (n nodes, W lanes):
 //
-//  * SoA state / rhs / Laplacian / RK4 stages: n·W, index [i*W + l];
+//  * SoA state / rhs / Newton residual and c*: n·W, index [i*W + l];
 //  * Crank–Nicolson coefficients, scattered per lane from each lane's
 //    scalar factorization: diag-shaped n·W, off-diag-shaped (n−1)·W;
-//  * rate rows: lane-major W·n, index [l*n + i] — rate_field::profile
-//    writes one contiguous per-lane span, so rates are evaluated
-//    lane-major and read strided (or hoisted to one growth per lane for
-//    x-uniform fields, the common calibration case);
+//  * Newton rate rows: lane-major W·n, index [l*n + i] —
+//    rate_field::profile writes one contiguous per-lane span — then
+//    transposed node-major into `rhs` once per step (strang_cn lanes are
+//    x-uniform and hoist one growth factor per lane instead);
 //  * per-lane scalars (d, K, growth factors, rolling reaction registers,
-//    Thomas carry): W.
+//    Thomas carry, Newton residual norm and convergence mask): W.
 //
 // The Crank–Nicolson cache holds one rhs-matrix + Thomas factorization
 // per *distinct* λ = d·dt/dx² in the group, so lanes probing the same
@@ -42,9 +43,9 @@ namespace dlm::core {
 struct dl_batch_workspace {
   // SoA state, size n·W.
   std::vector<double> u;       ///< current solution, all lanes
-  std::vector<double> u_next;  ///< RK4 next-step state
-  std::vector<double> lap;     ///< discrete Laplacian, all lanes
+  std::vector<double> u_next;  ///< Newton iterate (implicit_newton only)
   std::vector<double> rhs;     ///< interleaved Thomas right-hand sides
+                               ///< (Newton: node-major r(x_i, t + h))
 
   // Crank–Nicolson coefficients scattered per lane (strang_cn only):
   // rhs-matrix diagonals and the cached elimination of the lane's lhs.
@@ -55,8 +56,12 @@ struct dl_batch_workspace {
   std::vector<double> cn_fp;  ///< factor pivots d'_i, n·W
   std::vector<double> cn_fc;  ///< factor c*_i, (n−1)·W
 
-  // RK4 stage buffers, size n·W (mol_rk4 only).
-  std::vector<double> k1, k2, k3, k4, tmp;
+  // Newton scratch (implicit_newton only): residual, overwritten by the
+  // Jacobian solve, and the Thomas c*_i, size n·W; four per-lane rows of
+  // W (residual norm, µ, zero-pivot flag, convergence mask), size 4·W.
+  std::vector<double> newton_g;
+  std::vector<double> newton_c;
+  std::vector<double> newton_lanes;
 
   // Per-lane scalars, size W.
   std::vector<double> lane_d;   ///< diffusion coefficient d
@@ -66,12 +71,10 @@ struct dl_batch_workspace {
   std::vector<double> v_prev, v_cur, v_next;  ///< rolling reaction rows
   std::vector<double> w;                      ///< Thomas recurrence carry
   std::vector<std::uint8_t> lane_factored;    ///< separable-form rate?
-  std::vector<std::uint8_t> lane_uniform;     ///< x-constant rate?
 
   // Lane-major rate rows, size W·n (row l is lane l's contiguous span).
-  std::vector<double> mod_rows;   ///< separable spatial profile m(x_i)
-  std::vector<double> rt_rows;    ///< r(x_i, t) per step / stage
-  std::vector<double> rint_rows;  ///< ∫ r(x_i, s) ds per substep
+  std::vector<double> mod_rows;  ///< separable spatial profile m(x_i)
+  std::vector<double> rt_rows;   ///< r(x_i, t + h) per Newton step
 
   // Shared per-node buffers, size n.
   std::vector<double> node_x;  ///< grid node coordinates
@@ -89,9 +92,8 @@ struct dl_batch_workspace {
   num::tridiagonal_matrix cn_lhs;  ///< build scratch for cache entries
 
   /// Scalar workspace for the lanes the batch path hands back to the
-  /// scalar solver: implicit_newton groups (data-dependent Newton
-  /// iteration counts defeat lockstep), groups of one, and requests
-  /// carrying their own dl_workspace.
+  /// scalar solver: ftcs and mol_rk4 requests, non-line domains, groups
+  /// of one, and requests carrying their own dl_workspace.
   dl_workspace scalar;
 
   /// True while a batched solve is running on this workspace; the

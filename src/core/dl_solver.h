@@ -35,8 +35,8 @@
 // Entry point: build a core::solve_request (params + initial data + window
 // + options) and call solve_dl(request) — or hand a whole span of requests
 // to solve_dl(span<const solve_request>), which advances compatible
-// requests (same scheme/grid/dt/window) in lockstep over a
-// structure-of-arrays dl_batch_workspace, one Strang–CN pass interleaving
+// strang_cn and implicit_newton requests (same scheme/grid/dt/window) in
+// lockstep over a structure-of-arrays dl_batch_workspace, interleaving
 // every lane's Thomas sweep.  Batched lanes are bitwise identical to the
 // scalar path (solver_batch_test), so caches, golden fits and CSV output
 // are unaffected by how requests are grouped.  The legacy four-overload
@@ -189,10 +189,13 @@ struct solve_request {
 /// request order.  Requests sharing a scheme, grid, dt, record cadence
 /// and time window are grouped (index-stably, by first occurrence) and
 /// advanced in lockstep over a structure-of-arrays batch workspace — the
-/// ftcs / strang_cn / mol_rk4 schemes vectorize across lanes, and each
-/// distinct diffusion coefficient's Crank–Nicolson factorization is
-/// shared within the group.  Everything else (implicit_newton, explicit
-/// per-request workspaces, groups of one) falls back to the scalar path.
+/// strang_cn and implicit_newton schemes interleave their lanes' Thomas
+/// sweeps (each distinct diffusion coefficient's Crank–Nicolson
+/// factorization is shared within a group; Newton lanes iterate to their
+/// own convergence under a per-lane mask).  Everything else (ftcs,
+/// mol_rk4 and spatial-rate strang_cn, whose lanes are no faster than
+/// scalar solves; non-line domains; explicit per-request workspaces;
+/// groups of one) takes the scalar path.
 /// Per-request results are bitwise identical either way.
 ///
 /// Any invalid request throws the same exception its scalar solve would;

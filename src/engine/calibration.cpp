@@ -88,16 +88,29 @@ calibrate_spec parse_calibrate_spec(const std::string& spec, double t0,
   return info;
 }
 
-scenario_calibration calibrate_scenario(const scenario& sc,
-                                        const dataset_slice& slice,
-                                        const fit::calibration_options& base,
-                                        solve_cache* cache, thread_pool* pool) {
-  const calibrate_spec info =
+namespace {
+
+/// One scenario's fit, set up: the parsed spec, the early observation
+/// window and the fit options (bounds from `base`, solver configuration
+/// and cache hooks from the scenario).
+struct calibration_setup {
+  calibrate_spec info;
+  fit::observation_window window;
+  fit::calibration_problem problem;
+};
+
+calibration_setup setup_calibration(const scenario& sc,
+                                    const dataset_slice& slice,
+                                    const fit::calibration_options& base,
+                                    solve_cache* cache, thread_pool* pool) {
+  calibration_setup setup;
+  setup.info =
       parse_calibrate_spec(sc.rate, sc.t0, sc.t_end, slice.horizon_hours);
+  const calibrate_spec& info = setup.info;
 
   // The early observation window: hour-t0 profile plus every observed
   // hour up to the fit split.
-  fit::observation_window window;
+  fit::observation_window& window = setup.window;
   window.t0 = sc.t0;
   window.initial = slice.profile_at(static_cast<int>(sc.t0));
   const int first_hour = static_cast<int>(std::floor(sc.t0)) + 1;
@@ -110,7 +123,8 @@ scenario_calibration calibrate_scenario(const scenario& sc,
           slice.actual_at(x, t));
   }
 
-  fit::calibration_options options = base;
+  fit::calibration_options& options = setup.problem.options;
+  options = base;
   options.fit_rate = info.fit_rate;
   options.spatial_groups =
       info.fit_spatial ? static_cast<std::size_t>(slice.max_distance) : 0;
@@ -170,12 +184,18 @@ scenario_calibration calibrate_scenario(const scenario& sc,
   // engine solve will actually use: dl_adapter always derives the rate
   // from the spec, so a custom base_params.r never reaches the solve and
   // must not steer the (d, K) fit either.
-  core::dl_parameters start = slice.base_params;
+  core::dl_parameters& start = setup.problem.start;
+  start = slice.base_params;
   if (!info.fit_rate) start.r = make_rate("preset", slice.metric);
   start.dom = make_domain(sc.domain);
+  return setup;
+}
 
+scenario_calibration to_calibration(fit::calibration_result fit,
+                                    const calibrate_spec& info,
+                                    const dataset_slice& slice) {
   scenario_calibration result;
-  result.fit = fit::calibrate_dl(window, start, options);
+  result.fit = std::move(fit);
   if (info.fit_rate) {
     result.fit_a = result.fit.x[2];
     result.fit_b = result.fit.x[3];
@@ -196,32 +216,93 @@ scenario_calibration calibrate_scenario(const scenario& sc,
   return result;
 }
 
-scenario_calibration diffusion_model::calibrate(
-    const scenario& sc, const dataset_slice& slice,
+}  // namespace
+
+std::vector<scenario_calibration> calibrate_scenarios(
+    std::span<const scenario> scenarios,
+    std::span<const dataset_slice* const> slices,
+    const fit::calibration_options& base, solve_cache* cache,
+    thread_pool* pool, std::size_t width) {
+  if (slices.size() != scenarios.size())
+    throw std::invalid_argument(
+        "calibrate_scenarios: one slice per scenario required");
+  // Every lane is set up before any probe runs, so a malformed spec
+  // fails the batch without having touched the cache.
+  std::vector<calibration_setup> setups;
+  setups.reserve(scenarios.size());
+  for (std::size_t i = 0; i < scenarios.size(); ++i)
+    setups.push_back(
+        setup_calibration(scenarios[i], *slices[i], base, cache, pool));
+  std::vector<fit::calibration_problem> problems;
+  problems.reserve(setups.size());
+  for (calibration_setup& setup : setups) {
+    setup.problem.window = &setup.window;
+    problems.push_back(std::move(setup.problem));
+  }
+  std::vector<fit::calibration_result> fits =
+      fit::calibrate_dl(problems, width);
+  std::vector<scenario_calibration> results;
+  results.reserve(fits.size());
+  for (std::size_t i = 0; i < fits.size(); ++i)
+    results.push_back(
+        to_calibration(std::move(fits[i]), setups[i].info, *slices[i]));
+  return results;
+}
+
+std::vector<scenario_calibration> diffusion_model::calibrate_batch(
+    std::span<const scenario> scenarios,
+    std::span<const dataset_slice* const> slices,
     const fit::calibration_options& options, solve_cache* cache,
-    thread_pool* pool) const {
-  return calibrate_scenario(sc, slice, options, cache, pool);
+    thread_pool* pool, std::size_t width) const {
+  return calibrate_scenarios(scenarios, slices, options, cache, pool, width);
+}
+
+std::vector<prepared_solve> prepare_solves(
+    const diffusion_model& model, std::span<const scenario> scenarios,
+    std::span<const dataset_slice* const> slices,
+    const fit::calibration_options& options, solve_cache* cache,
+    thread_pool* pool, std::size_t width) {
+  std::vector<prepared_solve> prepared;
+  prepared.reserve(scenarios.size());
+  std::vector<scenario> fitted;
+  std::vector<const dataset_slice*> fitted_slices;
+  std::vector<std::size_t> fitted_at;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const scenario& sc = scenarios[i];
+    prepared.push_back({sc, std::nullopt});
+    if (!model.uses_rate() || !is_calibrate_spec(sc.rate)) continue;
+    if (!model.supports_calibration())
+      throw std::invalid_argument("model '" + sc.model +
+                                  "' does not support calibrate rate specs");
+    if (sc.rate.starts_with("calibrate-spatial") &&
+        !model.supports_spatial_rate())
+      throw std::invalid_argument("model '" + sc.model +
+                                  "' does not support spatial rate specs");
+    fitted.push_back(sc);
+    fitted_slices.push_back(slices[i]);
+    fitted_at.push_back(i);
+  }
+  if (fitted.empty()) return prepared;
+  std::vector<scenario_calibration> fits = model.calibrate_batch(
+      fitted, fitted_slices, options, cache, pool, width);
+  for (std::size_t f = 0; f < fitted_at.size(); ++f) {
+    prepared_solve& p = prepared[fitted_at[f]];
+    const scenario_calibration& cal = p.calibration.emplace(std::move(fits[f]));
+    p.solved.rate = cal.resolved_rate;
+    p.solved.d_override = cal.fit.params.d;
+    p.solved.k_override = cal.fit.params.k;
+  }
+  return prepared;
 }
 
 prepared_solve prepare_solve(const diffusion_model& model, const scenario& sc,
                              const dataset_slice& slice,
                              const fit::calibration_options& options,
                              solve_cache* cache, thread_pool* pool) {
-  prepared_solve prepared{sc, std::nullopt};
-  if (!model.uses_rate() || !is_calibrate_spec(sc.rate)) return prepared;
-  if (!model.supports_calibration())
-    throw std::invalid_argument("model '" + sc.model +
-                                "' does not support calibrate rate specs");
-  if (sc.rate.starts_with("calibrate-spatial") &&
-      !model.supports_spatial_rate())
-    throw std::invalid_argument("model '" + sc.model +
-                                "' does not support spatial rate specs");
-  const scenario_calibration& cal = prepared.calibration.emplace(
-      model.calibrate(sc, slice, options, cache, pool));
-  prepared.solved.rate = cal.resolved_rate;
-  prepared.solved.d_override = cal.fit.params.d;
-  prepared.solved.k_override = cal.fit.params.k;
-  return prepared;
+  const dataset_slice* const slices[] = {&slice};
+  return std::move(
+      prepare_solves(model, {&sc, 1}, slices, options, cache, pool, 1)
+          .front());
 }
 
 }  // namespace dlm::engine

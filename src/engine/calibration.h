@@ -17,14 +17,17 @@
 // ceil((t0 + t_end)/2) of the evaluation window — before the scenario
 // solves.  The fitted parameters are applied as (d, K) overrides plus a
 // concrete resolved rate spec ("decay:<a>,<b>,<c>" or the preset name),
-// the coarse calibration lattice fans out over the engine thread pool,
+// compatible fits run in lockstep (calibrate_scenarios), the coarse
+// calibration lattice fans out over the engine thread pool,
 // and every objective evaluation is memoized in the solve cache so
 // repeated probes of the same parameter vector — dozens per Nelder–Mead
 // refinement, and everything on a warm repeat of the sweep — skip the
 // PDE solve entirely.
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,17 +76,25 @@ struct scenario_calibration {
   std::vector<double> multipliers;
 };
 
-/// Runs the calibration behind `sc.rate` (which must satisfy
-/// `is_calibrate_spec`) on the slice's observation window.  `base`
-/// carries the box bounds / lattice resolution / refinement cap; its
-/// solver options and fit_rate flag are overwritten from the scenario
-/// and the spec.  `cache` (nullable) memoizes objective values keyed on
-/// the scenario identity + probed parameter vector; `pool` (nullable)
-/// runs the coarse lattice as one batch.
-[[nodiscard]] scenario_calibration calibrate_scenario(
-    const scenario& sc, const dataset_slice& slice,
+/// Runs the calibrations behind every scenario's rate spec (each must
+/// satisfy `is_calibrate_spec`; `slices[i]` is scenario i's slice) in
+/// lockstep: one fit::calibrate_dl over one problem per scenario, whose
+/// rounds solve their probes in core::solve_dl calls of at most `width`
+/// lanes.  `base` carries the box bounds / lattice resolution /
+/// refinement cap; its solver options and fit_rate flag are overwritten
+/// from each scenario and its spec.  `cache` (nullable) memoizes
+/// objective values keyed on the scenario identity + probed parameter
+/// vector; `pool` (nullable) runs rounds that need several solve calls
+/// (the coarse lattice) as one batch.  Every result — fit, counters,
+/// cache entries — is bitwise what calibrating that scenario alone
+/// gives, provided no two scenarios share a slice and a calibration key
+/// (engine::batch_sweep never groups such a pair).  Throws
+/// std::invalid_argument for a malformed spec before any probe runs.
+[[nodiscard]] std::vector<scenario_calibration> calibrate_scenarios(
+    std::span<const scenario> scenarios,
+    std::span<const dataset_slice* const> slices,
     const fit::calibration_options& base, solve_cache* cache,
-    thread_pool* pool);
+    thread_pool* pool, std::size_t width);
 
 /// A scenario made ready to solve.
 struct prepared_solve {
@@ -96,13 +107,21 @@ struct prepared_solve {
 };
 
 /// The one calibrate-then-solve step every executor shares (run_sweep,
-/// dl_service).  A "calibrate" rate spec on a rate-using model is fitted
-/// through model.calibrate (`options`, `cache` and `pool` as in
-/// calibrate_scenario) and the scenario rewritten with the fit; any other
-/// scenario passes through unchanged.  Throws std::invalid_argument
-/// "model '<name>' does not support calibrate rate specs" (or "... spatial
-/// rate specs" for "calibrate-spatial") when the model lacks the
-/// capability.
+/// dl_service), index-aligned with `scenarios` (`slices[i]` is scenario
+/// i's slice).  The "calibrate" rate specs of a rate-using model are
+/// fitted together through one model.calibrate_batch call (`options`,
+/// `cache`, `pool` and `width` as in calibrate_scenarios) and each
+/// scenario rewritten with its fit; any other scenario passes through
+/// unchanged.  Throws std::invalid_argument "model '<name>' does not
+/// support calibrate rate specs" (or "... spatial rate specs" for
+/// "calibrate-spatial") when the model lacks the capability.
+[[nodiscard]] std::vector<prepared_solve> prepare_solves(
+    const diffusion_model& model, std::span<const scenario> scenarios,
+    std::span<const dataset_slice* const> slices,
+    const fit::calibration_options& options, solve_cache* cache,
+    thread_pool* pool, std::size_t width);
+
+/// prepare_solves for one scenario at width 1.
 [[nodiscard]] prepared_solve prepare_solve(
     const diffusion_model& model, const scenario& sc,
     const dataset_slice& slice, const fit::calibration_options& options,

@@ -8,6 +8,7 @@
 // density trace scored uniformly by the runner.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -80,16 +81,19 @@ class diffusion_model {
   [[nodiscard]] virtual model_trace solve(const scenario& sc,
                                           const dataset_slice& slice) const = 0;
 
-  /// Fits the "calibrate" rate spec `sc.rate` on the slice's early
-  /// window (see engine/calibration.h for `options`, `cache` and
-  /// `pool`).  The default runs calibrate_scenario in this process; a
-  /// model that executes elsewhere (engine::remote_registry) fits there.
-  /// Callers go through prepare_solve, which checks the capability
-  /// flags first.
-  [[nodiscard]] virtual scenario_calibration calibrate(
-      const scenario& sc, const dataset_slice& slice,
+  /// Fits the "calibrate" rate specs of `scenarios` (`slices[i]` is
+  /// scenario i's slice) on their slices' early windows, returning one
+  /// calibration per scenario in order (see engine/calibration.h for
+  /// `options`, `cache`, `pool` and `width`).  The default is the
+  /// in-process lockstep calibrator, calibrate_scenarios, so a decorator
+  /// that forwards only solve() still gets it; a model that executes
+  /// elsewhere (engine::remote_registry) fits there.  Callers go through
+  /// prepare_solves, which checks the capability flags first.
+  [[nodiscard]] virtual std::vector<scenario_calibration> calibrate_batch(
+      std::span<const scenario> scenarios,
+      std::span<const dataset_slice* const> slices,
       const fit::calibration_options& options, solve_cache* cache,
-      thread_pool* pool) const;
+      thread_pool* pool, std::size_t width) const;
 
   /// Whether solve_batch advances multiple scenarios in one pass (the DL
   /// adapter's lockstep SoA solve).  The runner only groups scenarios of

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <exception>
 #include <mutex>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -22,27 +25,20 @@ double elapsed_ms(clock::time_point start) {
       .count();
 }
 
-/// Solves through the cache when one is provided (the stored trace is
-/// keyed on the scenario's canonical identity, so a repeat — in this
-/// sweep or a later one — skips the PDE entirely).
-model_trace solve_with_cache(const diffusion_model& model, const scenario& sc,
-                             const dataset_slice& slice, solve_cache* cache) {
-  if (cache == nullptr) return model.solve(sc, slice);
-  const std::string key = scenario_cache_key(sc, slice, model);
-  if (const std::shared_ptr<const model_trace> hit = cache->find_trace(key))
-    return *hit;
-  model_trace trace = model.solve(sc, slice);
-  cache->store_trace(key, trace);
-  return trace;
-}
-
 /// Everything that must match for two scenarios to share a lockstep
-/// chunk.  The rate spec may differ (lanes share grid/dt, not rates) and
-/// d/K overrides may differ (per-lane CN factorizations); seeds are
-/// ignored because batch-capable models are deterministic PDE solves.
+/// chunk.  Solve groups: the rate spec may differ (lanes share grid/dt,
+/// not rates) and d/K overrides may differ (per-lane CN factorizations);
+/// seeds are ignored because batch-capable models are deterministic PDE
+/// solves.  Calibrate groups span slices instead and share the exact
+/// calibrate spec (so the fit family and window rule match).
 struct batch_key {
   std::string model;
+  /// Solve groups: the slice every lane solves on.  Calibrate groups:
+  /// how many earlier scenarios of the group's key used the same slice,
+  /// so a chunk never holds one slice twice and no two lanes of a
+  /// lockstep round probe the same calibration key.
   std::size_t slice = 0;
+  std::string calibrate;  ///< the calibrate spec; empty for solve groups
   core::dl_scheme scheme = core::dl_scheme::strang_cn;
   std::size_t points_per_unit = 0;
   double dt = 0.0;
@@ -51,6 +47,13 @@ struct batch_key {
   std::string domain;
 
   bool operator==(const batch_key&) const = default;
+};
+
+/// What batch_sweep needs to know of a model.
+struct model_caps {
+  bool batch = false;              ///< supports_batch
+  bool calibrate = false;          ///< uses_rate && supports_calibration
+  bool calibrate_spatial = false;  ///< ... && supports_spatial_rate
 };
 
 /// Mean prediction accuracy of a trace against the slice's observed
@@ -97,33 +100,48 @@ std::vector<std::vector<std::size_t>> batch_sweep(
     std::vector<std::size_t> members;
   };
   std::vector<group> groups;
-  std::vector<std::pair<std::string, bool>> capability_memo;
+  std::vector<std::pair<std::string, model_caps>> capability_memo;
+  std::vector<batch_key> calibrate_slices;  // calibrate key + own slice
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const scenario& sc = scenarios[i];
-    bool batchable = false;
-    const auto memo = std::find_if(
+    auto memo = std::find_if(
         capability_memo.begin(), capability_memo.end(),
         [&](const auto& entry) { return entry.first == sc.model; });
-    if (memo != capability_memo.end()) {
-      batchable = memo->second;
-    } else {
+    if (memo == capability_memo.end()) {
+      model_caps caps;
       try {
-        batchable = registry.make(sc.model)->supports_batch();
+        const std::unique_ptr<diffusion_model> model = registry.make(sc.model);
+        caps.batch = model->supports_batch();
+        caps.calibrate = model->uses_rate() && model->supports_calibration();
+        caps.calibrate_spatial =
+            caps.calibrate && model->supports_spatial_rate();
       } catch (...) {
         // Unknown model: leave it a chunk of one so run_sweep reports the
         // failure with the scenario's identity, as the scalar path does.
-        batchable = false;
       }
-      capability_memo.emplace_back(sc.model, batchable);
+      memo = capability_memo.emplace(capability_memo.end(), sc.model, caps);
     }
-    // Calibrate specs fit per scenario before solving; keep them scalar.
-    if (batchable && is_calibrate_spec(sc.rate)) batchable = false;
-    if (!batchable) {
+    const model_caps& caps = memo->second;
+    batch_key key{sc.model, sc.slice, {},    sc.scheme, sc.points_per_unit,
+                  sc.dt,    sc.t0,    sc.t_end, sc.domain};
+    if (is_calibrate_spec(sc.rate)) {
+      // Calibrate specs fit in lockstep across slices; a model that
+      // cannot fit this spec keeps a chunk of one, where prepare_solves
+      // reports the missing capability for exactly this scenario.
+      if (!(sc.rate.starts_with("calibrate-spatial") ? caps.calibrate_spatial
+                                                      : caps.calibrate)) {
+        chunks.push_back({i});
+        continue;
+      }
+      key.calibrate = sc.rate;
+      calibrate_slices.push_back(key);
+      key.slice = static_cast<std::size_t>(std::count(
+                      calibrate_slices.begin(), calibrate_slices.end(), key)) -
+                  1;
+    } else if (!caps.batch) {
       chunks.push_back({i});
       continue;
     }
-    const batch_key key{sc.model, sc.slice, sc.scheme, sc.points_per_unit,
-                        sc.dt,    sc.t0,    sc.t_end,  sc.domain};
     const auto it = std::find_if(
         groups.begin(), groups.end(),
         [&](const group& g) { return g.key == key; });
@@ -135,7 +153,22 @@ std::vector<std::vector<std::size_t>> batch_sweep(
 
   // Second pass: split each group into width-sized chunks, then order
   // all chunks by first member so the work queue itself is index-stable.
+  // A calibrate group is dealt round-robin instead, so its chunks differ
+  // in size by at most one (and slices alternating between two x-ranges,
+  // as a dataset's hop/interest pairs do, land one range per chunk: one
+  // lockstep group per round).
   for (const group& g : groups) {
+    if (!g.key.calibrate.empty()) {
+      const std::size_t lanes =
+          batch_width == 0 ? kDefaultCalibrateWidth : width;
+      const std::size_t count = (g.members.size() + lanes - 1) / lanes;
+      for (std::size_t c = 0; c < count; ++c) {
+        std::vector<std::size_t>& chunk = chunks.emplace_back();
+        for (std::size_t m = c; m < g.members.size(); m += count)
+          chunk.push_back(g.members[m]);
+      }
+      continue;
+    }
     for (std::size_t from = 0; from < g.members.size(); from += width) {
       const std::size_t to = std::min(from + width, g.members.size());
       chunks.emplace_back(g.members.begin() + static_cast<std::ptrdiff_t>(from),
@@ -296,8 +329,7 @@ sweep_result run_sweep(const scenario_context& context,
       }
     };
 
-    // Every row is built here, for both paths; `cal` is set only on the
-    // scalar path (calibrate specs never batch).
+    // Every row is built here; `cal` is set for calibrated scenarios.
     const auto fill_row = [&](std::size_t i, const scenario& sc,
                               const scenario_calibration* cal,
                               const diffusion_model& model,
@@ -342,90 +374,101 @@ sweep_result run_sweep(const scenario_context& context,
       if (options.keep_traces) result.traces[local[i]] = std::move(trace);
     };
 
-    const auto solve_one = [&](std::size_t i) {
-      const scenario& sc = scenarios[i];
-      const dataset_slice& slice = context.slice(sc.slice);
-      const std::unique_ptr<diffusion_model> model = registry.make(sc.model);
-      const clock::time_point start = clock::now();
-
-      // Calibrate rate specs fit first, then solve the rewritten
-      // scenario.  The coarse lattice fans back out over this same pool
-      // — run_batch has the submitting worker participate, so a nested
-      // batch cannot deadlock even with every worker busy calibrating.
-      const prepared_solve prepared = prepare_solve(
-          *model, sc, slice, options.calibration, options.cache, &pool);
-      model_trace trace =
-          solve_with_cache(*model, prepared.solved, slice, options.cache);
-      fill_row(i, sc,
-               prepared.calibration ? &*prepared.calibration : nullptr,
-               *model, slice, trace, elapsed_ms(start));
-    };
-
-    const auto run_scalar = [&](std::size_t i) {
+    // One chunk, of any width: prepare its scenarios (fitting their
+    // calibrate specs in lockstep — rounds that need several solve calls,
+    // like the coarse lattice, fan back out over this same pool;
+    // run_batch has the submitting worker participate, so a nested batch
+    // cannot deadlock even with every worker busy calibrating), resolve
+    // cached traces per member, hand the misses to the model's
+    // solve_batch — one call per slice, in first-occurrence order — and
+    // charge every lane an equal share of the chunk's wall time.  Returns
+    // false on failure; a chunk of one records the error against its
+    // scenario.
+    const std::size_t width = std::max<std::size_t>(
+        options.batch_width == 0 ? kDefaultBatchWidth : options.batch_width,
+        1);
+    const auto run_chunk = [&](std::span<const std::size_t> chunk) {
       try {
-        solve_one(i);
-      } catch (...) {
-        record_error(i);
-      }
-    };
-
-    // A multi-lane chunk: resolve cached traces per member, hand the
-    // misses to the model's lockstep solve_batch in one call, and charge
-    // every lane an equal share of the chunk's wall time.  Any failure
-    // falls back to per-member scalar solves so the error is attributed
-    // to the exact scenario and healthy lanes still produce rows.
-    const auto run_chunk = [&](const std::vector<std::size_t>& chunk) {
-      if (chunk.size() == 1) {
-        run_scalar(chunk.front());
-        return;
-      }
-      try {
-        const scenario& first = scenarios[chunk.front()];
-        const dataset_slice& slice = context.slice(first.slice);
         const std::unique_ptr<diffusion_model> model =
-            registry.make(first.model);
+            registry.make(scenarios[chunk.front()].model);
         const clock::time_point start = clock::now();
+        const std::size_t lanes = chunk.size();
+        std::vector<scenario> members;
+        std::vector<const dataset_slice*> slices;
+        for (const std::size_t i : chunk) {
+          members.push_back(scenarios[i]);
+          slices.push_back(&context.slice(scenarios[i].slice));
+        }
+        const std::vector<prepared_solve> prepared =
+            prepare_solves(*model, members, slices, options.calibration,
+                           options.cache, &pool, width);
 
-        std::vector<std::shared_ptr<const model_trace>> cached(chunk.size());
-        std::vector<std::string> keys(chunk.size());
-        std::vector<scenario> misses;
-        std::vector<std::size_t> miss_pos;
-        for (std::size_t m = 0; m < chunk.size(); ++m) {
-          const scenario& sc = scenarios[chunk[m]];
-          if (options.cache != nullptr) {
-            keys[m] = scenario_cache_key(sc, slice, *model);
+        std::vector<std::shared_ptr<const model_trace>> cached(lanes);
+        std::vector<std::string> keys(lanes);
+        std::vector<model_trace> traces(lanes);
+        std::vector<bool> pending(lanes, true);
+        if (options.cache != nullptr) {
+          for (std::size_t m = 0; m < lanes; ++m) {
+            keys[m] =
+                scenario_cache_key(prepared[m].solved, *slices[m], *model);
             cached[m] = options.cache->find_trace(keys[m]);
+            pending[m] = cached[m] == nullptr;
           }
-          if (cached[m] == nullptr) {
-            misses.push_back(sc);
-            miss_pos.push_back(m);
+        }
+        for (std::size_t m = 0; m < lanes; ++m) {
+          if (!pending[m]) continue;
+          std::vector<std::size_t> batch;
+          std::vector<scenario> solved;
+          for (std::size_t k = m; k < lanes; ++k) {
+            if (!pending[k] || slices[k] != slices[m]) continue;
+            batch.push_back(k);
+            solved.push_back(prepared[k].solved);
+            pending[k] = false;
+          }
+          std::vector<model_trace> fresh = model->solve_batch(solved, *slices[m]);
+          for (std::size_t b = 0; b < batch.size(); ++b) {
+            if (options.cache != nullptr)
+              options.cache->store_trace(keys[batch[b]], fresh[b]);
+            traces[batch[b]] = std::move(fresh[b]);
           }
         }
 
-        std::vector<model_trace> fresh;
-        if (!misses.empty()) fresh = model->solve_batch(misses, slice);
-        if (options.cache != nullptr)
-          for (std::size_t t = 0; t < miss_pos.size(); ++t)
-            options.cache->store_trace(keys[miss_pos[t]], fresh[t]);
-
-        const double wall =
-            elapsed_ms(start) / static_cast<double>(chunk.size());
-        std::size_t next = 0;
-        for (std::size_t m = 0; m < chunk.size(); ++m) {
-          const scenario& sc = scenarios[chunk[m]];
+        const double wall = elapsed_ms(start) / static_cast<double>(lanes);
+        for (std::size_t m = 0; m < lanes; ++m) {
+          const std::optional<scenario_calibration>& cal =
+              prepared[m].calibration;
           model_trace trace =
-              cached[m] != nullptr ? *cached[m] : std::move(fresh[next++]);
-          fill_row(chunk[m], sc, nullptr, *model, slice, trace, wall);
+              cached[m] != nullptr ? *cached[m] : std::move(traces[m]);
+          fill_row(chunk[m], scenarios[chunk[m]], cal ? &*cal : nullptr,
+                   *model, *slices[m], trace, wall);
         }
+        return true;
       } catch (...) {
-        for (const std::size_t i : chunk) run_scalar(i);
+        if (chunk.size() == 1) record_error(chunk.front());
+        return false;
       }
     };
 
+    // The pool queue, costliest chunk first (summed scenario_cost, the
+    // shard plan's estimate; stable, so ties keep chunk order) — the
+    // longest chunks start first instead of setting the tail.
+    std::vector<std::uint64_t> cost(chunks.size(), 0);
     for (std::size_t c = 0; c < chunks.size(); ++c)
+      for (const std::size_t i : chunks[c]) cost[c] += scenario_cost(scenarios[i]);
+    std::vector<std::size_t> order(chunks.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return cost[a] > cost[b];
+                     });
+    for (const std::size_t c : order)
       pool.submit([&, c] {
         if (options.on_chunk_start) options.on_chunk_start(c);
-        run_chunk(chunks[c]);
+        // A failing multi-lane chunk reruns as chunks of one, so the
+        // error is attributed to the exact scenario and healthy lanes
+        // still produce rows.
+        if (!run_chunk(chunks[c]) && chunks[c].size() > 1)
+          for (const std::size_t& i : chunks[c]) run_chunk({&i, 1});
       });
     pool.wait();
   }

@@ -28,6 +28,15 @@ namespace dlm::engine {
 /// amortize the per-chunk setup, without starving a small pool of chunks.
 inline constexpr std::size_t kDefaultBatchWidth = 8;
 
+/// Lanes per calibrate chunk when runner_options::batch_width is 0.  A
+/// calibrate chunk runs whole fits — hundreds of lockstep rounds — on one
+/// worker, so it takes fewer lanes than a solve chunk: on paper_calibrate
+/// eight-lane chunks left one chunk running alone for the last part of
+/// the sweep, four-lane chunks keep a 4-thread pool busy.  Its probe
+/// solves still go out up to kDefaultBatchWidth lanes at a time (the
+/// coarse lattice).
+inline constexpr std::size_t kDefaultCalibrateWidth = 4;
+
 struct runner_options {
   /// Worker threads; 0 → std::thread::hardware_concurrency.
   std::size_t threads = 0;
@@ -49,11 +58,14 @@ struct runner_options {
   fit::calibration_options calibration{};
   /// Scenario batching (every batching knob lives here, not in extra
   /// run_sweep parameters): compatible scenarios of a batch-capable
-  /// model — same model, slice, scheme, grid, dt and window, and not a
-  /// "calibrate" spec — are grouped into chunks of this many lanes, each
-  /// advanced in lockstep by one pool worker (see batch_sweep).
-  /// 0 → auto (kDefaultBatchWidth); 1 → batching off (pure scalar path);
-  /// N → fixed width N.  Results are bitwise identical at any width.
+  /// model — same model, slice, scheme, grid, dt and window — are grouped
+  /// into chunks of this many lanes, each advanced in lockstep by one
+  /// pool worker; so are "calibrate" scenarios of one spec across slices,
+  /// whose fits then run in lockstep (see batch_sweep).  The width also
+  /// caps every core::solve_dl call a calibration round makes.
+  /// 0 → auto (kDefaultBatchWidth; kDefaultCalibrateWidth lanes per
+  /// calibrate chunk); 1 → batching off (pure scalar path); N → fixed
+  /// width N.  Results are bitwise identical at any width.
   std::size_t batch_width = 0;
   /// The shard axis (engine/shard.h): run only the batch_sweep chunks
   /// shard_chunks assigns to this shard.  Rows keep their *global* sweep
@@ -102,20 +114,26 @@ struct sweep_result {
 ///  * chunks are ordered by their first member.
 /// Scenarios group only when they share model, slice, scheme, grid
 /// resolution, dt and time window, the model supports_batch(), and the
-/// rate spec is not a "calibrate" form (calibration fits per scenario
-/// before solving, so those stay scalar); everything else becomes a
-/// chunk of one.  `batch_width` as in runner_options (0 → auto).
+/// rate spec is not a "calibrate" form.  Calibrate scenarios group when
+/// they share model, scheme, grid, dt, window, domain and the exact
+/// calibrate spec, the model can fit that spec, and they lie on
+/// different slices (a repeat of a slice starts a group of its own, so
+/// no two lanes of a lockstep round probe one cache key); such a group
+/// is dealt round-robin into chunks.  Everything else becomes a chunk of
+/// one.  `batch_width` as in runner_options (0 → auto).
 [[nodiscard]] std::vector<std::vector<std::size_t>> batch_sweep(
     std::span<const scenario> scenarios,
     const model_registry& registry = default_registry(),
     std::size_t batch_width = 0);
 
-/// Executes the scenarios on a worker pool.  Compatible scenarios of
-/// batch-capable models are advanced in lockstep per worker (see
-/// batch_sweep and runner_options::batch_width); per-scenario rows,
-/// traces and cache entries are bitwise identical either way.  Scenarios whose rate spec
-/// is a "calibrate" form are fitted first (see engine/calibration.h) —
-/// the fitted parameters land in the row's fit_* columns and the solved
+/// Executes the scenarios on a worker pool, costliest chunk first
+/// (summed scenario_cost).  Compatible scenarios of batch-capable models
+/// are advanced in lockstep per worker (see batch_sweep and
+/// runner_options::batch_width); per-scenario rows, traces and cache
+/// entries are bitwise identical either way.  Scenarios whose rate spec
+/// is a "calibrate" form are fitted first — a chunk's fits in lockstep
+/// through its model's calibrate_batch (see engine/calibration.h) — the
+/// fitted parameters land in the row's fit_* columns and the solved
 /// scenario records the resolved rate.  The failure of lowest scenario
 /// index is rethrown here after the queue drains, wrapped in a
 /// std::runtime_error naming the scenario's index, model and slice.

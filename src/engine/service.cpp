@@ -400,12 +400,19 @@ class remote_model final : public diffusion_model {
     return parse_trace_reply(ok_reply(req));
   }
 
-  scenario_calibration calibrate(const scenario& sc,
-                                 const dataset_slice& slice,
-                                 const fit::calibration_options&,
-                                 solve_cache*, thread_pool*) const override {
-    return parse_fit_reply(
-        ok_reply("calibrate rate=" + sc.rate + request_tail(sc, slice, *local_)));
+  /// One wire "calibrate" per scenario; the server fits each.
+  std::vector<scenario_calibration> calibrate_batch(
+      std::span<const scenario> scenarios,
+      std::span<const dataset_slice* const> slices,
+      const fit::calibration_options&, solve_cache*, thread_pool*,
+      std::size_t) const override {
+    std::vector<scenario_calibration> fits;
+    fits.reserve(scenarios.size());
+    for (std::size_t i = 0; i < scenarios.size(); ++i)
+      fits.push_back(parse_fit_reply(
+          ok_reply("calibrate rate=" + scenarios[i].rate +
+                   request_tail(scenarios[i], *slices[i], *local_))));
+    return fits;
   }
 
  private:

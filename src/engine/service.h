@@ -176,9 +176,10 @@ struct remote_options {
 /// A registry with one model per name in `base`, each wrapping
 /// base.make(name): every capability flag (supports_batch included) is
 /// the local model's, so expand_sweep, batch_sweep and shard_chunks see
-/// exactly what a local run sees, while solve() and calibrate() are
-/// "solve" / "calibrate" requests to the dl_serve server at
-/// `socket_path`.  solve_batch keeps the default per-scenario loop.  The
+/// exactly what a local run sees, while solve() is a "solve" request and
+/// calibrate_batch() one "calibrate" request per scenario to the dl_serve
+/// server at `socket_path`.  solve_batch keeps the default per-scenario
+/// loop.  The
 /// models share one connection pool: a connection is opened lazily when
 /// no idle one is free and returned after each request, so a sweep holds
 /// at most one per concurrently requesting pool worker and reuses it

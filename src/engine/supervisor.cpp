@@ -5,8 +5,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -16,6 +18,8 @@ namespace dlm::engine {
 namespace {
 
 using clock = std::chrono::steady_clock;
+
+constexpr double kMaxWaitMs = 1e3 * kMaxSupervisorWaitSec;
 
 /// Live supervision state of one worker.
 struct worker_state {
@@ -83,6 +87,17 @@ void kill_and_reap(worker_state& w) {
 
 supervision_report supervise(std::span<const worker_command> commands,
                              const supervisor_options& options) {
+  // Every wait below must convert to a steady_clock::duration.
+  if (!(options.timeout_sec >= 0.0 &&
+        options.timeout_sec <= kMaxSupervisorWaitSec))
+    throw std::invalid_argument(
+        "supervise: timeout_sec must lie in [0, 1e9] seconds");
+  if (!(options.backoff_initial_ms >= 0.0 &&
+        std::isfinite(options.backoff_initial_ms) &&
+        options.backoff_multiplier >= 0.0 &&
+        std::isfinite(options.backoff_multiplier)))
+    throw std::invalid_argument(
+        "supervise: backoff must be finite and non-negative");
   std::vector<worker_state> workers(commands.size());
   for (std::size_t i = 0; i < commands.size(); ++i) {
     workers[i].command = &commands[i];
@@ -108,9 +123,11 @@ supervision_report supervise(std::span<const worker_command> commands,
     w.pid = -1;
     w.outcome.timed_out = timed_out;
     if (w.attempts <= options.max_retries) {
-      double backoff = options.backoff_initial_ms;
+      // Capped as it grows: doubling past ~1000 retries would reach inf,
+      // whose duration_cast is undefined.
+      double backoff = std::min(options.backoff_initial_ms, kMaxWaitMs);
       for (std::size_t r = 1; r < w.attempts; ++r)
-        backoff *= options.backoff_multiplier;
+        backoff = std::min(backoff * options.backoff_multiplier, kMaxWaitMs);
       std::fprintf(stderr,
                    "supervise: %s %s (attempt %zu); retrying in %.0f ms\n",
                    w.command->label.c_str(), diagnostic.c_str(), w.attempts,

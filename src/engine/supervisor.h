@@ -45,14 +45,21 @@ struct worker_command {
   std::string label;
 };
 
+/// Longest wait supervise schedules, in seconds (about 31 years, the cap
+/// of dl_serve --io-timeout): any wait up to it converts to a
+/// steady_clock::duration without overflow.
+inline constexpr double kMaxSupervisorWaitSec = 1e9;
+
 struct supervisor_options {
   /// Per-attempt wall-clock timeout in seconds; 0 disables (a worker
   /// may then legitimately run forever, as the old driver allowed).
+  /// Must lie in [0, kMaxSupervisorWaitSec].
   double timeout_sec = 0.0;
   /// Retries after the first failed attempt (so max_retries = 2 means
   /// up to 3 attempts).
   std::size_t max_retries = 0;
-  /// Backoff before retry r is initial * multiplier^(r-1) milliseconds.
+  /// Backoff before retry r is initial * multiplier^(r-1) milliseconds,
+  /// capped at kMaxSupervisorWaitSec.  Both must be finite and >= 0.
   double backoff_initial_ms = 100.0;
   double backoff_multiplier = 2.0;
   /// First worker to exhaust its retries SIGKILLs and reaps all other
@@ -104,9 +111,10 @@ inline constexpr const char* kSupervisorAttemptEnv = "DLM_WORKER_ATTEMPT";
 /// Runs every command to completion (or exhausted retries / fail-fast
 /// termination) and reports per-worker outcomes.  All workers of a
 /// round run concurrently; a retry waits out its backoff without
-/// blocking siblings.  Throws std::runtime_error only for supervisor
-/// bookkeeping failures (fork failing outright), never for worker
-/// failures — those are data, in the report.
+/// blocking siblings.  Throws std::invalid_argument for options out of
+/// range (checked before any worker starts) and std::runtime_error only
+/// for supervisor bookkeeping failures (fork failing outright), never for
+/// worker failures — those are data, in the report.
 supervision_report supervise(std::span<const worker_command> commands,
                              const supervisor_options& options);
 

@@ -1,8 +1,8 @@
 #include "fit/calibrate.h"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "numerics/optimize/grid_search.h"
@@ -36,109 +36,210 @@ core::dl_parameters params_from_vector(const core::dl_parameters& base,
   return p;
 }
 
+/// The solver configuration of one probe: the problem's, with the
+/// engine adapter's FTCS stability clamp (dt <= dx²/(2d)) mirrored per
+/// probed d, so the objective evaluates exactly the discretization the
+/// fitted parameters will later run under.
+core::dl_solver_options probe_solver(const calibration_options& options,
+                                     const core::dl_parameters& params) {
+  core::dl_solver_options solver = options.solver;
+  if (solver.scheme == core::dl_scheme::ftcs && params.d > 0.0 &&
+      solver.points_per_unit > 0) {
+    const double dx = 1.0 / static_cast<double>(solver.points_per_unit);
+    solver.dt = std::min(solver.dt, 0.9 * dx * dx / (2.0 * params.d));
+  }
+  return solver;
+}
+
+/// One problem's search: the whole coarse lattice in one round, then
+/// bounded Nelder–Mead from the best lattice point, one point a round.
+class lane_search {
+ public:
+  explicit lane_search(const calibration_options& options)
+      : options_(options) {
+    // The lattice over minimize_grid's own enumeration order, so the
+    // argmin (lowest index on ties) is the serial scan's.  Spatial
+    // multiplier axes are pinned at the neutral 1.0 — a lattice over them
+    // would grow exponentially in the group count; Nelder–Mead refines
+    // them below.
+    std::vector<num::grid_axis> axes;
+    axes.push_back({options.d_min, options.d_max, options.coarse_steps});
+    axes.push_back({options.k_min, options.k_max, options.coarse_steps});
+    if (options.fit_rate) {
+      axes.push_back({options.a_min, options.a_max, options.coarse_steps});
+      axes.push_back({options.b_min, options.b_max, options.coarse_steps});
+      axes.push_back({options.c_min, options.c_max, options.coarse_steps});
+    }
+    for (std::size_t g = 0; g < options.spatial_groups; ++g)
+      axes.push_back({1.0, 1.0, 1});
+    lattice_ = num::grid_lattice_points(axes);
+  }
+
+  [[nodiscard]] bool done() const { return refine_ && refine_->done(); }
+
+  /// Appends the points this search wants evaluated this round.
+  void ask(std::vector<std::span<const double>>& points) const {
+    if (refine_) {
+      points.push_back(refine_->ask());
+      return;
+    }
+    for (const std::vector<double>& p : lattice_) points.push_back(p);
+  }
+
+  /// Takes the values of the points last asked, in order.
+  void tell(std::span<const double> values) {
+    if (refine_) {
+      refine_->tell(values.front());
+      return;
+    }
+    std::size_t best = 0;
+    double best_value = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (values[i] < best_value) {
+        best_value = values[i];
+        best = i;
+      }
+    }
+    std::vector<double> lower{options_.d_min, options_.k_min};
+    std::vector<double> upper{options_.d_max, options_.k_max};
+    if (options_.fit_rate) {
+      lower.insert(lower.end(), {options_.a_min, options_.b_min, options_.c_min});
+      upper.insert(upper.end(), {options_.a_max, options_.b_max, options_.c_max});
+    }
+    for (std::size_t g = 0; g < options_.spatial_groups; ++g) {
+      lower.push_back(options_.m_min);
+      upper.push_back(options_.m_max);
+    }
+    num::nelder_mead_options nm;
+    nm.max_iterations = options_.refine_iterations;
+    nm.initial_step = 0.15;
+    nm.f_tolerance = 1e-9;
+    nm.x_tolerance = 1e-7;
+    refine_.emplace(lattice_[best], nm, lower, upper);
+    lattice_.clear();
+  }
+
+  [[nodiscard]] num::nelder_mead_result result() const {
+    return refine_->result();
+  }
+
+ private:
+  const calibration_options& options_;
+  std::vector<std::vector<double>> lattice_;
+  std::optional<num::nelder_mead> refine_;
+};
+
 }  // namespace
 
 calibration_result calibrate_dl(const observation_window& window,
                                 const core::dl_parameters& start,
                                 const calibration_options& options) {
-  window.validate();
+  const calibration_problem problem{&window, start, options};
+  return std::move(calibrate_dl({&problem, 1}, 1).front());
+}
 
-  // Counters are atomic because the coarse lattice may run on a pool.
-  std::atomic<std::size_t> pde_solves{0};
-  std::atomic<std::size_t> cache_hits{0};
-  const auto objective = [&](std::span<const double> v) {
-    if (options.cache_find) {
-      if (const std::optional<double> cached = options.cache_find(v)) {
-        cache_hits.fetch_add(1, std::memory_order_relaxed);
-        return *cached;
+std::vector<calibration_result> calibrate_dl(
+    std::span<const calibration_problem> problems, std::size_t width) {
+  if (problems.empty()) return {};
+  for (const calibration_problem& problem : problems)
+    problem.window->validate();
+  std::vector<lane_search> lanes;
+  lanes.reserve(problems.size());
+  for (const calibration_problem& problem : problems)
+    lanes.emplace_back(problem.options);
+  std::vector<std::size_t> pde_solves(problems.size(), 0);
+  std::vector<std::size_t> cache_hits(problems.size(), 0);
+  width = std::max<std::size_t>(width, 1);
+
+  const auto& run_batch = problems.front().options.run_batch;
+  // One round's probes: owning lane, point and value, lane-major.
+  std::vector<std::size_t> lane_of;
+  std::vector<std::span<const double>> points;
+  std::vector<double> values;
+  std::vector<std::size_t> misses;
+  for (;;) {
+    lane_of.clear();
+    points.clear();
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      if (lanes[l].done()) continue;
+      lanes[l].ask(points);
+      lane_of.resize(points.size(), l);
+    }
+    if (points.empty()) break;
+
+    values.assign(points.size(), 0.0);
+    misses.clear();
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      const calibration_options& options = problems[lane_of[p]].options;
+      if (options.cache_find) {
+        if (const std::optional<double> cached = options.cache_find(points[p])) {
+          ++cache_hits[lane_of[p]];
+          values[p] = *cached;
+          continue;
+        }
       }
+      misses.push_back(p);
     }
-    pde_solves.fetch_add(1, std::memory_order_relaxed);
-    const core::dl_parameters params = params_from_vector(start, v, options);
-    core::dl_solver_options solver = options.solver;
-    if (solver.scheme == core::dl_scheme::ftcs && params.d > 0.0 &&
-        solver.points_per_unit > 0) {
-      // Mirror the engine adapter's FTCS stability clamp (dt <=
-      // dx²/(2d)) per probed d, so the objective evaluates exactly the
-      // discretization the fitted parameters will later run under.
-      const double dx = 1.0 / static_cast<double>(solver.points_per_unit);
-      solver.dt = std::min(solver.dt, 0.9 * dx * dx / (2.0 * params.d));
+
+    // The misses, in solve calls of at most `width` lanes.
+    const auto solve_call = [&](std::size_t from, std::size_t to) {
+      std::vector<core::dl_parameters> params;
+      params.reserve(to - from);
+      std::vector<sse_probe> probes;
+      probes.reserve(to - from);
+      for (std::size_t m = from; m < to; ++m) {
+        const std::size_t p = misses[m];
+        const calibration_problem& problem = problems[lane_of[p]];
+        params.push_back(
+            params_from_vector(problem.start, points[p], problem.options));
+        probes.push_back({&params.back(), problem.window,
+                          probe_solver(problem.options, params.back())});
+      }
+      const std::vector<double> sse = dl_sse(probes);
+      for (std::size_t m = from; m < to; ++m) values[misses[m]] = sse[m - from];
+    };
+    if (misses.size() <= width || !run_batch) {
+      for (std::size_t from = 0; from < misses.size(); from += width)
+        solve_call(from, std::min(from + width, misses.size()));
+    } else {
+      std::vector<std::function<void()>> tasks;
+      for (std::size_t from = 0; from < misses.size(); from += width)
+        tasks.push_back([&, from] {
+          solve_call(from, std::min(from + width, misses.size()));
+        });
+      run_batch(std::move(tasks));
     }
-    const double value = dl_sse(params, window, solver);
-    if (options.cache_store) options.cache_store(v, value);
-    return value;
-  };
+    for (const std::size_t p : misses) {
+      ++pde_solves[lane_of[p]];
+      const calibration_options& options = problems[lane_of[p]].options;
+      if (options.cache_store) options.cache_store(points[p], values[p]);
+    }
 
-  const std::size_t dims =
-      (options.fit_rate ? 5 : 2) + options.spatial_groups;
-
-  // Coarse lattice scan over minimize_grid's own enumeration order.  The
-  // objective values are independent solves, so the scan fans out through
-  // the caller's batch executor when provided; the argmin (lowest index
-  // on ties) is identical either way.  Spatial multiplier axes are
-  // pinned at the neutral 1.0 — a lattice over them would grow
-  // exponentially in the group count; Nelder–Mead refines them below.
-  std::vector<num::grid_axis> axes;
-  axes.push_back({options.d_min, options.d_max, options.coarse_steps});
-  axes.push_back({options.k_min, options.k_max, options.coarse_steps});
-  if (options.fit_rate) {
-    axes.push_back({options.a_min, options.a_max, options.coarse_steps});
-    axes.push_back({options.b_min, options.b_max, options.coarse_steps});
-    axes.push_back({options.c_min, options.c_max, options.coarse_steps});
-  }
-  for (std::size_t g = 0; g < options.spatial_groups; ++g)
-    axes.push_back({1.0, 1.0, 1});
-  const std::vector<std::vector<double>> points =
-      num::grid_lattice_points(axes);
-  std::vector<double> values(points.size());
-  if (options.run_batch) {
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-      tasks.push_back([&, i] { values[i] = objective(points[i]); });
-    options.run_batch(std::move(tasks));
-  } else {
-    for (std::size_t i = 0; i < points.size(); ++i)
-      values[i] = objective(points[i]);
-  }
-  std::size_t best = 0;
-  double best_value = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i] < best_value) {
-      best_value = values[i];
-      best = i;
+    // Tell every lane its values; a lane's probes are contiguous.
+    for (std::size_t p = 0; p < points.size();) {
+      std::size_t end = p;
+      while (end < points.size() && lane_of[end] == lane_of[p]) ++end;
+      lanes[lane_of[p]].tell(
+          std::span<const double>(values.data() + p, end - p));
+      p = end;
     }
   }
 
-  // Refinement with bounded Nelder–Mead from the best lattice point.
-  std::vector<double> lower{options.d_min, options.k_min};
-  std::vector<double> upper{options.d_max, options.k_max};
-  if (options.fit_rate) {
-    lower.insert(lower.end(), {options.a_min, options.b_min, options.c_min});
-    upper.insert(upper.end(), {options.a_max, options.b_max, options.c_max});
+  std::vector<calibration_result> results;
+  results.reserve(problems.size());
+  for (std::size_t l = 0; l < problems.size(); ++l) {
+    const num::nelder_mead_result refined = lanes[l].result();
+    calibration_result& result = results.emplace_back();
+    result.params =
+        params_from_vector(problems[l].start, refined.x, problems[l].options);
+    result.x = refined.x;
+    result.sse = refined.f_value;
+    result.pde_solves = pde_solves[l];
+    result.cache_hits = cache_hits[l];
+    result.evaluations = result.pde_solves + result.cache_hits;
+    result.converged = refined.converged;
   }
-  for (std::size_t g = 0; g < options.spatial_groups; ++g) {
-    lower.push_back(options.m_min);
-    upper.push_back(options.m_max);
-  }
-  num::nelder_mead_options nm;
-  nm.max_iterations = options.refine_iterations;
-  nm.initial_step = 0.15;
-  nm.f_tolerance = 1e-9;
-  nm.x_tolerance = 1e-7;
-  const num::nelder_mead_result refined = num::minimize_nelder_mead_bounded(
-      objective, std::span<const double>(points[best].data(), dims), lower,
-      upper, nm);
-
-  calibration_result result;
-  result.params = params_from_vector(start, refined.x, options);
-  result.x = refined.x;
-  result.sse = refined.f_value;
-  result.pde_solves = pde_solves.load();
-  result.cache_hits = cache_hits.load();
-  result.evaluations = result.pde_solves + result.cache_hits;
-  result.converged = refined.converged;
-  return result;
+  return results;
 }
 
 }  // namespace dlm::fit

@@ -8,6 +8,13 @@
 // (engine::scenario_runner), which memoizes objective values in a solve
 // cache and fans the lattice out over the engine thread pool via the
 // hooks below.
+//
+// The fit is an ask/tell search: it asks for the whole lattice, then for
+// one Nelder–Mead point at a time.  Several fits run in lockstep — one
+// round at a time, each round's PDE solves handed to core::solve_dl as
+// one span of lanes — and every fit's probe sequence and result are
+// bitwise those of fitting it alone; a single fit is simply the one-lane
+// case.
 #pragma once
 
 #include <cstddef>
@@ -49,15 +56,17 @@ struct calibration_options {
   /// `cache_store(v, f)` records a freshly solved value.  When set, every
   /// lookup is counted in calibration_result::cache_hits / pde_solves so
   /// the reported "PDE solves spent" stays truthful instead of silently
-  /// shrinking as the cache warms up.  Hooks must be thread-safe when
-  /// `run_batch` is also set.
+  /// shrinking as the cache warms up.  Hooks run only on the thread that
+  /// called calibrate_dl, in probe order.
   std::function<std::optional<double>(std::span<const double>)> cache_find;
   std::function<void(std::span<const double>, double)> cache_store;
 
-  /// Optional batch executor for the coarse lattice: receives one task
-  /// per lattice point and must run them all before returning (order
-  /// free — each task owns its output slot).  Unset → serial scan.  The
-  /// engine wires this to thread_pool::run_batch.
+  /// Optional batch executor for rounds that need more than one solve
+  /// call (the coarse lattice): receives one task per call and must run
+  /// them all before returning (order free — each task owns its output
+  /// slots).  Unset → the calls run in order on the calling thread.  The
+  /// engine wires this to thread_pool::run_batch.  In a lockstep
+  /// calibration the first problem's executor runs every round.
   std::function<void(std::vector<std::function<void()>>)> run_batch;
 };
 
@@ -78,8 +87,32 @@ struct calibration_result {
 
 /// Calibrates DL parameters against `window`, starting from `start`
 /// (which also fixes x_min/x_max and, when !fit_rate, the rate function).
+/// The one-lane case of the lockstep overload below.
 [[nodiscard]] calibration_result calibrate_dl(
     const observation_window& window, const core::dl_parameters& start,
     const calibration_options& options = {});
+
+/// One fit of a lockstep calibration: the arguments of the overload
+/// above.  `window` must outlive the calibrate_dl call.
+struct calibration_problem {
+  const observation_window* window = nullptr;
+  core::dl_parameters start;
+  calibration_options options;
+};
+
+/// Runs every problem's search in lockstep and returns the results in
+/// problem order, each bitwise equal to calibrating that problem alone
+/// (same probes, values, counters and fit).  Each round asks every
+/// unfinished search for its points (a search asks for its whole lattice
+/// first, then one Nelder–Mead point per round), looks them up in the
+/// problem's cache hooks in order, solves the misses in core::solve_dl
+/// calls of at most `width` probes (one call per round when the round
+/// fits; more calls go through the first problem's run_batch), stores
+/// the fresh values in order and tells each search its values.  Problems
+/// must not share cache keys — a key two lanes probe in the same round
+/// would be solved by both — which the engine guarantees by never
+/// putting one slice in two lanes.  Throws like the single overload.
+[[nodiscard]] std::vector<calibration_result> calibrate_dl(
+    std::span<const calibration_problem> problems, std::size_t width);
 
 }  // namespace dlm::fit

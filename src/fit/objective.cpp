@@ -28,23 +28,16 @@ void observation_window::validate() const {
   }
 }
 
-double dl_sse(const core::dl_parameters& params,
-              const observation_window& window,
-              const core::dl_solver_options& solver) {
-  window.validate();
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// The squared residuals of a solved trajectory against the window's
+/// observations; +inf when non-finite or unreadable.
+double score(const core::dl_solution& solution,
+             const core::dl_parameters& params,
+             const observation_window& window) {
   try {
-    params.validate();
-    // Straight through the unified request API: build φ once, solve, read
-    // back — no dl_model instance, so the objective's hot loop carries no
-    // parameter/φ copies.
-    const core::initial_condition phi =
-        core::dl_model::build_initial(params, window.initial);
-    const core::dl_solution solution =
-        core::solve_dl({.params = &params,
-                        .phi = &phi,
-                        .t0 = window.t0,
-                        .t_end = window.times.back(),
-                        .options = solver});
     const int lo = static_cast<int>(std::lround(params.x_min));
     const int hi = static_cast<int>(std::lround(params.x_max));
     double acc = 0.0;
@@ -63,10 +56,65 @@ double dl_sse(const core::dl_parameters& params,
         acc += e * e;
       }
     }
-    return std::isfinite(acc) ? acc : std::numeric_limits<double>::infinity();
+    return std::isfinite(acc) ? acc : kInf;
   } catch (const std::exception&) {
-    return std::numeric_limits<double>::infinity();
+    return kInf;
   }
+}
+
+}  // namespace
+
+double dl_sse(const core::dl_parameters& params,
+              const observation_window& window,
+              const core::dl_solver_options& solver) {
+  const sse_probe probe{&params, &window, solver};
+  return dl_sse(std::span<const sse_probe>(&probe, 1)).front();
+}
+
+std::vector<double> dl_sse(std::span<const sse_probe> probes) {
+  std::vector<double> out(probes.size(), kInf);
+  // Straight through the unified request API: build φ once per probe,
+  // solve, read back — no dl_model instance, so the objective's hot loop
+  // carries no parameter/φ copies.  Requests point into `phis`, sized
+  // up front.
+  std::vector<core::initial_condition> phis;
+  phis.reserve(probes.size());
+  std::vector<core::solve_request> requests;
+  std::vector<std::size_t> owner;
+  for (std::size_t p = 0; p < probes.size(); ++p) {
+    const sse_probe& probe = probes[p];
+    probe.window->validate();
+    try {
+      // Invalid parameters score +inf so optimizers can probe freely.
+      probe.params->validate();
+      phis.push_back(
+          core::dl_model::build_initial(*probe.params, probe.window->initial));
+      requests.push_back({.params = probe.params,
+                          .phi = &phis.back(),
+                          .t0 = probe.window->t0,
+                          .t_end = probe.window->times.back(),
+                          .options = probe.solver});
+      owner.push_back(p);
+    } catch (const std::exception&) {
+    }
+  }
+  try {
+    const std::vector<core::dl_solution> solutions = core::solve_dl(requests);
+    for (std::size_t r = 0; r < requests.size(); ++r)
+      out[owner[r]] = score(solutions[r], *probes[owner[r]].params,
+                            *probes[owner[r]].window);
+  } catch (const std::exception&) {
+    for (std::size_t r = 0; r < requests.size(); ++r) {
+      try {
+        out[owner[r]] = score(core::solve_dl(requests[r]),
+                              *probes[owner[r]].params,
+                              *probes[owner[r]].window);
+      } catch (const std::exception&) {
+        out[owner[r]] = kInf;
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace dlm::fit

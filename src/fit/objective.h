@@ -8,6 +8,7 @@
 // minimizes.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/dl_parameters.h"
@@ -36,5 +37,23 @@ struct observation_window {
 [[nodiscard]] double dl_sse(const core::dl_parameters& params,
                             const observation_window& window,
                             const core::dl_solver_options& solver = {});
+
+/// One evaluation of a batched dl_sse: what the scalar overload takes.
+/// Pointees must outlive the call.
+struct sse_probe {
+  const core::dl_parameters* params = nullptr;
+  const observation_window* window = nullptr;
+  core::dl_solver_options solver{};
+};
+
+/// dl_sse of every probe, index-aligned and bitwise equal to the scalar
+/// overload per probe.  The valid probes' PDE solves go to one
+/// core::solve_dl(span) call, so compatible probes (same scheme, grid,
+/// dt and window) advance in lockstep; if that call throws — some
+/// probe's solve fails — every probe is solved alone instead, so each
+/// failing probe scores +inf exactly as it would on its own.  Throws
+/// std::invalid_argument for an inconsistent window, like the scalar
+/// overload.
+[[nodiscard]] std::vector<double> dl_sse(std::span<const sse_probe> probes);
 
 }  // namespace dlm::fit

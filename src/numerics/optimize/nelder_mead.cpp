@@ -6,132 +6,160 @@
 #include <stdexcept>
 
 namespace dlm::num {
-namespace {
 
-struct vertex {
-  std::vector<double> x;
-  double f;
-};
-
-double simplex_diameter(const std::vector<vertex>& simplex) {
-  double diam = 0.0;
-  for (std::size_t i = 1; i < simplex.size(); ++i) {
-    double dist = 0.0;
-    for (std::size_t k = 0; k < simplex[0].x.size(); ++k) {
-      const double d = simplex[i].x[k] - simplex[0].x[k];
-      dist += d * d;
-    }
-    diam = std::max(diam, std::sqrt(dist));
-  }
-  return diam;
-}
-
-nelder_mead_result run(const objective_fn& raw_f, std::span<const double> x0,
-                       const nelder_mead_options& opt,
-                       const std::function<void(std::vector<double>&)>& project) {
+nelder_mead::nelder_mead(std::span<const double> x0,
+                         const nelder_mead_options& options,
+                         std::span<const double> lower,
+                         std::span<const double> upper)
+    : opt_(options),
+      lower_(lower.begin(), lower.end()),
+      upper_(upper.begin(), upper.end()),
+      x0_(x0.begin(), x0.end()),
+      probe_(x0_) {
   if (x0.empty())
     throw std::invalid_argument("nelder_mead: empty starting point");
-  const std::size_t n = x0.size();
+  // The initial simplex: x0 plus n displaced vertices, asked in order.
+  simplex_.reserve(x0.size() + 1);
+  project(probe_);
+}
 
-  std::size_t evals = 0;
-  const auto f = [&](std::vector<double>& x) {
-    project(x);
-    ++evals;
-    return raw_f(x);
-  };
+void nelder_mead::project(std::vector<double>& x) const {
+  if (lower_.empty()) return;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = std::clamp(x[i], lower_[i], upper_[i]);
+}
 
-  // Build the initial simplex: x0 plus n displaced vertices.
-  std::vector<vertex> simplex;
-  simplex.reserve(n + 1);
-  {
-    std::vector<double> base(x0.begin(), x0.end());
-    const double fb = f(base);
-    simplex.push_back({std::move(base), fb});
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> v(x0.begin(), x0.end());
-    const double step =
-        (v[i] != 0.0) ? opt.initial_step * std::abs(v[i]) : opt.initial_step;
-    v[i] += step;
-    const double fv = f(v);
-    simplex.push_back({std::move(v), fv});
-  }
-
-  nelder_mead_result result;
-  const auto by_f = [](const vertex& a, const vertex& b) { return a.f < b.f; };
-
-  for (std::size_t it = 0; it < opt.max_iterations; ++it) {
-    std::sort(simplex.begin(), simplex.end(), by_f);
-    result.iterations = it;
-
-    const double f_spread = std::abs(simplex.back().f - simplex.front().f);
-    if (f_spread <= opt.f_tolerance && simplex_diameter(simplex) <= opt.x_tolerance) {
-      result.converged = true;
-      break;
-    }
-
-    // Centroid of all but the worst vertex.
-    std::vector<double> centroid(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t k = 0; k < n; ++k) centroid[k] += simplex[i].x[k];
-    }
-    for (double& c : centroid) c /= static_cast<double>(n);
-
-    const vertex& worst = simplex.back();
-
-    // Reflection.
-    std::vector<double> xr(n);
-    for (std::size_t k = 0; k < n; ++k)
-      xr[k] = centroid[k] + opt.alpha * (centroid[k] - worst.x[k]);
-    const double fr = f(xr);
-
-    if (fr < simplex.front().f) {
-      // Expansion.
-      std::vector<double> xe(n);
-      for (std::size_t k = 0; k < n; ++k)
-        xe[k] = centroid[k] + opt.gamma * (xr[k] - centroid[k]);
-      const double fe = f(xe);
-      if (fe < fr) {
-        simplex.back() = {std::move(xe), fe};
-      } else {
-        simplex.back() = {std::move(xr), fr};
+void nelder_mead::tell(double value) {
+  ++evaluations_;
+  const std::size_t n = probe_.size();
+  switch (stage_) {
+    case stage::init: {
+      simplex_.push_back({probe_, value});
+      if (simplex_.size() == n + 1) {
+        next_iteration();
+        return;
       }
-      continue;
+      // Vertex i + 1 displaces coordinate i of the unprojected start.
+      const std::size_t i = simplex_.size() - 1;
+      probe_ = x0_;
+      probe_[i] += (probe_[i] != 0.0) ? opt_.initial_step * std::abs(probe_[i])
+                                      : opt_.initial_step;
+      project(probe_);
+      return;
     }
-    if (fr < simplex[n - 1].f) {
-      simplex.back() = {std::move(xr), fr};
-      continue;
+    case stage::reflect: {
+      xr_ = probe_;
+      fr_ = value;
+      if (fr_ < simplex_.front().f) {
+        // Expansion.
+        for (std::size_t k = 0; k < n; ++k)
+          probe_[k] = centroid_[k] + opt_.gamma * (xr_[k] - centroid_[k]);
+        project(probe_);
+        stage_ = stage::expand;
+        return;
+      }
+      if (fr_ < simplex_[n - 1].f) {
+        simplex_.back() = {std::move(xr_), fr_};
+        next_iteration();
+        return;
+      }
+      // Contraction (outside if fr beats the worst, inside otherwise).
+      const vertex& worst = simplex_.back();
+      if (fr_ < worst.f) {
+        for (std::size_t k = 0; k < n; ++k)
+          probe_[k] = centroid_[k] + opt_.rho * (xr_[k] - centroid_[k]);
+      } else {
+        for (std::size_t k = 0; k < n; ++k)
+          probe_[k] = centroid_[k] + opt_.rho * (worst.x[k] - centroid_[k]);
+      }
+      project(probe_);
+      stage_ = stage::contract;
+      return;
     }
-
-    // Contraction (outside if fr beats the worst, inside otherwise).
-    std::vector<double> xc(n);
-    if (fr < worst.f) {
+    case stage::expand:
+      if (value < fr_) {
+        simplex_.back() = {probe_, value};
+      } else {
+        simplex_.back() = {std::move(xr_), fr_};
+      }
+      next_iteration();
+      return;
+    case stage::contract:
+      if (value < std::min(fr_, simplex_.back().f)) {
+        simplex_.back() = {probe_, value};
+        next_iteration();
+        return;
+      }
+      // Shrink towards the best vertex, one vertex per point.
+      index_ = 0;
+      [[fallthrough]];
+    case stage::shrink: {
+      if (index_ > 0) simplex_[index_].f = value;
+      if (++index_ > n) {
+        next_iteration();
+        return;
+      }
+      vertex& v = simplex_[index_];
       for (std::size_t k = 0; k < n; ++k)
-        xc[k] = centroid[k] + opt.rho * (xr[k] - centroid[k]);
+        v.x[k] = simplex_[0].x[k] + opt_.sigma * (v.x[k] - simplex_[0].x[k]);
+      project(v.x);
+      probe_ = v.x;
+      stage_ = stage::shrink;
+      return;
+    }
+    case stage::done:
+      throw std::logic_error("nelder_mead: tell() after the search ended");
+  }
+}
+
+void nelder_mead::next_iteration() {
+  const auto by_f = [](const vertex& a, const vertex& b) { return a.f < b.f; };
+  const std::size_t n = probe_.size();
+  if (iteration_ < opt_.max_iterations) {
+    std::sort(simplex_.begin(), simplex_.end(), by_f);
+    result_.iterations = iteration_++;
+
+    double diameter = 0.0;
+    for (std::size_t i = 1; i < simplex_.size(); ++i) {
+      double dist = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        const double d = simplex_[i].x[k] - simplex_[0].x[k];
+        dist += d * d;
+      }
+      diameter = std::max(diameter, std::sqrt(dist));
+    }
+    const double f_spread = std::abs(simplex_.back().f - simplex_.front().f);
+    if (f_spread <= opt_.f_tolerance && diameter <= opt_.x_tolerance) {
+      result_.converged = true;
     } else {
+      // Centroid of all but the worst vertex, then the reflection.
+      centroid_.assign(n, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t k = 0; k < n; ++k) centroid_[k] += simplex_[i].x[k];
+      }
+      for (double& c : centroid_) c /= static_cast<double>(n);
+      const vertex& worst = simplex_.back();
       for (std::size_t k = 0; k < n; ++k)
-        xc[k] = centroid[k] + opt.rho * (worst.x[k] - centroid[k]);
-    }
-    const double fc = f(xc);
-    if (fc < std::min(fr, worst.f)) {
-      simplex.back() = {std::move(xc), fc};
-      continue;
-    }
-
-    // Shrink towards the best vertex.
-    for (std::size_t i = 1; i <= n; ++i) {
-      for (std::size_t k = 0; k < n; ++k)
-        simplex[i].x[k] =
-            simplex[0].x[k] + opt.sigma * (simplex[i].x[k] - simplex[0].x[k]);
-      simplex[i].f = f(simplex[i].x);
+        probe_[k] = centroid_[k] + opt_.alpha * (centroid_[k] - worst.x[k]);
+      project(probe_);
+      stage_ = stage::reflect;
+      return;
     }
   }
+  std::sort(simplex_.begin(), simplex_.end(), by_f);
+  result_.x = simplex_.front().x;
+  result_.f_value = simplex_.front().f;
+  result_.evaluations = evaluations_;
+  stage_ = stage::done;
+}
 
-  std::sort(simplex.begin(), simplex.end(), by_f);
-  result.x = simplex.front().x;
-  result.f_value = simplex.front().f;
-  result.evaluations = evals;
-  return result;
+nelder_mead_result nelder_mead::result() const { return result_; }
+
+namespace {
+
+nelder_mead_result drive(nelder_mead search, const objective_fn& f) {
+  while (!search.done()) search.tell(f(search.ask()));
+  return search.result();
 }
 
 }  // namespace
@@ -139,7 +167,7 @@ nelder_mead_result run(const objective_fn& raw_f, std::span<const double> x0,
 nelder_mead_result minimize_nelder_mead(const objective_fn& f,
                                         std::span<const double> x0,
                                         const nelder_mead_options& options) {
-  return run(f, x0, options, [](std::vector<double>&) {});
+  return drive(nelder_mead(x0, options), f);
 }
 
 nelder_mead_result minimize_nelder_mead_bounded(
@@ -152,12 +180,7 @@ nelder_mead_result minimize_nelder_mead_bounded(
     if (!(lower[i] <= upper[i]))
       throw std::invalid_argument("nelder_mead_bounded: lower > upper");
   }
-  std::vector<double> lo(lower.begin(), lower.end());
-  std::vector<double> hi(upper.begin(), upper.end());
-  return run(f, x0, options, [lo, hi](std::vector<double>& x) {
-    for (std::size_t i = 0; i < x.size(); ++i)
-      x[i] = std::clamp(x[i], lo[i], hi[i]);
-  });
+  return drive(nelder_mead(x0, options, lower, upper), f);
 }
 
 }  // namespace dlm::num

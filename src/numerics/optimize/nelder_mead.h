@@ -39,6 +39,66 @@ struct nelder_mead_result {
   bool converged = false;
 };
 
+/// Nelder–Mead as an ask/tell stepper: ask() names the one point the
+/// search wants evaluated next, tell() hands back its value.  A caller
+/// that advances many searches at once (fit::calibrate_dl's lockstep
+/// lanes) steps each of them one point per round and evaluates the
+/// round's points together; minimize_nelder_mead* below run one search
+/// to the end.  The sequence of asked points — and therefore the
+/// result — depends only on the told values, never on how or when they
+/// were computed.
+class nelder_mead {
+ public:
+  /// Starts a search at `x0`.  Empty `lower`/`upper` → unconstrained;
+  /// otherwise every asked point is first clamped into [lower, upper]
+  /// (projection method; the caller validates the bounds).  Throws
+  /// std::invalid_argument for an empty starting point.
+  nelder_mead(std::span<const double> x0, const nelder_mead_options& options,
+              std::span<const double> lower = {},
+              std::span<const double> upper = {});
+
+  /// True once the search has converged or run out of iterations.
+  [[nodiscard]] bool done() const noexcept { return stage_ == stage::done; }
+
+  /// The next point to evaluate; valid until the next tell().  Must not
+  /// be called once done().
+  [[nodiscard]] std::span<const double> ask() const noexcept { return probe_; }
+
+  /// Records the objective value at the point ask() returned and
+  /// advances to the next point (or to done()).  Throws std::logic_error
+  /// once done().
+  void tell(double value);
+
+  /// Best vertex and counters; meaningful once done().
+  [[nodiscard]] nelder_mead_result result() const;
+
+ private:
+  struct vertex {
+    std::vector<double> x;
+    double f = 0.0;
+  };
+  enum class stage { init, reflect, expand, contract, shrink, done };
+
+  void project(std::vector<double>& x) const;
+  /// Starts the next iteration (sort, convergence test, reflection
+  /// point) or ends the search.
+  void next_iteration();
+
+  nelder_mead_options opt_;
+  std::vector<double> lower_, upper_;
+  std::vector<double> x0_;
+  std::vector<vertex> simplex_;
+  std::vector<double> centroid_;
+  std::vector<double> xr_;  ///< reflected point (projected once told)
+  double fr_ = 0.0;
+  std::vector<double> probe_;
+  stage stage_ = stage::init;
+  std::size_t index_ = 0;      ///< vertex being shrunk
+  std::size_t iteration_ = 0;  ///< iterations started
+  std::size_t evaluations_ = 0;
+  nelder_mead_result result_;
+};
+
 /// Minimizes `f` starting from `x0` using the Nelder–Mead simplex method.
 /// Throws std::invalid_argument for an empty starting point.
 [[nodiscard]] nelder_mead_result minimize_nelder_mead(

@@ -1,14 +1,22 @@
 // End-to-end tests of the engine calibration workload: "calibrate" rate
 // specs running fit::calibrate_dl on the thread pool behind run_sweep,
-// memoized in the solve cache, recorded in the result-table fit columns.
+// memoized in the solve cache, recorded in the result-table fit columns,
+// and fitted in lockstep across the slices of a batch_sweep chunk.
 
 #include "engine/calibration.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <set>
 #include <stdexcept>
 
 #include "core/dl_model.h"
+#include "engine/cache_io.h"
 #include "engine/scenario_runner.h"
 
 namespace {
@@ -232,6 +240,168 @@ TEST(CalibrationSweep, FullCalibrationRecoversRateFamilyEndToEnd) {
   serial.cache = &fresh;
   serial.threads = 1;
   EXPECT_EQ(run_sweep(ctx, spec, serial).table.to_csv(), csv);
+}
+
+/// Four slices in the layout of a Digg dataset — alternating two x-ranges
+/// (6 and 5 distance groups), each slice generated by its own DL truth —
+/// so calibrate chunks span slices and split into two lockstep groups.
+scenario_context four_slices() {
+  const std::vector<double> initial{1.9, 0.8, 1.1, 0.6, 0.4, 0.3};
+  scenario_context ctx;
+  for (int s = 0; s < 4; ++s) {
+    const std::size_t groups = s % 2 == 0 ? 6 : 5;
+    const std::vector<double> first(initial.begin(),
+                                    initial.begin() +
+                                        static_cast<std::ptrdiff_t>(groups));
+    core::dl_parameters truth =
+        core::dl_parameters::paper_hops(static_cast<double>(groups));
+    truth.d = 0.04 + 0.02 * s;
+    truth.k = 18.0 + 2.0 * s;
+    const core::dl_model model(truth, first, 1.0, 6.0);
+    dataset_slice slice;
+    slice.name = "story" + std::to_string(s / 2) + (s % 2 == 0 ? "/a" : "/b");
+    slice.story = "story" + std::to_string(s / 2);
+    slice.metric = social::distance_metric::friendship_hops;
+    slice.actual.resize(groups);
+    for (std::size_t i = 0; i < groups; ++i) {
+      slice.actual[i].push_back(first[i]);
+      for (int t = 2; t <= 6; ++t)
+        slice.actual[i].push_back(model.predict(static_cast<int>(i) + 1, t));
+    }
+    slice.base_params =
+        core::dl_parameters::paper_hops(static_cast<double>(groups));
+    ctx.add_slice(std::move(slice));
+  }
+  return ctx;
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(CalibrationSweep, LockstepLanesKeepCsvAndCacheBytesAtAnyWidth) {
+  // calibrate + calibrate-spatial over four slices on every scheme: at
+  // batch_width 1 each fit runs alone; at auto the fits of a chunk share
+  // rounds (strang-cn and implicit-newton probes as SoA lanes).  Rows —
+  // fit_evals and the solve/hit split included — and the saved cache
+  // must not move by a byte.
+  const scenario_context ctx = four_slices();
+  sweep_spec spec;
+  spec.models = {"dl"};
+  spec.schemes = {core::dl_scheme::ftcs, core::dl_scheme::strang_cn,
+                  core::dl_scheme::implicit_newton, core::dl_scheme::mol_rk4};
+  spec.grid = {10};
+  spec.rates = {"calibrate", "calibrate-spatial"};
+  spec.t_end = 6.0;
+  const std::vector<scenario> scenarios = expand_sweep(spec, ctx);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("dlm_lockstep_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  std::vector<std::string> csv;
+  std::vector<std::string> saved;
+  for (const std::size_t width : {std::size_t{1}, std::size_t{0}}) {
+    // The widths really differ: auto puts all four slices in one chunk.
+    std::size_t widest = 0;
+    for (const auto& chunk :
+         batch_sweep(scenarios, default_registry(), width))
+      widest = std::max(widest, chunk.size());
+    EXPECT_EQ(widest, width == 1 ? 1u : 4u);
+
+    solve_cache cache;
+    runner_options options;
+    options.cache = &cache;
+    options.threads = 3;
+    options.batch_width = width;
+    options.calibration.coarse_steps = 2;
+    options.calibration.refine_iterations = 60;
+    csv.push_back(run_sweep(ctx, scenarios, options).table.to_csv());
+    const std::filesystem::path file =
+        dir / ("w" + std::to_string(width) + ".cache");
+    save_cache(cache, file);
+    saved.push_back(file_bytes(file));
+  }
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(result_table::from_csv(csv[0]).size(), scenarios.size());
+  EXPECT_EQ(csv[1], csv[0]);
+  EXPECT_FALSE(saved[0].empty());
+  EXPECT_EQ(saved[1], saved[0]);
+}
+
+TEST(BatchSweep, CalibrateChunksNeverMixIncompatibleKeys) {
+  const scenario_context ctx = four_slices();
+  sweep_spec spec;
+  spec.models = {"dl", "logistic", "heat"};
+  spec.schemes = {core::dl_scheme::strang_cn,
+                  core::dl_scheme::implicit_newton};
+  spec.grid = {10, 20};
+  spec.rates = {"preset", "calibrate", "calibrate:3", "calibrate-spatial"};
+  spec.t_end = 6.0;
+  std::vector<scenario> scenarios = expand_sweep(spec, ctx);
+  // A repeated scenario (same slice, same key) and a calibrate spec on a
+  // model that cannot fit it, appended by hand.
+  scenario repeat = scenarios[1];
+  ASSERT_TRUE(is_calibrate_spec(repeat.rate));
+  scenarios.push_back(repeat);
+  scenario unfit;
+  unfit.model = "logistic";
+  unfit.rate = "calibrate";
+  scenarios.push_back(unfit);
+
+  for (const std::size_t width : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{2}, std::size_t{3},
+                                  std::size_t{8}}) {
+    const std::vector<std::vector<std::size_t>> chunks =
+        batch_sweep(scenarios, default_registry(), width);
+    std::vector<bool> seen(scenarios.size(), false);
+    std::size_t multi_lane_calibrate = 0;
+    for (const std::vector<std::size_t>& chunk : chunks) {
+      ASSERT_FALSE(chunk.empty());
+      EXPECT_LE(chunk.size(), width == 0 ? kDefaultBatchWidth : width);
+      EXPECT_TRUE(std::is_sorted(chunk.begin(), chunk.end()));
+      for (const std::size_t i : chunk) {
+        EXPECT_FALSE(seen[i]) << "duplicate index " << i;
+        seen[i] = true;
+      }
+      if (chunk.size() == 1) continue;
+      const scenario& first = scenarios[chunk.front()];
+      const bool calibrate = is_calibrate_spec(first.rate);
+      std::set<std::size_t> slices;
+      for (const std::size_t i : chunk) {
+        const scenario& sc = scenarios[i];
+        EXPECT_EQ(sc.model, "dl");
+        EXPECT_EQ(sc.scheme, first.scheme);
+        EXPECT_EQ(sc.points_per_unit, first.points_per_unit);
+        EXPECT_EQ(sc.dt, first.dt);
+        EXPECT_EQ(sc.t0, first.t0);
+        EXPECT_EQ(sc.t_end, first.t_end);
+        EXPECT_EQ(sc.domain, first.domain);
+        EXPECT_EQ(is_calibrate_spec(sc.rate), calibrate);
+        if (calibrate) {
+          // One spec (so one fit family and window rule), one lane per
+          // slice: no two lanes of a round share a cache key.
+          EXPECT_EQ(sc.rate, first.rate);
+          EXPECT_TRUE(slices.insert(sc.slice).second)
+              << "slice " << sc.slice << " twice in a calibrate chunk";
+        } else {
+          EXPECT_EQ(sc.slice, first.slice);
+        }
+      }
+      if (calibrate) ++multi_lane_calibrate;
+    }
+    EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](bool b) { return b; }));
+    // Calibrate lanes do group across slices whenever the width allows.
+    if (width != 1) {
+      EXPECT_GT(multi_lane_calibrate, 0u) << "width " << width;
+    } else {
+      EXPECT_EQ(multi_lane_calibrate, 0u);
+    }
+    // The hand-appended scenarios keep chunks of their own.
+    for (const std::vector<std::size_t>& chunk : chunks)
+      if (chunk.back() >= scenarios.size() - 2) EXPECT_EQ(chunk.size(), 1u);
+  }
 }
 
 TEST(CalibrationSweep, CalibrateScenarioRejectsUnsupportedModels) {

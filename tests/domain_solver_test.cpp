@@ -125,6 +125,18 @@ TEST(DomainLine, AllFourSchemesMatchPreRefactorGoldenHashes) {
   EXPECT_EQ(sol.states().cols(), 101u);
 }
 
+TEST(DomainSolver, NonLineDomainsMatchTheirGoldenHashes) {
+  // Captured from the ADI sheet and the coupled-community solver as they
+  // stood before lockstep calibration; any rewrite of either stepping
+  // loop (a transposed lockstep ADI, say) must keep every output bit.
+  EXPECT_EQ(hash_solution(solve_reference(core::dl_scheme::strang_cn,
+                                          core::domain::grid(1.0, 4.0))),
+            0x316cd0f3fc11761bULL);
+  EXPECT_EQ(hash_solution(solve_reference(core::dl_scheme::strang_cn,
+                                          core::domain::coupled(3, 0.05))),
+            0x1664d0135da3dcf0ULL);
+}
+
 TEST(DomainCommunities, SingleCommunityIsBitwiseIdenticalToTheLine) {
   const core::dl_solution line = solve_reference(core::dl_scheme::strang_cn);
   const core::dl_solution one =

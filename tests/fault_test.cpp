@@ -30,6 +30,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -255,6 +257,27 @@ TEST(Supervisor, RetriesExportTheAttemptNumberToTheChild) {
       engine::supervise(commands, options);
   EXPECT_TRUE(report.all_succeeded());
   EXPECT_EQ(report.outcomes[0].attempts, 2u);
+}
+
+TEST(Supervisor, WaitsPastTheCapAreRejectedBeforeAnyWorkerStarts) {
+  // A finite but huge timeout (or a NaN, or an infinite backoff) would
+  // overflow the duration_cast to steady_clock::duration.
+  const std::vector<engine::worker_command> commands = {
+      sh("exit 0", "worker 0/1")};
+  for (const double timeout : {1e300, 1e9 + 1.0, -1.0, std::nan("")}) {
+    engine::supervisor_options options;
+    options.timeout_sec = timeout;
+    EXPECT_THROW((void)engine::supervise(commands, options),
+                 std::invalid_argument)
+        << timeout;
+  }
+  engine::supervisor_options backoff;
+  backoff.backoff_initial_ms = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)engine::supervise(commands, backoff),
+               std::invalid_argument);
+  engine::supervisor_options at_cap;
+  at_cap.timeout_sec = engine::kMaxSupervisorWaitSec;
+  EXPECT_TRUE(engine::supervise(commands, at_cap).all_succeeded());
 }
 
 TEST(Supervisor, HungWorkerIsKilledByThePerAttemptTimeout) {

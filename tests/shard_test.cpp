@@ -792,6 +792,40 @@ TEST(ShardCli, RejectsZeroCountsAndPolicies) {
       << worker.output;
 }
 
+TEST(ShardCli, RejectsATimeoutPastTheWaitCap) {
+  // 1e300 is finite, so the strict number parser takes it; the worker
+  // deadline's duration_cast to steady_clock::duration would overflow.
+  const cli_outcome outcome = run_dl_shard("--shards 2 --timeout 1e300");
+  EXPECT_EQ(outcome.exit_code, 2) << outcome.output;
+  EXPECT_NE(outcome.output.find(
+                "--timeout must be at most 1e9 seconds at position 4"),
+            std::string::npos)
+      << outcome.output;
+  // The cap itself passes the flag checks (the missing mode fails next).
+  const cli_outcome at_cap = run_dl_shard("--timeout 1e9");
+  EXPECT_EQ(at_cap.exit_code, 2) << at_cap.output;
+  EXPECT_NE(at_cap.output.find("exactly one of --shards"), std::string::npos)
+      << at_cap.output;
+}
+
+TEST(ShardCli, RejectsARetryScheduleThatDoublesPastTheWaitCap) {
+  // 100 ms doubled per retry passes 1e9 s after 34 retries; a larger
+  // --retries would schedule a wait no steady_clock::duration holds.
+  for (const char* args : {"--shards 2 --retries 5000",
+                           "--shards 2 --backoff 1e12 --retries 2",
+                           "--shards 2 --retries 2 --backoff 1e13"}) {
+    const cli_outcome outcome = run_dl_shard(args);
+    EXPECT_EQ(outcome.exit_code, 2) << args << "\n" << outcome.output;
+    EXPECT_NE(outcome.output.find("--retries with --backoff doubles past 1e9 "
+                                  "seconds before the last retry at position"),
+              std::string::npos)
+        << args << "\n" << outcome.output;
+  }
+  const cli_outcome within = run_dl_shard("--retries 34");
+  EXPECT_NE(within.output.find("exactly one of --shards"), std::string::npos)
+      << within.output;
+}
+
 TEST(ShardCli, RejectsACacheFileForARemoteWorker) {
   // The server owns the cache of a remote shard; a --cache-file there
   // would silently never be written.

@@ -112,6 +112,105 @@ TEST(SolverBatch, BitwiseEqualAcrossSchemesFamiliesAndWidths) {
   }
 }
 
+TEST(SolverBatch, NewtonLanesIterateToTheirOwnConvergence) {
+  // Lanes whose Newton solves need different iteration counts in the
+  // same step: a lane at rest (d = 0, r = 0: the warm start is already
+  // the root), the paper preset, and stiff lanes (large d and r).  Each
+  // lane must stop exactly where its scalar solve stops — a mask that
+  // kept iterating a converged lane, or stopped a slow one early, moves
+  // bits.
+  const initial_condition phi(observed);
+  std::vector<dl_parameters> params(4, dl_parameters::paper_hops(6.0));
+  params[0].d = 0.0;
+  params[0].r = growth_rate::constant(0.0);
+  params[2].d = 0.45;
+  params[2].r = growth_rate::constant(2.5);
+  params[3].d = 0.2;
+  params[3].k = 8.0;
+  params[3].r = rate_for(1);
+  dl_solver_options opts = options_for(dl_scheme::implicit_newton);
+  opts.dt = 0.1;
+
+  // Iteration caps tell the lanes apart: the resting lane converges
+  // before its first update (one allowed iteration changes nothing),
+  // the stiff lane needs more than two.
+  const auto solve_capped = [&](std::size_t l, int cap) {
+    dl_solver_options capped = opts;
+    capped.newton_max_iter = cap;
+    return solve_dl({.params = &params[l],
+                     .phi = &phi,
+                     .t0 = 1.0,
+                     .t_end = 4.0,
+                     .options = capped});
+  };
+  const auto same = [](const dl_solution& a, const dl_solution& b) {
+    return a.states().data() == b.states().data();
+  };
+  EXPECT_TRUE(same(solve_capped(0, 1), solve_capped(0, 16)));
+  EXPECT_FALSE(same(solve_capped(2, 2), solve_capped(2, 16)));
+
+  for (std::size_t width : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+    std::vector<solve_request> requests;
+    for (std::size_t l = 0; l < width; ++l)
+      requests.push_back({.params = &params[(l + width) % 4],
+                          .phi = &phi,
+                          .t0 = 1.0,
+                          .t_end = 4.0,
+                          .options = opts});
+    const std::vector<dl_solution> batched = solve_dl(requests);
+    for (std::size_t l = 0; l < width; ++l)
+      expect_bitwise_equal(batched[l], solve_dl(requests[l]),
+                           "newton width=" + std::to_string(width) +
+                               " lane=" + std::to_string(l));
+  }
+}
+
+TEST(SolverBatch, ZeroPivotNewtonLaneFailsLikeTheScalarPath) {
+  // d = 0, r·h = 1 and a node at zero density make the Jacobian's first
+  // pivot exactly 0: 1 + 2·0 − 1·(1 − 0).  The scalar solve throws
+  // domain_error there; the batch must throw the same, not hand back
+  // the healthy lane.
+  std::vector<double> samples(101, 0.5);
+  samples[0] = 0.0;
+  dl_parameters zero_pivot = dl_parameters::paper_hops(6.0);
+  zero_pivot.d = 0.0;
+  zero_pivot.r = growth_rate::constant(2.0);
+  const dl_parameters healthy = dl_parameters::paper_hops(6.0);
+  dl_solver_options opts = options_for(dl_scheme::implicit_newton);
+  opts.dt = 0.5;
+  const solve_request bad{.params = &zero_pivot,
+                          .phi_samples = samples,
+                          .t0 = 1.0,
+                          .t_end = 2.0,
+                          .options = opts};
+  const solve_request good{.params = &healthy,
+                           .phi_samples = samples,
+                           .t0 = 1.0,
+                           .t_end = 2.0,
+                           .options = opts};
+  EXPECT_THROW((void)solve_dl(bad), std::domain_error);
+  const std::vector<solve_request> requests{good, bad};
+  try {
+    (void)solve_dl(requests);
+    ADD_FAILURE() << "batched zero pivot did not throw";
+  } catch (const std::domain_error& e) {
+    EXPECT_STREQ(e.what(), "solve_tridiagonal: zero pivot");
+  }
+
+  // A lane that has converged never factorizes, so its zero pivot is no
+  // error — in a batch either, while another lane still iterates.
+  const std::vector<double> rest(101, 0.0);
+  const solve_request resting{.params = &zero_pivot,
+                              .phi_samples = rest,
+                              .t0 = 1.0,
+                              .t_end = 2.0,
+                              .options = opts};
+  const std::vector<solve_request> mixed{good, resting};
+  const std::vector<dl_solution> batched = solve_dl(mixed);
+  expect_bitwise_equal(batched[1], solve_dl(resting), "resting lane");
+  expect_bitwise_equal(batched[0], solve_dl(good), "healthy lane");
+}
+
 TEST(SolverBatch, LegacyOverloadsAreExactShims) {
   const dl_parameters params = dl_parameters::paper_hops(6.0);
   const initial_condition phi(observed);
@@ -310,8 +409,9 @@ TEST(SolverBatch, BatchSweepIsAnIndexStablePartition) {
   const dlm::engine::scenario_context ctx = engine_context();
   std::vector<scenario> scenarios =
       dlm::engine::expand_sweep(engine_sweep(), ctx);
-  // A calibrate-spec dl scenario: batch-capable model, but it must stay a
-  // chunk of one (calibration fits per scenario before solving).
+  // A calibrate-spec dl scenario: calibrate lanes group only with the same
+  // spec on other slices, so on this one-slice context it stays a chunk
+  // of one.
   scenario cal = scenarios.front();
   cal.rate = "calibrate";
   scenarios.push_back(cal);
@@ -346,7 +446,8 @@ TEST(SolverBatch, BatchSweepIsAnIndexStablePartition) {
         EXPECT_EQ(scenarios[i].points_per_unit, first.points_per_unit);
         EXPECT_EQ(scenarios[i].dt, first.dt);
       }
-      // Non-batch models and calibrate specs never share a chunk.
+      // Non-batch models never share a chunk, and solve chunks hold no
+      // calibrate spec.
       if (chunks[c].size() > 1) {
         EXPECT_EQ(first.model, "dl");
         for (const std::size_t i : chunks[c])

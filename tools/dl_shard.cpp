@@ -129,6 +129,7 @@ struct cli_options {
   double timeout_sec = 0.0;
   std::size_t retries = 0;
   double backoff_ms = 100.0;
+  int retries_position = 0;  ///< argv position of the later of the two
   bool allow_partial = false;
   std::string manifest_path;  ///< default: "<csv>.manifest.json"
   bool journal = false;
@@ -690,10 +691,15 @@ int main(int argc, char** argv) {
         opt.socket_path = next("--socket");
       } else if (arg == "--timeout") {
         opt.timeout_sec = parse_cli_number<double>(arg, next("--timeout"));
+        // Bounded so the deadline's duration_cast cannot overflow.
+        if (opt.timeout_sec > engine::kMaxSupervisorWaitSec)
+          return bad_cli("--timeout must be at most 1e9 seconds", i);
       } else if (arg == "--retries") {
         opt.retries = parse_cli_number<std::size_t>(arg, next("--retries"));
+        opt.retries_position = i;
       } else if (arg == "--backoff") {
         opt.backoff_ms = parse_cli_number<double>(arg, next("--backoff"));
+        opt.retries_position = std::max(opt.retries_position, i);
       } else if (arg == "--allow-partial") {
         opt.allow_partial = true;
       } else if (arg == "--manifest") {
@@ -739,6 +745,20 @@ int main(int argc, char** argv) {
       return bad_cli(e.what(), i);
     }
   }
+
+  // The doubling backoff schedule, bounded like --timeout: the last
+  // retry must not wait longer than 1e9 seconds.
+  double last_backoff_ms = opt.backoff_ms;
+  for (std::size_t r = 1;
+       r < opt.retries && last_backoff_ms <= 1e3 * engine::kMaxSupervisorWaitSec;
+       ++r)
+    last_backoff_ms *= 2.0;
+  if (opt.retries > 0 &&
+      last_backoff_ms > 1e3 * engine::kMaxSupervisorWaitSec)
+    return bad_cli(
+        "--retries with --backoff doubles past 1e9 seconds before the "
+        "last retry",
+        opt.retries_position);
 
   const int modes = (opt.shards > 0 ? 1 : 0) + (opt.worker ? 1 : 0) +
                     (opt.merge_tables_mode ? 1 : 0) +
