@@ -106,16 +106,17 @@ BENCHMARK(bm_strang)->Arg(20)->Arg(80)->Arg(320);
 BENCHMARK(bm_newton)->Arg(20)->Arg(80);
 BENCHMARK(bm_rk4)->Arg(20)->Arg(80);
 
-// Batched lockstep Strang–CN: Arg(width) independent scenarios (same
-// grid/dt, per-lane d) advanced over one SoA batch workspace.
-// items_processed counts scenarios, so the report's items/sec column is
-// scenarios/sec directly — width 1 is the scalar baseline (a group of
-// one takes the scalar path inside solve_dl), and the batched-throughput
-// claim is items/sec at width >= 4 vs width 1.
+// Batched lockstep Strang–CN: Args(width, points per unit) — width
+// independent scenarios (same grid/dt, per-lane d) advanced over one SoA
+// batch workspace.  items_processed counts scenarios, so the report's
+// items/sec column is scenarios/sec directly — width 1 is the scalar
+// baseline (a group of one takes the scalar path inside solve_dl), width
+// 3 pads its second two-lane pack with a discarded copy, and grid 80 is
+// the dl_shard bench sweep's shape (401 nodes, 8 lanes per chunk).
 void bm_batched_strang_cn(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
-  const core::dl_solver_options opts =
-      options_for(core::dl_scheme::strang_cn, 20);
+  const core::dl_solver_options opts = options_for(
+      core::dl_scheme::strang_cn, static_cast<std::size_t>(state.range(1)));
   std::vector<core::dl_parameters> params;
   params.reserve(width);
   for (std::size_t l = 0; l < width; ++l) {
@@ -135,13 +136,15 @@ void bm_batched_strang_cn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(width));
 }
-BENCHMARK(bm_batched_strang_cn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(bm_batched_strang_cn)
+    ->ArgsProduct({{1, 2, 3, 4, 8}, {20}})
+    ->ArgsProduct({{1, 4, 8}, {80}});
 
 // Batched implicit-Newton lanes at the calibration probe shape: grid 20,
 // hours 1 → 4 (an auto fit window), per-lane d and K as a Nelder–Mead
 // round probes them.  Each lane iterates to its own convergence under a
 // mask, so width 1 (the scalar path) vs width 4/8 is the lane gain a
-// lockstep calibration round sees.
+// lockstep calibration round sees; width 3 runs a padded pack.
 void bm_batched_newton(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
   const core::dl_solver_options opts =
@@ -167,7 +170,7 @@ void bm_batched_newton(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(width));
 }
-BENCHMARK(bm_batched_newton)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(bm_batched_newton)->Arg(1)->Arg(3)->Arg(4)->Arg(8);
 
 // 2-D ADI sheet solve (core::domain::grid): Arg is points_per_unit on
 // the distance axis; the interest axis spans [1, 5] at the same

@@ -1,36 +1,47 @@
 // Batched DL solver: advances a span of solve_requests in lockstep.
 //
 // Compatible requests — same scheme, grid, dt, record cadence, time
-// window and Newton settings — form a group whose W lanes share one time
-// loop over the structure-of-arrays dl_batch_workspace (u[node*W + lane]).
-// The per-node inner loops then run over W contiguous lanes, so W
-// independent Thomas chains interleave (the serial division chain of lane
-// A overlaps the multiplies of lanes B..): the Strang–CN forward
-// elimination and back substitution, and each implicit-Newton
-// iteration's Jacobian solve.
+// window and Newton settings — form a group, solved in chunks of at most
+// eight lanes.  A chunk's lanes share one time loop over the
+// structure-of-arrays dl_batch_workspace (u[node*W + lane]), and its
+// lane kernels — the fused Strang–CN step and the implicit-Newton step —
+// run on an explicit two-double vector type (the SSE2 baseline
+// register): a chunk is P = 1..4 packs of two lanes, so each divide is
+// one divpd for two lanes, and the P independent Thomas chains
+// interleave (the division chain of one pack overlaps the arithmetic of
+// the others).  An odd chunk pads its last pack with a copy of its last
+// lane, whose result is discarded.
 //
 // Bitwise identity with the scalar path is the load-bearing contract
 // (engine::solve_cache keys, golden fits and CSV output must not depend
 // on how requests are grouped).  It holds because every per-lane
 // expression below is the scalar solver's expression with `u[i]` spelled
-// `u[i*W + l]`: the shared helpers in dl_solver_internal.h supply the
-// propagator and matrix entries, each lane's Crank–Nicolson coefficients
-// come from the same num::tridiagonal_factorization the scalar path
-// solves with, each Newton lane stops at its own convergence (a per-lane
-// mask freezes its iterate, so it runs exactly the scalar iteration
-// count), and the accumulation order inside every loop is kept verbatim.
-// Reordering lanes, changing W, or re-running with a reused workspace
-// cannot change a single bit of any lane (solver_batch_test).
+// `u[i*W + l]` and each vector operator is the per-lane IEEE operation:
+// the propagator's `n <= 0 ? n : propagated` is a vector select,
+// std::max(a, b) is `a < b ? b : a`, std::abs is a sign-bit clear, each
+// lane's Crank–Nicolson coefficients come from the same
+// num::tridiagonal_factorization the scalar path solves with, each
+// Newton lane stops at its own convergence (a per-lane mask freezes its
+// iterate, so it runs exactly the scalar iteration count), and the
+// accumulation order inside every loop is kept verbatim.  The library
+// builds with -ffp-contract=off, so no -march can fuse a multiply-add
+// into an FMA in one path and not the other.  Reordering lanes, changing
+// the width, or re-running with a reused workspace cannot change a
+// single bit of any lane (solver_batch_test).
 //
 // Not batched (solved per-request on the scalar path instead): lanes
 // that measured no faster than scalar solves — ftcs (0.58–0.85× across
 // grids and widths), mol_rk4 (0.68–0.96×) and strang_cn with a spatial
 // rate (about 1.0×: its per-node exps cost the same either way) — plus
 // non-line domains, requests carrying their own dl_workspace (the caller
-// asked for exactly those buffers), and groups of one.
+// asked for exactly those buffers), and chunks of one lane.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -92,130 +103,243 @@ class batch_guard {
   dl_batch_workspace& ws_;
 };
 
-/// One implicit-Newton time step of W lanes, u → un: backward Euler,
-/// un − u − h·(d·A un + r·un·(1 − un/K)) = 0, with the scalar path's
-/// Newton iteration widened to W lanes (state node-major, [i*W + l]; `rt`
-/// holds r(x_i, t + h) in the same layout).  Each iteration is two passes
-/// over the nodes.  The first computes the residual (mirror-ghost
-/// Laplacian inline), its max-norm, and the forward elimination of the
-/// Jacobian I − h·(d·A + diag(r·(1 − 2un/K))) — solve_tridiagonal_in_place's
-/// expressions, W chains interleaved.  The second back-substitutes and
+/// Two lanes of doubles: the SSE2 baseline vector register.  Every
+/// operator on it is the per-lane IEEE operation, so a lane of a v2d
+/// expression rounds exactly like the scalar expression it spells.
+using v2d = double __attribute__((vector_size(16)));
+/// Lane mask of a v2d comparison: all ones (true) or zero per lane.
+using v2m = decltype(v2d{} < v2d{});
+
+/// A chunk runs at most this many packs of two lanes in lockstep.
+constexpr std::size_t kMaxPacks = 4;
+constexpr std::size_t kMaxLanes = 2 * kMaxPacks;
+
+/// Two-lane load/store through memcpy: no alignment or aliasing
+/// assumption on the workspace's double buffers.
+v2d load(const double* p) {
+  v2d v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+void store(double* p, v2d v) { std::memcpy(p, &v, sizeof v); }
+
+/// std::abs as a sign-bit clear (what the scalar call compiles to).
+v2d abs(v2d x) {
+  return std::bit_cast<v2d>(std::bit_cast<v2m>(x) &
+                            std::numeric_limits<std::int64_t>::max());
+}
+
+/// std::max(a, b) verbatim: `a < b ? b : a` (so a NaN b keeps a).
+v2d max(v2d a, v2d b) { return a < b ? b : a; }
+
+bool any(v2m m) { return (m[0] | m[1]) != 0; }
+
+/// detail::logistic_exact_with_growth, two lanes at a time.
+v2d logistic(v2d n, v2d growth, v2d k) {
+  const v2d propagated = k * n * growth / (k + n * (growth - 1.0));
+  return n <= 0.0 ? n : propagated;
+}
+
+/// One fused Strang–CN step of a chunk of P packs (W = 2·P lanes, state
+/// u[i*W + l]): detail::strang_cn_fused_step with every register widened
+/// to P two-lane packs.  Reaction values roll through three registers
+/// per pack and the elimination carry is a register per pack, so the P
+/// serial division chains interleave; each lane's accumulation order —
+/// dm·v_cur, += lm·v_prev, += um·v_next, the divide, the back
+/// substitution — is the scalar sequence.  Reads the per-lane CN
+/// coefficients, growth factors and K from the workspace; `rhs` holds
+/// the eliminated rows between the passes.
+template <std::size_t P>
+void strang_step(dl_batch_workspace& bws, std::size_t n) {
+  constexpr std::size_t W = 2 * P;
+  double* const u = bws.u.data();
+  double* const rhs = bws.rhs.data();
+  const double* const dm = bws.cn_dm.data();
+  const double* const lm = bws.cn_lm.data();
+  const double* const um = bws.cn_um.data();
+  const double* const fl = bws.cn_fl.data();
+  const double* const fp = bws.cn_fp.data();
+  const double* const fc = bws.cn_fc.data();
+
+  v2d g1[P], g2[P], k[P], vc[P], vn[P], w[P];
+  for (std::size_t p = 0; p < P; ++p) {
+    const std::size_t l = 2 * p;
+    g1[p] = load(bws.growth1.data() + l);
+    g2[p] = load(bws.growth2.data() + l);
+    k[p] = load(bws.lane_k.data() + l);
+    vc[p] = logistic(load(u + l), g1[p], k[p]);
+    vn[p] = logistic(load(u + W + l), g1[p], k[p]);
+    v2d acc = load(dm + l) * vc[p];
+    acc += load(um + l) * vn[p];
+    w[p] = acc / load(fp + l);
+    store(rhs + l, w[p]);
+  }
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::size_t at = i * W + 2 * p;
+      const v2d vp = vc[p];
+      vc[p] = vn[p];
+      vn[p] = logistic(load(u + at + W), g1[p], k[p]);
+      v2d acc = load(dm + at) * vc[p];
+      acc += load(lm + at - W) * vp;
+      acc += load(um + at) * vn[p];
+      w[p] = (acc - load(fl + at - W) * w[p]) / load(fp + at);
+      store(rhs + at, w[p]);
+    }
+  }
+  for (std::size_t p = 0; p < P; ++p) {
+    const std::size_t at = (n - 1) * W + 2 * p;
+    v2d acc = load(dm + at) * vn[p];
+    acc += load(lm + at - W) * vc[p];
+    w[p] = (acc - load(fl + at - W) * w[p]) / load(fp + at);
+    // Backward pass: back substitution + second reaction half-step.
+    store(u + at, logistic(w[p], g2[p], k[p]));
+  }
+  for (std::size_t i = n - 1; i-- > 0;) {
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::size_t at = i * W + 2 * p;
+      w[p] = load(rhs + at) - load(fc + at) * w[p];
+      store(u + at, logistic(w[p], g2[p], k[p]));
+    }
+  }
+}
+
+/// One implicit-Newton time step of a chunk of P packs, u → u_next:
+/// backward Euler, un − u − h·(d·A un + r·un·(1 − un/K)) = 0, with the
+/// scalar path's Newton iteration widened to P two-lane packs (`rhs`
+/// holds r(x_i, t + h) node-major).  Each iteration is two passes over
+/// the nodes.  The first computes the residual (mirror-ghost Laplacian
+/// inline), its max-norm, and the forward elimination of the Jacobian
+/// I − h·(d·A + diag(r·(1 − 2un/K))) — solve_tridiagonal_in_place's
+/// expressions, P chains interleaved.  The second back-substitutes and
 /// applies the update.  A lane whose residual meets the tolerance drops
 /// out of the mask and keeps its iterate (its elimination, computed
 /// along, is discarded unused), so each lane runs exactly its scalar
 /// iteration count; the step ends when every lane has converged or the
 /// cap is reached (the scalar path then accepts the last iterate too).
-///
-/// A plain function rather than a solve_group lambda, with one
-/// branch-free lane loop per node row, so the restrict qualifiers reach
-/// the loops and they vectorize across lanes; W stays a runtime count,
-/// since fully unrolled fixed-width lanes are left scalar.
-void newton_step(std::size_t n, std::size_t W, double h, double dx,
-                 int max_iter, double tol, const double* __restrict u,
-                 double* __restrict un, const double* __restrict rt,
-                 const double* __restrict d, const double* __restrict kk,
-                 double* __restrict g, double* __restrict cs,
-                 double* __restrict lanes) {
-  // Per-lane rows of W: residual max-norm, µ = h·d/dx², zero-pivot flag
-  // and convergence mask.
-  double* __restrict norm = lanes;
-  double* __restrict mu = norm + W;
-  double* __restrict zero = mu + W;
-  double* __restrict active = zero + W;
+template <std::size_t P>
+void newton_step(dl_batch_workspace& bws, std::size_t n, double h, double dx,
+                 int max_iter, double tol) {
+  constexpr std::size_t W = 2 * P;
+  const double* const u = bws.u.data();
+  double* const un = bws.u_next.data();
+  const double* const rt = bws.rhs.data();
+  double* const g = bws.newton_g.data();
+  double* const cs = bws.newton_c.data();
   const double inv = 1.0 / (dx * dx);
 
-  // Row i of the first pass; `Kind` is 0 for the first row, 1 inside, 2
-  // for the last row (the mirrored boundaries double the Laplacian's and
-  // the Jacobian's off-diagonal neighbour weight).
-  const auto row = [&]<int Kind>(std::size_t i) {
-    const double* __restrict ui = u + i * W;
-    const double* __restrict vi = un + i * W;
-    const double* __restrict ri = rt + i * W;
-    double* __restrict ci = cs + i * W;
-    double* __restrict gi = g + i * W;
-    const double* __restrict vp = Kind > 0 ? vi - W : vi;
-    const double* __restrict vn = Kind < 2 ? vi + W : vi;
-    const double* __restrict cp = Kind > 0 ? ci - W : ci;
-    const double* __restrict gp = Kind > 0 ? gi - W : gi;
-    for (std::size_t l = 0; l < W; ++l) {
-      const double v = vi[l];
-      double lap;
-      if constexpr (Kind == 0) {
-        lap = 2.0 * (vn[l] - v) * inv;
-      } else if constexpr (Kind == 1) {
-        lap = (vp[l] - 2.0 * v + vn[l]) * inv;
-      } else {
-        lap = 2.0 * (vp[l] - v) * inv;
-      }
-      const double res =
-          v - ui[l] - h * (d[l] * lap + ri[l] * v * (1.0 - v / kk[l]));
-      norm[l] = std::max(norm[l], std::abs(res));
-      const double diag =
-          1.0 + 2.0 * mu[l] - h * ri[l] * (1.0 - 2.0 * v / kk[l]);
-      if constexpr (Kind == 0) {
-        ci[l] = (-mu[l] * 2.0) / diag;
-        gi[l] = res / diag;
-        zero[l] = diag == 0.0 ? 1.0 : zero[l];
-      } else {
-        const double lower = -mu[l] * (Kind == 2 ? 2.0 : 1.0);
-        const double pivot = diag - lower * cp[l];
-        ci[l] = Kind == 1 ? (-mu[l] * 1.0) / pivot : 0.0;
-        gi[l] = (res - lower * gp[l]) / pivot;
-        zero[l] = pivot == 0.0 ? 1.0 : zero[l];
-      }
-    }
+  // Per-pack d, K, µ = h·d/dx² and convergence mask.
+  v2d d[P], k[P], mu[P];
+  v2m active[P];
+  for (std::size_t p = 0; p < P; ++p) {
+    d[p] = load(bws.lane_d.data() + 2 * p);
+    k[p] = load(bws.lane_k.data() + 2 * p);
+    mu[p] = h * d[p] / (dx * dx);
+    active[p] = v2m{} - 1;
+  }
+  const auto residual = [&](std::size_t at, std::size_t p, v2d v, v2d lap) {
+    return v - load(u + at) -
+           h * (d[p] * lap + load(rt + at) * v * (1.0 - v / k[p]));
+  };
+  const auto jacobian_diag = [&](std::size_t at, std::size_t p, v2d v) {
+    return 1.0 + 2.0 * mu[p] - h * load(rt + at) * (1.0 - 2.0 * v / k[p]);
   };
 
   std::copy(u, u + n * W, un);  // warm start
-  for (std::size_t l = 0; l < W; ++l) active[l] = 1.0;
   for (int it = 0; it < max_iter; ++it) {
-    for (std::size_t l = 0; l < W; ++l) {
-      norm[l] = 0.0;
-      mu[l] = h * d[l] / (dx * dx);
-      zero[l] = 0.0;
+    // Rolling iterate values (current / next node), the residual norm,
+    // the zero-pivot flag and the elimination carries.
+    v2d vc[P], vn[P], norm[P], cp[P], gp[P];
+    v2m zero[P];
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::size_t at = 2 * p;
+      vc[p] = load(un + at);
+      vn[p] = load(un + at + W);
+      const v2d res = residual(at, p, vc[p], 2.0 * (vn[p] - vc[p]) * inv);
+      norm[p] = max(v2d{}, abs(res));
+      const v2d diag = jacobian_diag(at, p, vc[p]);
+      cp[p] = (-mu[p] * 2.0) / diag;
+      gp[p] = res / diag;
+      zero[p] = diag == 0.0;
+      store(cs + at, cp[p]);
+      store(g + at, gp[p]);
     }
-    row.template operator()<0>(0);
-    for (std::size_t i = 1; i + 1 < n; ++i) row.template operator()<1>(i);
-    row.template operator()<2>(n - 1);
-
-    bool any = false;
-    for (std::size_t l = 0; l < W; ++l) {
-      if (norm[l] <= tol) active[l] = 0.0;
-      if (active[l] != 0.0 && zero[l] != 0.0)
-        throw std::domain_error("solve_tridiagonal: zero pivot");
-      any = any || active[l] != 0.0;
-    }
-    if (!any) return;
-
-    for (std::size_t i = n; i-- > 0;) {
-      double* __restrict gi = g + i * W;
-      double* __restrict vi = un + i * W;
-      if (i + 1 < n) {
-        const double* __restrict ci = cs + i * W;
-        for (std::size_t l = 0; l < W; ++l) gi[l] -= ci[l] * gi[W + l];
+    for (std::size_t i = 1; i + 1 < n; ++i) {
+      for (std::size_t p = 0; p < P; ++p) {
+        const std::size_t at = i * W + 2 * p;
+        const v2d vp = vc[p];
+        vc[p] = vn[p];
+        vn[p] = load(un + at + W);
+        const v2d res =
+            residual(at, p, vc[p], (vp - 2.0 * vc[p] + vn[p]) * inv);
+        norm[p] = max(norm[p], abs(res));
+        const v2d lower = -mu[p] * 1.0;
+        const v2d pivot = jacobian_diag(at, p, vc[p]) - lower * cp[p];
+        cp[p] = lower / pivot;  // interior rows: upper = lower = −µ
+        gp[p] = (res - lower * gp[p]) / pivot;
+        zero[p] |= pivot == 0.0;
+        store(cs + at, cp[p]);
+        store(g + at, gp[p]);
       }
-      for (std::size_t l = 0; l < W; ++l)
-        vi[l] = active[l] != 0.0 ? vi[l] - gi[l] : vi[l];
+    }
+    bool live = false;
+    bool failed = false;
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::size_t at = (n - 1) * W + 2 * p;
+      const v2d res = residual(at, p, vn[p], 2.0 * (vc[p] - vn[p]) * inv);
+      norm[p] = max(norm[p], abs(res));
+      const v2d lower = -mu[p] * 2.0;
+      const v2d pivot = jacobian_diag(at, p, vn[p]) - lower * cp[p];
+      gp[p] = (res - lower * gp[p]) / pivot;
+      zero[p] |= pivot == 0.0;
+      active[p] &= ~(norm[p] <= tol);
+      live = live || any(active[p]);
+      failed = failed || any(active[p] & zero[p]);
+    }
+    if (failed) throw std::domain_error("solve_tridiagonal: zero pivot");
+    if (!live) return;
+
+    // Back substitution, the elimination carry in a register per pack.
+    for (std::size_t p = 0; p < P; ++p) {
+      const std::size_t at = (n - 1) * W + 2 * p;
+      store(un + at, active[p] ? vn[p] - gp[p] : vn[p]);
+    }
+    for (std::size_t i = n - 1; i-- > 0;) {
+      for (std::size_t p = 0; p < P; ++p) {
+        const std::size_t at = i * W + 2 * p;
+        gp[p] = load(g + at) - load(cs + at) * gp[p];
+        const v2d v = load(un + at);
+        store(un + at, active[p] ? v - gp[p] : v);
+      }
     }
   }
 }
 
-/// Advances one group of W ≥ 2 compatible requests in lockstep and fills
-/// their slots in `solved`.  `members` lists request indices in original
-/// request order (grouping is index-stable).
-///
-/// WC is the lane count when it is one of the specialized widths (the
-/// default batch width and its halves) and 0 for the runtime-width
-/// fallback: with W a compile-time constant the per-node lane loops fully
-/// unroll into straight vector code instead of tiny runtime-trip-count
-/// loops whose setup dominates at W = 2..8.  The arithmetic is identical
-/// in every instantiation, so specialization cannot change bits.
-template <std::size_t WC>
+using strang_kernel = void (*)(dl_batch_workspace&, std::size_t);
+using newton_kernel = void (*)(dl_batch_workspace&, std::size_t, double,
+                               double, int, double);
+constexpr strang_kernel kStrangKernels[kMaxPacks] = {
+    strang_step<1>, strang_step<2>, strang_step<3>, strang_step<4>};
+constexpr newton_kernel kNewtonKernels[kMaxPacks] = {
+    newton_step<1>, newton_step<2>, newton_step<3>, newton_step<4>};
+
+/// Advances one chunk of 2..kMaxLanes compatible requests in lockstep
+/// and fills their slots in `solved`.  `members` lists request indices
+/// in original request order (grouping is index-stable).  The chunk
+/// runs as P = ⌈lanes/2⌉ packs; an odd chunk pads its last pack with a
+/// copy of its last lane, whose result is discarded — a copy runs the
+/// same arithmetic, so it adds no Newton iteration and no new throw.
 void solve_group(std::span<const solve_request> requests,
                  const group_key& key, std::span<const std::size_t> members,
                  dl_batch_workspace& bws,
                  std::vector<std::optional<dl_solution>>& solved) {
-  const std::size_t W = WC == 0 ? members.size() : WC;
+  const std::size_t lanes = members.size();
+  const std::size_t packs = (lanes + 1) / 2;
+  const std::size_t W = 2 * packs;
+  const auto member = [&](std::size_t l) {
+    return members[std::min(l, lanes - 1)];
+  };
   const std::size_t n = key.n;
   const num::uniform_grid grid(key.x_min, key.x_max, n);
   const double dx = grid.spacing();
@@ -226,7 +350,7 @@ void solve_group(std::span<const solve_request> requests,
   // initial data scattered node-major × lane-minor, rate classification.
   std::vector<double> samples;
   for (std::size_t l = 0; l < W; ++l) {
-    const solve_request& request = requests[members[l]];
+    const solve_request& request = requests[member(l)];
     const dl_parameters& params = *request.params;
     const dl_solver_options options = detail::effective_options(request);
     if (!(request.t_end > request.t0))
@@ -265,7 +389,7 @@ void solve_group(std::span<const solve_request> requests,
     return std::span<double>(rows.data() + l * n, n);
   };
   const auto rates_lane = [&](std::size_t l, double t, std::span<double> out) {
-    const rate_field& rate = requests[members[l]].params->r;
+    const rate_field& rate = requests[member(l)].params->r;
     if (bws.lane_factored[l]) {
       const double base = rate.base()(t);
       const double* mod = bws.mod_rows.data() + l * n;
@@ -278,7 +402,7 @@ void solve_group(std::span<const solve_request> requests,
   // integrated rate is every node's, so the scalar path hoists this one
   // exp per substep — the factored expression verbatim.
   const auto growth_lane = [&](std::size_t l, double from, double to) {
-    const rate_field& rate = requests[members[l]].params->r;
+    const rate_field& rate = requests[member(l)].params->r;
     return std::exp(bws.mod_rows[l * n] * rate.base().integral(from, to));
   };
 
@@ -322,100 +446,33 @@ void solve_group(std::span<const solve_request> requests,
   };
   if (key.scheme == dl_scheme::strang_cn) build_cn(key.dt);
 
+  // Per-step lane values are computed for the real lanes only; the pad
+  // lane of an odd chunk reads its source lane's.
   const auto step_strang = [&](double t, double h) {
-    double* g1 = bws.growth1.data();
-    double* g2 = bws.growth2.data();
-    for (std::size_t l = 0; l < W; ++l) {
-      g1[l] = growth_lane(l, t, t + 0.5 * h);
-      g2[l] = growth_lane(l, t + 0.5 * h, t + h);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      bws.growth1[l] = growth_lane(l, t, t + 0.5 * h);
+      bws.growth2[l] = growth_lane(l, t + 0.5 * h, t + h);
+    }
+    if (W > lanes) {
+      bws.growth1[lanes] = bws.growth1[lanes - 1];
+      bws.growth2[lanes] = bws.growth2[lanes - 1];
     }
     // Coefficients were scattered for key.dt; rebuild for a short
     // trailing step (the scalar path does the same).
     if (h != key.dt) build_cn(h);
-
-    double* __restrict u = bws.u.data();
-    double* __restrict rhs = bws.rhs.data();
-    double* __restrict w = bws.w.data();
-    double* __restrict vp = bws.v_prev.data();
-    double* __restrict vc = bws.v_cur.data();
-    double* __restrict vn = bws.v_next.data();
-    const double* __restrict dm = bws.cn_dm.data();
-    const double* __restrict lm = bws.cn_lm.data();
-    const double* __restrict um = bws.cn_um.data();
-    const double* __restrict fl = bws.cn_fl.data();
-    const double* __restrict fp = bws.cn_fp.data();
-    const double* __restrict fc = bws.cn_fc.data();
-
-    // The scalar fused Strang step with every register widened to a
-    // W-lane row: reaction values roll through three rows (pointer
-    // rotation), the elimination carry is a row, and each lane's
-    // accumulation order — dm·v_cur, += lm·v_prev, += um·v_next, the
-    // divide, the back substitution — is the scalar sequence verbatim.
-    const auto fused = [&](auto&& react1, auto&& react2) {
-      for (std::size_t l = 0; l < W; ++l)
-        vc[l] = react1(u[l], std::size_t{0}, l);
-      for (std::size_t l = 0; l < W; ++l)
-        vn[l] = react1(u[W + l], std::size_t{1}, l);
-      for (std::size_t l = 0; l < W; ++l) {
-        double acc = dm[l] * vc[l];
-        acc += um[l] * vn[l];
-        w[l] = acc / fp[l];
-        rhs[l] = w[l];
-      }
-      for (std::size_t i = 1; i + 1 < n; ++i) {
-        std::swap(vp, vc);
-        std::swap(vc, vn);
-        for (std::size_t l = 0; l < W; ++l)
-          vn[l] = react1(u[(i + 1) * W + l], i + 1, l);
-        for (std::size_t l = 0; l < W; ++l) {
-          double acc = dm[i * W + l] * vc[l];
-          acc += lm[(i - 1) * W + l] * vp[l];
-          acc += um[i * W + l] * vn[l];
-          w[l] = (acc - fl[(i - 1) * W + l] * w[l]) / fp[i * W + l];
-          rhs[i * W + l] = w[l];
-        }
-      }
-      {
-        std::swap(vp, vc);
-        std::swap(vc, vn);
-        for (std::size_t l = 0; l < W; ++l) {
-          double acc = dm[(n - 1) * W + l] * vc[l];
-          acc += lm[(n - 2) * W + l] * vp[l];
-          w[l] = (acc - fl[(n - 2) * W + l] * w[l]) / fp[(n - 1) * W + l];
-        }
-      }
-      // Backward pass: back substitution + second reaction half-step.
-      for (std::size_t l = 0; l < W; ++l)
-        u[(n - 1) * W + l] = react2(w[l], n - 1, l);
-      for (std::size_t i = n - 1; i-- > 0;) {
-        for (std::size_t l = 0; l < W; ++l) {
-          w[l] = rhs[i * W + l] - fc[i * W + l] * w[l];
-          u[i * W + l] = react2(w[l], i, l);
-        }
-      }
-    };
-
-    const double* kk = bws.lane_k.data();
-    fused(
-        [&](double v, std::size_t, std::size_t l) {
-          return detail::logistic_exact_with_growth(v, g1[l], kk[l]);
-        },
-        [&](double v, std::size_t, std::size_t l) {
-          return detail::logistic_exact_with_growth(v, g2[l], kk[l]);
-        });
+    kStrangKernels[packs - 1](bws, n);
   };
 
   // Backward Euler by Newton (newton_step), on node-major rates.
   const auto step_newton = [&](double t, double h) {
-    for (std::size_t l = 0; l < W; ++l)
+    for (std::size_t l = 0; l < lanes; ++l)
       rates_lane(l, t + h, lane_row(bws.rt_rows, l));
     double* rt = bws.rhs.data();
     for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t l = 0; l < W; ++l) rt[i * W + l] = bws.rt_rows[l * n + i];
-    newton_step(n, W, h, dx, key.newton_max_iter, key.newton_tol, bws.u.data(),
-                bws.u_next.data(), rt, bws.lane_d.data(), bws.lane_k.data(),
-                bws.newton_g.data(), bws.newton_c.data(),
-                bws.newton_lanes.data());
+      for (std::size_t l = 0; l < W; ++l)
+        rt[i * W + l] = bws.rt_rows[std::min(l, lanes - 1) * n + i];
+    kNewtonKernels[packs - 1](bws, n, h, dx, key.newton_max_iter,
+                              key.newton_tol);
     bws.u.swap(bws.u_next);
   };
 
@@ -431,13 +488,13 @@ void solve_group(std::span<const solve_request> requests,
   std::vector<double> times;
   times.reserve(max_records + 2);
   std::vector<trace_storage> traces;
-  traces.reserve(W);
-  for (std::size_t l = 0; l < W; ++l) {
+  traces.reserve(lanes);
+  for (std::size_t l = 0; l < lanes; ++l) {
     traces.emplace_back(n);
     traces.back().reserve(max_records + 2);
   }
   const auto record = [&]() {
-    for (std::size_t l = 0; l < W; ++l) {
+    for (std::size_t l = 0; l < lanes; ++l) {
       for (std::size_t i = 0; i < n; ++i) bws.row[i] = bws.u[i * W + l];
       traces[l].append_row(bws.row);
     }
@@ -462,7 +519,7 @@ void solve_group(std::span<const solve_request> requests,
     }
   }
 
-  for (std::size_t l = 0; l < W; ++l)
+  for (std::size_t l = 0; l < lanes; ++l)
     solved[members[l]] = dl_solution(grid, times, std::move(traces[l]));
 }
 
@@ -507,24 +564,18 @@ std::vector<dl_solution> solve_dl(std::span<const solve_request> requests,
       it->members.push_back(i);
   }
 
+  // Groups run in chunks of at most kMaxLanes lanes; a chunk of one (a
+  // group of one, or a group's last lane) takes the scalar path.
   for (const group& g : groups) {
-    switch (g.members.size()) {
-      case 1:
-        solved[g.members.front()] = detail::solve_request_scalar(
-            requests[g.members.front()], workspace.scalar);
-        break;
-      case 2:
-        solve_group<2>(requests, g.key, g.members, workspace, solved);
-        break;
-      case 4:
-        solve_group<4>(requests, g.key, g.members, workspace, solved);
-        break;
-      case 8:
-        solve_group<8>(requests, g.key, g.members, workspace, solved);
-        break;
-      default:
-        solve_group<0>(requests, g.key, g.members, workspace, solved);
-        break;
+    const std::span<const std::size_t> members(g.members);
+    for (std::size_t at = 0; at < members.size(); at += kMaxLanes) {
+      const std::span<const std::size_t> chunk =
+          members.subspan(at, std::min(kMaxLanes, members.size() - at));
+      if (chunk.size() == 1)
+        solved[chunk.front()] = detail::solve_request_scalar(
+            requests[chunk.front()], workspace.scalar);
+      else
+        solve_group(requests, g.key, chunk, workspace, solved);
     }
   }
   for (const std::size_t i : scalar_lanes) {

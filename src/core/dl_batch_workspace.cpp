@@ -10,10 +10,6 @@ void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
 
   lane_d.resize(width);
   lane_k.resize(width);
-  v_prev.resize(width);
-  v_cur.resize(width);
-  v_next.resize(width);
-  w.resize(width);
   lane_factored.resize(width);
 
   mod_rows.resize(soa);
@@ -37,7 +33,6 @@ void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
     u_next.resize(soa);
     newton_g.resize(soa);
     newton_c.resize(soa);
-    newton_lanes.resize(4 * width);
   }
 }
 

@@ -1,13 +1,13 @@
 // Structure-of-arrays scratch for the batched DL solver.
 //
-// solve_dl(std::span<const solve_request>) advances a group of compatible
+// solve_dl(std::span<const solve_request>) advances a chunk of compatible
 // strang_cn or implicit_newton scenarios (same scheme / grid / dt / time
 // window) in lockstep: one time loop steps W independent solves at once.
 // The state is packed grid-node-major × scenario-minor — u[node * W +
-// lane] — so the per-node inner loops run over W contiguous lanes and
-// auto-vectorize, and the serial Thomas recurrences interleave W
-// independent chains, hiding the division latency that dominates the
-// scalar sweep.
+// lane] — with W even (an odd chunk carries a padding copy of its last
+// lane), so each node's lanes load as W/2 two-double vectors and the
+// serial Thomas recurrences interleave W/2 independent packed chains,
+// hiding the division latency that dominates the scalar sweep.
 //
 // Layouts at a glance (n nodes, W lanes):
 //
@@ -18,8 +18,7 @@
 //    rate_field::profile writes one contiguous per-lane span — then
 //    transposed node-major into `rhs` once per step (strang_cn lanes are
 //    x-uniform and hoist one growth factor per lane instead);
-//  * per-lane scalars (d, K, growth factors, rolling reaction registers,
-//    Thomas carry, Newton residual norm and convergence mask): W.
+//  * per-lane scalars (d, K, growth factors, rate classification): W.
 //
 // The Crank–Nicolson cache holds one rhs-matrix + Thomas factorization
 // per *distinct* λ = d·dt/dx² in the group, so lanes probing the same
@@ -56,21 +55,17 @@ struct dl_batch_workspace {
   std::vector<double> cn_fp;  ///< factor pivots d'_i, n·W
   std::vector<double> cn_fc;  ///< factor c*_i, (n−1)·W
 
-  // Newton scratch (implicit_newton only): residual, overwritten by the
-  // Jacobian solve, and the Thomas c*_i, size n·W; four per-lane rows of
-  // W (residual norm, µ, zero-pivot flag, convergence mask), size 4·W.
+  // Newton scratch (implicit_newton only): the eliminated residual and
+  // the Thomas c*_i, size n·W.
   std::vector<double> newton_g;
   std::vector<double> newton_c;
-  std::vector<double> newton_lanes;
 
   // Per-lane scalars, size W.
   std::vector<double> lane_d;   ///< diffusion coefficient d
   std::vector<double> lane_k;   ///< carrying capacity K
   std::vector<double> growth1;  ///< e^∫r, first logistic half-step
   std::vector<double> growth2;  ///< e^∫r, second logistic half-step
-  std::vector<double> v_prev, v_cur, v_next;  ///< rolling reaction rows
-  std::vector<double> w;                      ///< Thomas recurrence carry
-  std::vector<std::uint8_t> lane_factored;    ///< separable-form rate?
+  std::vector<std::uint8_t> lane_factored;  ///< separable-form rate?
 
   // Lane-major rate rows, size W·n (row l is lane l's contiguous span).
   std::vector<double> mod_rows;  ///< separable spatial profile m(x_i)

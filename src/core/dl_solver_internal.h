@@ -51,10 +51,10 @@ inline double logistic_exact(double n, double integrated_rate, double k) {
 /// Same propagator with e^R precomputed — for fields constant in x, every
 /// node shares one integrated rate, so the exp is hoisted out of the node
 /// loop (bitwise identical: exp of the same value is the same value).
-/// Spelled as a select rather than an early return so the batched solver's
-/// W-lane loops stay if-convertible (and therefore vectorizable); for
-/// n ≤ 0 the speculative IEEE division is well-defined and discarded, and
-/// the n > 0 expression is the same operation sequence either way.
+/// Spelled as a select rather than an early return, like the batched
+/// solver's two-lane `logistic` (dl_batch_solver.cpp); for n ≤ 0 the
+/// speculative IEEE division is well-defined and discarded, and the n > 0
+/// expression is the same operation sequence either way.
 inline double logistic_exact_with_growth(double n, double growth, double k) {
   const double propagated = k * n * growth / (k + n * (growth - 1.0));
   return n <= 0.0 ? n : propagated;

@@ -400,7 +400,9 @@ TEST(BatchSweep, CalibrateChunksNeverMixIncompatibleKeys) {
     }
     // The hand-appended scenarios keep chunks of their own.
     for (const std::vector<std::size_t>& chunk : chunks)
-      if (chunk.back() >= scenarios.size() - 2) EXPECT_EQ(chunk.size(), 1u);
+      if (chunk.back() >= scenarios.size() - 2) {
+        EXPECT_EQ(chunk.size(), 1u);
+      }
   }
 }
 

@@ -78,9 +78,11 @@ void expect_bitwise_equal(const dl_solution& a, const dl_solution& b,
 
 TEST(SolverBatch, BitwiseEqualAcrossSchemesFamiliesAndWidths) {
   const initial_condition phi(observed);
-  // Widths bracketing the SIMD width: singleton, ragged, exact, one over.
-  for (std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                            std::size_t{5}}) {
+  // Widths covering the two-lane packs and eight-lane chunks: the
+  // singleton (scalar path), one pack, padded odd packs, the largest
+  // chunk, and groups that split into chunks (9 = 8 + a scalar lane,
+  // 12 = 8 + 4).
+  for (std::size_t width : {1, 2, 3, 4, 5, 7, 8, 9, 12}) {
     for (dl_scheme scheme : {dl_scheme::ftcs, dl_scheme::strang_cn,
                              dl_scheme::implicit_newton, dl_scheme::mol_rk4}) {
       for (int family = 0; family < 4; ++family) {
@@ -149,7 +151,7 @@ TEST(SolverBatch, NewtonLanesIterateToTheirOwnConvergence) {
   EXPECT_TRUE(same(solve_capped(0, 1), solve_capped(0, 16)));
   EXPECT_FALSE(same(solve_capped(2, 2), solve_capped(2, 16)));
 
-  for (std::size_t width : {std::size_t{2}, std::size_t{3}, std::size_t{4}}) {
+  for (std::size_t width : {2, 3, 4, 5, 9}) {
     std::vector<solve_request> requests;
     for (std::size_t l = 0; l < width; ++l)
       requests.push_back({.params = &params[(l + width) % 4],
@@ -161,6 +163,35 @@ TEST(SolverBatch, NewtonLanesIterateToTheirOwnConvergence) {
     for (std::size_t l = 0; l < width; ++l)
       expect_bitwise_equal(batched[l], solve_dl(requests[l]),
                            "newton width=" + std::to_string(width) +
+                               " lane=" + std::to_string(l));
+  }
+}
+
+TEST(SolverBatch, ShardBenchShapeIsBitwiseEqual) {
+  // dl_shard's bench sweep shape: grid 80 (401 nodes), strang-cn lanes
+  // that share d (one CN elimination for the whole chunk) and differ in
+  // a constant rate — a full eight-lane chunk, and a group of twelve
+  // that runs as chunks of eight and four.
+  const initial_condition phi(observed);
+  dl_solver_options opts = options_for(dl_scheme::strang_cn);
+  opts.points_per_unit = 80;
+  for (std::size_t width : {8, 12}) {
+    std::vector<dl_parameters> params(width, dl_parameters::paper_hops(6.0));
+    for (std::size_t l = 0; l < width; ++l)
+      params[l].r =
+          growth_rate::constant(0.05 + 0.0025 * static_cast<double>(l));
+    std::vector<solve_request> requests;
+    for (std::size_t l = 0; l < width; ++l)
+      requests.push_back({.params = &params[l],
+                          .phi = &phi,
+                          .t0 = 1.0,
+                          .t_end = 6.0,
+                          .options = opts});
+    const std::vector<dl_solution> batched = solve_dl(requests);
+    ASSERT_EQ(batched.front().states().cols(), 401u);
+    for (std::size_t l = 0; l < width; ++l)
+      expect_bitwise_equal(batched[l], solve_dl(requests[l]),
+                           "grid 80 width=" + std::to_string(width) +
                                " lane=" + std::to_string(l));
   }
 }
@@ -209,6 +240,19 @@ TEST(SolverBatch, ZeroPivotNewtonLaneFailsLikeTheScalarPath) {
   const std::vector<dl_solution> batched = solve_dl(mixed);
   expect_bitwise_equal(batched[1], solve_dl(resting), "resting lane");
   expect_bitwise_equal(batched[0], solve_dl(good), "healthy lane");
+
+  // An odd chunk pads its last pack with a copy of its last lane.  When
+  // that lane is the failing one, the copy fails with it: one throw, the
+  // scalar message, never a second error or a swallowed one.
+  const std::vector<solve_request> odd{good, good, bad};
+  int throws = 0;
+  try {
+    (void)solve_dl(odd);
+  } catch (const std::domain_error& e) {
+    ++throws;
+    EXPECT_STREQ(e.what(), "solve_tridiagonal: zero pivot");
+  }
+  EXPECT_EQ(throws, 1);
 }
 
 TEST(SolverBatch, LegacyOverloadsAreExactShims) {
@@ -427,16 +471,24 @@ TEST(SolverBatch, BatchSweepIsAnIndexStablePartition) {
     std::size_t previous_front = 0;
     for (std::size_t c = 0; c < chunks.size(); ++c) {
       ASSERT_FALSE(chunks[c].empty());
-      if (c > 0) EXPECT_GT(chunks[c].front(), previous_front);
+      if (c > 0) {
+        EXPECT_GT(chunks[c].front(), previous_front);
+      }
       previous_front = chunks[c].front();
       for (std::size_t m = 0; m < chunks[c].size(); ++m) {
-        if (m > 0) EXPECT_GT(chunks[c][m], chunks[c][m - 1]);
+        if (m > 0) {
+          EXPECT_GT(chunks[c][m], chunks[c][m - 1]);
+        }
         ASSERT_LT(chunks[c][m], scenarios.size());
         EXPECT_FALSE(seen[chunks[c][m]]) << "duplicate index";
         seen[chunks[c][m]] = true;
       }
-      if (width == 1) EXPECT_EQ(chunks[c].size(), 1u);
-      if (width != 0) EXPECT_LE(chunks[c].size(), std::max<std::size_t>(width, 1));
+      if (width == 1) {
+        EXPECT_EQ(chunks[c].size(), 1u);
+      }
+      if (width != 0) {
+        EXPECT_LE(chunks[c].size(), std::max<std::size_t>(width, 1));
+      }
       // Chunk members agree on everything the lockstep solver requires.
       const scenario& first = scenarios[chunks[c].front()];
       for (const std::size_t i : chunks[c]) {
