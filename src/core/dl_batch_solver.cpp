@@ -359,7 +359,7 @@ void solve_group(std::span<const solve_request> requests,
       throw std::invalid_argument("solve_dl: dt must be positive");
     if (request.phi != nullptr) {
       samples = request.phi->sample(params.x_min, params.x_max, n);
-      // Same clip as the scalar initial-condition overload: densities are
+      // Same clip as the scalar path applies to .phi: densities are
       // non-negative, cubic interpolants may undershoot between knots.
       for (double& v : samples) v = std::max(v, 0.0);
     } else {
@@ -367,8 +367,7 @@ void solve_group(std::span<const solve_request> requests,
         throw std::invalid_argument(
             "solve_dl: request needs phi or phi_samples");
       if (request.phi_samples.size() != n)
-        throw std::invalid_argument(
-            "solve_dl_profile: profile size mismatch");
+        throw std::invalid_argument("solve_dl: profile size mismatch");
       samples.assign(request.phi_samples.begin(), request.phi_samples.end());
     }
     for (std::size_t i = 0; i < n; ++i) bws.u[i * W + l] = samples[i];

@@ -1,6 +1,6 @@
 // Non-line domain solvers for the Diffusive Logistic equation.
 //
-// solve_dl_profile dispatches here for the two non-line domain kinds
+// detail::solve_profile dispatches here for the two non-line domain kinds
 // (core/domain.h); the 1-D line keeps its original stepping loops in
 // dl_solver.cpp, untouched.
 //
@@ -108,7 +108,7 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
   const std::size_t ny = params.dom.blocks(options.points_per_unit);
   const std::size_t n = nx * ny;
   if (phi_samples.size() != n)
-    throw std::invalid_argument("solve_dl_profile: profile size mismatch");
+    throw std::invalid_argument("solve_dl: profile size mismatch");
 
   const num::uniform_grid grid(params.x_min, params.x_max, nx);
   const num::uniform_grid y_grid(params.dom.y_min, params.dom.y_max, ny);
@@ -227,7 +227,7 @@ dl_solution solve_dl_communities(const dl_parameters& params,
   const std::size_t kc = params.dom.community_count;
   const std::size_t n = nx * kc;
   if (phi_samples.size() != n)
-    throw std::invalid_argument("solve_dl_profile: profile size mismatch");
+    throw std::invalid_argument("solve_dl: profile size mismatch");
 
   const num::uniform_grid grid(params.x_min, params.x_max, nx);
   const double dx = grid.spacing();

@@ -59,17 +59,6 @@ dl_solution::dl_solution(num::uniform_grid grid, std::vector<double> times,
     throw std::invalid_argument("dl_solution: grid/blocks/row-width mismatch");
 }
 
-dl_solution::dl_solution(num::uniform_grid grid, std::vector<double> times,
-                         const std::vector<std::vector<double>>& states)
-    : grid_(grid), times_(std::move(times)) {
-  if (times_.empty() || times_.size() != states.size())
-    throw std::invalid_argument("dl_solution: times/states mismatch");
-  trace_storage packed(states.front().size());
-  packed.reserve(states.size());
-  for (const std::vector<double>& row : states) packed.append_row(row);
-  states_ = std::move(packed);
-}
-
 dl_solution::time_bracket dl_solution::bracket_time(double t) const {
   if (t < times_.front() - 1e-12 || t > times_.back() + 1e-12)
     throw std::out_of_range("dl_solution::at: t outside the solved range");
@@ -162,10 +151,11 @@ double dl_solution::max_abs() const {
   return best;
 }
 
-dl_solution solve_dl_profile(const dl_parameters& params,
-                             std::span<const double> phi_samples, double t0,
-                             double t_end, const dl_solver_options& options,
-                             dl_workspace& ws) {
+dl_solution detail::solve_profile(const dl_parameters& params,
+                                  std::span<const double> phi_samples,
+                                  double t0, double t_end,
+                                  const dl_solver_options& options,
+                                  dl_workspace& ws) {
   params.validate();
   if (!(t_end > t0))
     throw std::invalid_argument("solve_dl: t_end must exceed t0");
@@ -185,7 +175,7 @@ dl_solution solve_dl_profile(const dl_parameters& params,
   }
   const std::size_t n = node_count(params, options);
   if (phi_samples.size() != n)
-    throw std::invalid_argument("solve_dl_profile: profile size mismatch");
+    throw std::invalid_argument("solve_dl: profile size mismatch");
 
   const num::uniform_grid grid(params.x_min, params.x_max, n);
   const double dx = grid.spacing();
@@ -350,49 +340,6 @@ dl_solution solve_dl_profile(const dl_parameters& params,
   return dl_solution(grid, std::move(times), std::move(trace));
 }
 
-dl_solution solve_dl_profile(const dl_parameters& params,
-                             std::span<const double> phi_samples, double t0,
-                             double t_end, const dl_solver_options& options) {
-  dl_workspace& shared = thread_workspace();
-  if (shared.in_use) {
-    // Reentrant solve (e.g. a custom rate field that itself runs the
-    // solver): don't clobber the outer solve's live buffers.
-    dl_workspace local;
-    return solve_dl_profile(params, phi_samples, t0, t_end, options, local);
-  }
-  return solve_dl_profile(params, phi_samples, t0, t_end, options, shared);
-}
-
-dl_solution solve_dl(const dl_parameters& params, const initial_condition& phi,
-                     double t0, double t_end, const dl_solver_options& options,
-                     dl_workspace& ws) {
-  params.validate();
-  const std::size_t n = node_count(params, options);
-  std::vector<double> samples = phi.sample(params.x_min, params.x_max, n);
-  // Densities are non-negative (paper §II.D); a cubic interpolant may
-  // undershoot slightly between sparse knots, so clip at zero.
-  for (double& v : samples) v = std::max(v, 0.0);
-  if (!params.dom.is_line()) {
-    // φ describes the x axis; stack it across the domain's blocks
-    // (replicated per grid2d row, scaled per community).
-    const std::vector<double> full =
-        detail::broadcast_profile(params, samples, options);
-    return solve_dl_profile(params, full, t0, t_end, options, ws);
-  }
-  return solve_dl_profile(params, samples, t0, t_end, options, ws);
-}
-
-dl_solution solve_dl(const dl_parameters& params, const initial_condition& phi,
-                     double t0, double t_end,
-                     const dl_solver_options& options) {
-  dl_workspace& shared = thread_workspace();
-  if (shared.in_use) {
-    dl_workspace local;
-    return solve_dl(params, phi, t0, t_end, options, local);
-  }
-  return solve_dl(params, phi, t0, t_end, options, shared);
-}
-
 dl_solver_options detail::effective_options(const solve_request& request) {
   dl_solver_options options = request.options;
   // final_state is snapshots with an unreachable record cadence: only the
@@ -406,13 +353,29 @@ dl_solver_options detail::effective_options(const solve_request& request) {
 dl_solution detail::solve_request_scalar(const solve_request& request,
                                          dl_workspace& ws) {
   const dl_solver_options options = detail::effective_options(request);
-  if (request.phi != nullptr)
-    return solve_dl(*request.params, *request.phi, request.t0, request.t_end,
-                    options, ws);
-  if (request.phi_samples.empty())
-    throw std::invalid_argument("solve_dl: request needs phi or phi_samples");
-  return solve_dl_profile(*request.params, request.phi_samples, request.t0,
-                          request.t_end, options, ws);
+  const dl_parameters& params = *request.params;
+  if (request.phi == nullptr) {
+    if (request.phi_samples.empty())
+      throw std::invalid_argument("solve_dl: request needs phi or phi_samples");
+    return solve_profile(params, request.phi_samples, request.t0,
+                         request.t_end, options, ws);
+  }
+  params.validate();
+  const std::size_t n = node_count(params, options);
+  std::vector<double> samples =
+      request.phi->sample(params.x_min, params.x_max, n);
+  // Densities are non-negative (paper §II.D); a cubic interpolant may
+  // undershoot slightly between sparse knots, so clip at zero.
+  for (double& v : samples) v = std::max(v, 0.0);
+  if (!params.dom.is_line()) {
+    // φ describes the x axis; stack it across the domain's blocks
+    // (replicated per grid2d row, scaled per community).
+    const std::vector<double> full =
+        detail::broadcast_profile(params, samples, options);
+    return solve_profile(params, full, request.t0, request.t_end, options, ws);
+  }
+  return solve_profile(params, samples, request.t0, request.t_end, options,
+                       ws);
 }
 
 dl_solution solve_dl(const solve_request& request) {

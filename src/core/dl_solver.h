@@ -26,8 +26,8 @@
 // original cost: the spatial profile is hoisted out of the time loop.
 //
 // The hot path is allocation-free: every scratch buffer lives in a
-// core::dl_workspace (reused across solves — the plain overloads below
-// borrow a thread-local one, or pass your own), the Strang–CN diffusion
+// core::dl_workspace (reused across solves — a request borrows a
+// thread-local one unless it names its own), the Strang–CN diffusion
 // matrix is Thomas-factored once per run, and recorded snapshots land in
 // one contiguous trace_storage buffer reserved up front.  A steady-state
 // time step performs zero heap allocations.
@@ -39,9 +39,8 @@
 // lockstep over a structure-of-arrays dl_batch_workspace, interleaving
 // every lane's Thomas sweep.  Batched lanes are bitwise identical to the
 // scalar path (solver_batch_test), so caches, golden fits and CSV output
-// are unaffected by how requests are grouped.  The legacy four-overload
-// surface at the bottom of this header is kept as thin shims for one
-// release; see docs/solver_api.md for the migration mapping.
+// are unaffected by how requests are grouped.  docs/solver_api.md
+// describes the request fields.
 #pragma once
 
 #include <cstddef>
@@ -89,10 +88,6 @@ class dl_solution {
   /// produces.
   dl_solution(num::uniform_grid grid, std::vector<double> times,
               trace_storage states, std::size_t blocks = 1);
-
-  /// Compatibility overload: per-snapshot vectors, packed on entry.
-  dl_solution(num::uniform_grid grid, std::vector<double> times,
-              const std::vector<std::vector<double>>& states);
 
   [[nodiscard]] const num::uniform_grid& grid() const noexcept { return grid_; }
   /// Rows stacked behind the x axis (1 on the line domain).
@@ -207,39 +202,6 @@ struct solve_request {
 /// custom threading layers).
 [[nodiscard]] std::vector<dl_solution> solve_dl(
     std::span<const solve_request> requests, dl_batch_workspace& workspace);
-
-// ---------------------------------------------------------------------------
-// Legacy surface — thin shims over solve_request, kept for one release.
-// Deprecated: new code should build a solve_request (docs/solver_api.md
-// has the 1:1 mapping).  Not marked [[deprecated]] so the tree stays
-// -Werror clean while in-tree callers migrate.
-// ---------------------------------------------------------------------------
-
-/// Deprecated shim for solve_dl({.params=&p, .phi=&phi, ...}).
-[[nodiscard]] dl_solution solve_dl(const dl_parameters& params,
-                                   const initial_condition& phi, double t0,
-                                   double t_end,
-                                   const dl_solver_options& options = {});
-
-/// Deprecated shim for solve_dl({.params=&p, .phi_samples=samples, ...}).
-[[nodiscard]] dl_solution solve_dl_profile(const dl_parameters& params,
-                                           std::span<const double> phi_samples,
-                                           double t0, double t_end,
-                                           const dl_solver_options& options = {});
-
-/// Deprecated shim for a solve_request with .workspace set.
-[[nodiscard]] dl_solution solve_dl(const dl_parameters& params,
-                                   const initial_condition& phi, double t0,
-                                   double t_end,
-                                   const dl_solver_options& options,
-                                   dl_workspace& workspace);
-
-/// Deprecated shim for a solve_request with .workspace set.
-[[nodiscard]] dl_solution solve_dl_profile(const dl_parameters& params,
-                                           std::span<const double> phi_samples,
-                                           double t0, double t_end,
-                                           const dl_solver_options& options,
-                                           dl_workspace& workspace);
 
 /// Mirror-ghost Neumann Laplacian of `u` scaled by 1/dx² into `out`
 /// (exposed for tests).

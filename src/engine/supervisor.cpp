@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -38,10 +39,17 @@ pid_t launch(const worker_command& command, std::size_t attempt) {
   if (pid < 0)
     throw std::runtime_error("supervise: fork failed for " + command.label +
                              ": " + ::strerror(errno));
-  if (pid > 0) return pid;
+  if (pid > 0) {
+    // Both sides set the group so it exists before either the child's
+    // exec or a kill_and_reap; EACCES after the child's exec is harmless.
+    ::setpgid(pid, pid);
+    return pid;
+  }
 
   // Child.  Only async-signal-safe-ish work before exec; on any failure
-  // _exit (never return into the parent's stack).
+  // _exit (never return into the parent's stack).  The worker leads its
+  // own process group, so a kill reaches every helper it forks.
+  ::setpgid(0, 0);
   for (const std::string& pair : command.env) {
     const std::size_t eq = pair.find('=');
     if (eq == std::string::npos) continue;
@@ -72,16 +80,72 @@ std::string describe_wait_status(int status) {
   return "ended with wait status " + std::to_string(status);
 }
 
-/// SIGKILLs a running worker and reaps it (blocking — the kill makes
-/// the wait prompt).
+/// SIGKILLs a running worker's whole process group — the worker and any
+/// descendants it forked — and reaps the worker (blocking — the kill
+/// makes the wait prompt).
 void kill_and_reap(worker_state& w) {
   if (w.pid < 0) return;
-  ::kill(w.pid, SIGKILL);
+  ::kill(-w.pid, SIGKILL);
   int status = 0;
   while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
   }
   w.pid = -1;
 }
+
+/// Forwards `sig` to every running worker's process group, gives them a
+/// moment to exit, then SIGKILLs and reaps whatever is left.
+void forward_and_reap(std::vector<worker_state>& workers, int sig) {
+  for (const worker_state& w : workers)
+    if (w.pid > 0) ::kill(-w.pid, sig);
+  const clock::time_point grace_end = clock::now() + std::chrono::seconds(1);
+  for (worker_state& w : workers) {
+    int status = 0;
+    while (w.pid > 0 && ::waitpid(w.pid, &status, WNOHANG) != w.pid) {
+      if (clock::now() >= grace_end) kill_and_reap(w);
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    w.pid = -1;
+  }
+}
+
+/// The SIGINT/SIGTERM a supervise call caught (0: none).  One supervise
+/// runs per process at a time: it owns these two dispositions.
+volatile std::sig_atomic_t caught_signal = 0;
+
+extern "C" void note_signal(int sig) { caught_signal = sig; }
+
+/// Catches SIGINT and SIGTERM while workers run, unless the caller
+/// ignores them.  Workers lead their own process groups, so a terminal's
+/// interrupt reaches only the supervising process; it must forward it.
+class signal_catcher {
+ public:
+  signal_catcher() {
+    caught_signal = 0;
+    struct sigaction act {};
+    act.sa_handler = note_signal;
+    act.sa_flags = SA_RESTART;
+    sigemptyset(&act.sa_mask);
+    for (std::size_t i = 0; i < 2; ++i) {
+      ::sigaction(kSignals[i], nullptr, &previous_[i]);
+      installed_[i] = previous_[i].sa_handler != SIG_IGN;
+      if (installed_[i]) ::sigaction(kSignals[i], &act, nullptr);
+    }
+  }
+  ~signal_catcher() { restore(); }
+  signal_catcher(const signal_catcher&) = delete;
+  signal_catcher& operator=(const signal_catcher&) = delete;
+
+  void restore() {
+    for (std::size_t i = 0; i < 2; ++i)
+      if (installed_[i]) ::sigaction(kSignals[i], &previous_[i], nullptr);
+    installed_[0] = installed_[1] = false;
+  }
+
+ private:
+  static constexpr int kSignals[2] = {SIGINT, SIGTERM};
+  struct sigaction previous_[2] {};
+  bool installed_[2] = {false, false};
+};
 
 }  // namespace
 
@@ -159,11 +223,22 @@ supervision_report supervise(std::span<const worker_command> commands,
     }
   };
 
+  signal_catcher catcher;
   for (worker_state& w : workers) start_attempt(w);
 
   const auto poll_sleep = std::chrono::duration<double, std::milli>(
       options.poll_interval_ms > 0 ? options.poll_interval_ms : 10.0);
   while (true) {
+    if (const int interrupt = caught_signal; interrupt != 0) {
+      forward_and_reap(workers, interrupt);
+      for (worker_state& w : workers) {
+        if (w.done) continue;
+        w.done = true;
+        w.outcome.diagnostic =
+            "interrupted by signal " + std::to_string(interrupt);
+      }
+      break;
+    }
     bool any_live = false;
     for (worker_state& w : workers) {
       if (w.done) continue;
@@ -218,6 +293,11 @@ supervision_report supervise(std::span<const worker_command> commands,
     if (!any_live) break;
     std::this_thread::sleep_for(poll_sleep);
   }
+  // Every worker is reaped: hand an interrupt (even one that arrived as
+  // the last worker finished) to the caller's own disposition — by
+  // default it ends this process, as it would have without workers.
+  catcher.restore();
+  if (const int interrupt = caught_signal; interrupt != 0) ::raise(interrupt);
 
   supervision_report report;
   report.outcomes.reserve(workers.size());

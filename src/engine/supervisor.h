@@ -18,7 +18,12 @@
 //    retries takes the rest down: siblings are SIGKILLed and reaped —
 //    no orphans, no zombies; with fail_fast off the survivors run to
 //    completion and the report says exactly who finished, so the caller
-//    can merge the completed subset (dl_shard --allow-partial).
+//    can merge the completed subset (dl_shard --allow-partial);
+//  * each worker leads its own process group, and every kill targets the
+//    group, so helpers a worker forks die with it; a SIGINT or SIGTERM
+//    the supervising process receives is forwarded to every live group,
+//    the workers are reaped, and the signal is then re-raised under the
+//    caller's own disposition.
 //
 // Determinism note: supervision changes *scheduling*, never *bytes*.  A
 // worker either completes its shard (whose output is deterministic) or

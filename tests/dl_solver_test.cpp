@@ -44,12 +44,14 @@ TEST(DlSolver, AllSchemesAgree) {
   const dl_parameters params = dl_parameters::paper_hops(6.0);
   const initial_condition phi(observed);
   const dl_solution reference =
-      solve_dl(params, phi, 1.0, 6.0, options_for(dl_scheme::mol_rk4));
+      solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 6.0,
+                .options = options_for(dl_scheme::mol_rk4)});
 
   for (dl_scheme scheme : {dl_scheme::ftcs, dl_scheme::strang_cn,
                            dl_scheme::implicit_newton}) {
     const dl_solution sol =
-        solve_dl(params, phi, 1.0, 6.0, options_for(scheme));
+        solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 6.0,
+                  .options = options_for(scheme)});
     for (int x = 1; x <= 6; ++x) {
       EXPECT_NEAR(sol.at(x, 6.0), reference.at(x, 6.0),
                   0.02 * reference.at(x, 6.0) + 0.02)
@@ -65,7 +67,8 @@ TEST(DlSolver, ZeroDiffusionMatchesClosedFormLogistic) {
   params.r = growth_rate::constant(0.7);
   const initial_condition phi(observed);
   const dl_solution sol =
-      solve_dl(params, phi, 1.0, 8.0, options_for(dl_scheme::strang_cn));
+      solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 8.0,
+                .options = options_for(dl_scheme::strang_cn)});
   for (int x = 1; x <= 6; ++x) {
     const double expected = dlm::models::logistic_solution(
         phi(x), 0.7, params.k, 1.0, 8.0);
@@ -83,7 +86,11 @@ TEST(DlSolver, ZeroReactionMatchesHeatSeries) {
   dl_solver_options opts = options_for(dl_scheme::strang_cn);
   opts.points_per_unit = 40;
   opts.dt = 0.005;
-  const dl_solution sol = solve_dl(params, phi, 1.0, 11.0, opts);
+  const dl_solution sol = solve_dl({.params = &params,
+                                    .phi = &phi,
+                                    .t0 = 1.0,
+                                    .t_end = 11.0,
+                                    .options = opts});
 
   const std::size_t n = sol.grid().points();
   const std::vector<double> phi_samples = phi.sample(1.0, 6.0, n);
@@ -98,12 +105,14 @@ TEST(DlSolver, EquilibriaAreFixedPoints) {
   const dl_parameters params = dl_parameters::paper_hops(6.0);
   // I = K stays K; I = 0 stays 0 (the two equilibria of §II.C).
   const std::vector<double> at_k(101, params.k);
-  const dl_solution top = solve_dl_profile(params, at_k, 1.0, 10.0,
-                                           options_for(dl_scheme::strang_cn));
+  const dl_solution top =
+      solve_dl({.params = &params, .phi_samples = at_k, .t0 = 1.0,
+                .t_end = 10.0, .options = options_for(dl_scheme::strang_cn)});
   EXPECT_NEAR(top.at(3.0, 10.0), params.k, 1e-9);
   const std::vector<double> at_zero(101, 0.0);
-  const dl_solution bottom = solve_dl_profile(
-      params, at_zero, 1.0, 10.0, options_for(dl_scheme::strang_cn));
+  const dl_solution bottom = solve_dl(
+      {.params = &params, .phi_samples = at_zero, .t0 = 1.0, .t_end = 10.0,
+       .options = options_for(dl_scheme::strang_cn)});
   EXPECT_NEAR(bottom.at(3.0, 10.0), 0.0, 1e-12);
 }
 
@@ -114,7 +123,8 @@ TEST(DlSolver, SolutionStaysWithinUniqueBand) {
   for (dl_scheme scheme : {dl_scheme::ftcs, dl_scheme::strang_cn,
                            dl_scheme::implicit_newton, dl_scheme::mol_rk4}) {
     const dl_solution sol =
-        solve_dl(params, phi, 1.0, 50.0, options_for(scheme));
+        solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 50.0,
+                  .options = options_for(scheme)});
     for (const auto& state : sol.states()) {
       for (double v : state) {
         EXPECT_GE(v, -1e-9) << to_string(scheme);
@@ -129,7 +139,8 @@ TEST(DlSolver, StrictlyIncreasingForLowerSolutionPhi) {
   const dl_parameters params = dl_parameters::paper_hops(6.0);
   const initial_condition phi(observed);
   const dl_solution sol =
-      solve_dl(params, phi, 1.0, 20.0, options_for(dl_scheme::strang_cn));
+      solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 20.0,
+                .options = options_for(dl_scheme::strang_cn)});
   const auto& states = sol.states();
   for (std::size_t s = 1; s < states.size(); ++s) {
     for (std::size_t i = 0; i < states[s].size(); ++i)
@@ -144,12 +155,14 @@ TEST(DlSolver, DiffusionTransportsAcrossDistance) {
   dl_parameters params = dl_parameters::paper_hops(6.0);
   params.r = growth_rate::constant(0.0);
   params.d = 0.05;
-  const dl_solution with_d = solve_dl_profile(
-      params, spike, 1.0, 5.0, options_for(dl_scheme::strang_cn));
+  const dl_solution with_d =
+      solve_dl({.params = &params, .phi_samples = spike, .t0 = 1.0,
+                .t_end = 5.0, .options = options_for(dl_scheme::strang_cn)});
   EXPECT_GT(with_d.at(3.2, 5.0), 0.01);
   params.d = 0.0;
-  const dl_solution without_d = solve_dl_profile(
-      params, spike, 1.0, 5.0, options_for(dl_scheme::strang_cn));
+  const dl_solution without_d =
+      solve_dl({.params = &params, .phi_samples = spike, .t0 = 1.0,
+                .t_end = 5.0, .options = options_for(dl_scheme::strang_cn)});
   EXPECT_NEAR(without_d.at(3.2, 5.0), 0.0, 1e-9);
 }
 
@@ -159,7 +172,8 @@ TEST(DlSolver, NeumannBoundariesConserveHeatMass) {
   params.r = growth_rate::constant(0.0);
   const initial_condition phi(observed);
   const dl_solution sol =
-      solve_dl(params, phi, 1.0, 30.0, options_for(dl_scheme::strang_cn));
+      solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 30.0,
+                .options = options_for(dl_scheme::strang_cn)});
   const double before = dlm::models::profile_mean(sol.states().front());
   const double after = dlm::models::profile_mean(sol.states().back());
   EXPECT_NEAR(after, before, 1e-6);
@@ -172,7 +186,8 @@ TEST(DlSolver, FtcsInstabilityGuard) {
   opts.scheme = dl_scheme::ftcs;
   opts.points_per_unit = 100;  // dx = 0.01 → dt_max = 0.005
   opts.dt = 0.05;
-  EXPECT_THROW((void)solve_dl(params, phi, 1.0, 2.0, opts),
+  EXPECT_THROW((void)solve_dl({.params = &params, .phi = &phi, .t0 = 1.0,
+                               .t_end = 2.0, .options = opts}),
                std::invalid_argument);
 }
 
@@ -181,7 +196,11 @@ TEST(DlSolver, RecordsSnapshotsAtRequestedCadence) {
   const initial_condition phi(observed);
   dl_solver_options opts = options_for(dl_scheme::strang_cn);
   opts.record_dt = 1.0;
-  const dl_solution sol = solve_dl(params, phi, 1.0, 6.0, opts);
+  const dl_solution sol = solve_dl({.params = &params,
+                                    .phi = &phi,
+                                    .t0 = 1.0,
+                                    .t_end = 6.0,
+                                    .options = opts});
   ASSERT_GE(sol.times().size(), 6u);
   EXPECT_DOUBLE_EQ(sol.times().front(), 1.0);
   EXPECT_DOUBLE_EQ(sol.times().back(), 6.0);
@@ -191,7 +210,8 @@ TEST(DlSolution, InterpolationAndRangeChecks) {
   const dl_parameters params = dl_parameters::paper_hops(6.0);
   const initial_condition phi(observed);
   const dl_solution sol =
-      solve_dl(params, phi, 1.0, 6.0, options_for(dl_scheme::strang_cn));
+      solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 6.0,
+                .options = options_for(dl_scheme::strang_cn)});
   // t = t0 returns φ exactly at the nodes.
   EXPECT_NEAR(sol.at(1.0, 1.0), observed[0], 1e-9);
   EXPECT_NEAR(sol.at(4.0, 1.0), observed[3], 1e-9);
@@ -211,7 +231,8 @@ TEST(DlSolution, IntegerDistanceExtraction) {
   const dl_parameters params = dl_parameters::paper_hops(6.0);
   const initial_condition phi(observed);
   const dl_solution sol =
-      solve_dl(params, phi, 1.0, 6.0, options_for(dl_scheme::strang_cn));
+      solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 6.0,
+                .options = options_for(dl_scheme::strang_cn)});
   const std::vector<double> profile = sol.at_integer_distances(1.0, 1, 6);
   ASSERT_EQ(profile.size(), 6u);
   for (std::size_t i = 0; i < 6; ++i)
@@ -225,12 +246,15 @@ TEST(DlSolver, InvalidOptionsThrow) {
   const initial_condition phi(observed);
   dl_solver_options opts;
   opts.dt = 0.0;
-  EXPECT_THROW((void)solve_dl(params, phi, 1.0, 2.0, opts),
+  EXPECT_THROW((void)solve_dl({.params = &params, .phi = &phi, .t0 = 1.0,
+                               .t_end = 2.0, .options = opts}),
                std::invalid_argument);
-  EXPECT_THROW((void)solve_dl(params, phi, 2.0, 2.0, dl_solver_options{}),
-               std::invalid_argument);
-  EXPECT_THROW((void)solve_dl_profile(params, std::vector<double>{1.0, 2.0},
-                                      1.0, 2.0, dl_solver_options{}),
+  EXPECT_THROW(
+      (void)solve_dl({.params = &params, .phi = &phi, .t0 = 2.0, .t_end = 2.0}),
+      std::invalid_argument);
+  const std::vector<double> wrong_size{1.0, 2.0};
+  EXPECT_THROW((void)solve_dl({.params = &params, .phi_samples = wrong_size,
+                               .t0 = 1.0, .t_end = 2.0}),
                std::invalid_argument);
 }
 
@@ -265,7 +289,11 @@ TEST_P(UniqueBandSweep, BoundsHold) {
     const double dx = 1.0 / static_cast<double>(opts.points_per_unit);
     opts.dt = std::min(opts.dt, 0.4 * dx * dx / c.d);
   }
-  const dl_solution sol = solve_dl(params, phi, 1.0, 25.0, opts);
+  const dl_solution sol = solve_dl({.params = &params,
+                                    .phi = &phi,
+                                    .t0 = 1.0,
+                                    .t_end = 25.0,
+                                    .options = opts});
   for (const auto& state : sol.states()) {
     for (double v : state) {
       EXPECT_GE(v, -1e-8);

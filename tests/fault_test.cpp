@@ -24,11 +24,13 @@
 
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -327,6 +329,119 @@ TEST(Supervisor, WithoutFailFastSurvivorsFinish) {
   EXPECT_FALSE(report.outcomes[0].succeeded);
   EXPECT_TRUE(report.outcomes[1].succeeded)
       << report.outcomes[1].diagnostic;
+}
+
+/// Makes this process the reaper of its orphaned descendants for one
+/// drill, so a grandchild the supervisor killed is reaped here at once
+/// instead of whenever pid 1 gets to it (a zombie still answers kill 0).
+class subreaper_scope {
+ public:
+  subreaper_scope() { ::prctl(PR_SET_CHILD_SUBREAPER, 1); }
+  ~subreaper_scope() { ::prctl(PR_SET_CHILD_SUBREAPER, 0); }
+  subreaper_scope(const subreaper_scope&) = delete;
+  subreaper_scope& operator=(const subreaper_scope&) = delete;
+};
+
+/// A worker script that forks a long-lived helper, records the helper's
+/// pid in `pid_file`, and waits on it — a worker that leaks a
+/// descendant unless its whole process group is killed.
+std::string forks_helper(const std::filesystem::path& pid_file) {
+  return "sleep 30 & echo $! > '" + pid_file.string() + "'; wait";
+}
+
+/// The pid recorded in `pid_file` (0 when it is missing or empty).
+pid_t recorded_pid(const std::filesystem::path& pid_file) {
+  std::istringstream in(read_file(pid_file));
+  long pid = 0;
+  in >> pid;
+  return static_cast<pid_t>(pid);
+}
+
+/// True once `pid` no longer exists (kill(pid, 0) fails with ESRCH),
+/// reaping it first when it was orphaned to this process.
+bool gone_within(pid_t pid, double seconds) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (true) {
+    int status = 0;
+    ::waitpid(pid, &status, WNOHANG);
+    if (::kill(pid, 0) == -1 && errno == ESRCH) return true;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+}
+
+TEST(Supervisor, TimeoutKillsTheWorkersWholeProcessGroup) {
+  const subreaper_scope reaper;
+  const std::filesystem::path pid_file = temp_path("timeout_helper.pid");
+  std::filesystem::remove(pid_file);
+  const std::vector<engine::worker_command> commands = {
+      sh(forks_helper(pid_file), "worker 0/1")};
+  engine::supervisor_options options;
+  options.timeout_sec = 0.5;
+  const engine::supervision_report report =
+      engine::supervise(commands, options);
+  ASSERT_EQ(report.failures().size(), 1u);
+  EXPECT_TRUE(report.failures()[0].timed_out);
+  const pid_t helper = recorded_pid(pid_file);
+  std::filesystem::remove(pid_file);
+  ASSERT_GT(helper, 0) << "the worker never recorded its helper's pid";
+  EXPECT_TRUE(gone_within(helper, 5.0))
+      << "helper " << helper << " outlived its timed-out worker";
+}
+
+TEST(Supervisor, FailFastKillsTheSiblingsWholeProcessGroup) {
+  const subreaper_scope reaper;
+  const std::filesystem::path pid_file = temp_path("failfast_helper.pid");
+  std::filesystem::remove(pid_file);
+  // Worker 0 fails only once the sibling has recorded its helper.
+  const std::vector<engine::worker_command> commands = {
+      sh("while [ ! -s '" + pid_file.string() + "' ]; do sleep 0.01; done; "
+         "exit 1",
+         "worker 0/2"),
+      sh(forks_helper(pid_file), "worker 1/2")};
+  const engine::supervision_report report =
+      engine::supervise(commands, engine::supervisor_options{});
+  EXPECT_FALSE(report.all_succeeded());
+  EXPECT_NE(report.outcomes[1].diagnostic.find("terminated: sibling"),
+            std::string::npos)
+      << report.outcomes[1].diagnostic;
+  const pid_t helper = recorded_pid(pid_file);
+  std::filesystem::remove(pid_file);
+  ASSERT_GT(helper, 0);
+  EXPECT_TRUE(gone_within(helper, 5.0))
+      << "helper " << helper << " outlived its fail-fast-killed worker";
+}
+
+TEST(Supervisor, SigtermIsForwardedToTheWorkerGroupsThenReRaised) {
+  const subreaper_scope reaper;
+  const std::filesystem::path pid_file = temp_path("sigterm_helper.pid");
+  std::filesystem::remove(pid_file);
+  // A driver process supervising one helper-forking worker, as dl_shard
+  // does; SIGTERM it once the helper is running.
+  const pid_t driver = ::fork();
+  ASSERT_GE(driver, 0);
+  if (driver == 0) {
+    const std::vector<engine::worker_command> commands = {
+        sh(forks_helper(pid_file), "worker 0/1")};
+    (void)engine::supervise(commands, engine::supervisor_options{});
+    ::_exit(0);  // reached only if the re-raised SIGTERM did not end us
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (recorded_pid(pid_file) == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  const pid_t helper = recorded_pid(pid_file);
+  ::kill(driver, SIGTERM);
+  int status = 0;
+  ASSERT_EQ(::waitpid(driver, &status, 0), driver);
+  std::filesystem::remove(pid_file);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGTERM)
+      << "driver wait status " << status;
+  ASSERT_GT(helper, 0) << "the worker never recorded its helper's pid";
+  EXPECT_TRUE(gone_within(helper, 5.0))
+      << "helper " << helper << " outlived the interrupted driver";
 }
 
 // ------------------------------------------- SIGKILL → WAL replay → warm

@@ -8,6 +8,8 @@
 #include "core/dl_model.h"
 #include "fit/calibrate.h"
 #include "fit/objective.h"
+#include "fit/rate_profile.h"
+#include "models/logistic.h"
 
 namespace {
 
@@ -188,6 +190,34 @@ TEST(CalibrateDl, FullRateFitImprovesOnBadStart) {
   const fit::calibration_result result =
       fit::calibrate_dl(window, bad_start, options);
   EXPECT_LT(result.sse, start_sse * 0.05);
+}
+
+TEST(FitRateProfile, RecoversKnownMultipliers) {
+  // Generate per-distance growth with known multipliers via the exact
+  // logistic propagator, then recover them.
+  const core::growth_rate base = core::growth_rate::paper_hops();
+  const double k = 25.0;
+  const std::vector<double> truth{1.0, 0.9, 1.1, 0.5};
+  const std::vector<double> initial{1.9, 0.8, 1.1, 0.6};
+  std::vector<double> at_t4(4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    at_t4[i] = models::logistic_step(
+        initial[i], truth[i] * base.integral(1.0, 4.0), k);
+  }
+  const std::vector<double> fitted =
+      fit::fit_rate_profile(initial, at_t4, base, k, 1.0, 4.0);
+  for (std::size_t i = 0; i < 4; ++i)
+    EXPECT_NEAR(fitted[i], truth[i], 0.08) << "distance " << i + 1;
+}
+
+TEST(FitRateProfile, DegenerateObservationsDefaultToUnity) {
+  const core::growth_rate base = core::growth_rate::paper_hops();
+  const std::vector<double> initial{0.0, 2.0};
+  const std::vector<double> later{1.0, 1.5};  // no growth for index 1
+  const std::vector<double> fitted =
+      fit::fit_rate_profile(initial, later, base, 25.0, 1.0, 4.0);
+  EXPECT_DOUBLE_EQ(fitted[0], 1.0);
+  EXPECT_DOUBLE_EQ(fitted[1], 1.0);
 }
 
 }  // namespace

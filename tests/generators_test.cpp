@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "graph/bfs.h"
-#include "graph/components.h"
 
 namespace {
 

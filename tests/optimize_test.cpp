@@ -3,7 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "numerics/optimize/golden_section.h"
 #include "numerics/optimize/grid_search.h"
 #include "numerics/optimize/nelder_mead.h"
 
@@ -77,26 +76,6 @@ TEST(NelderMeadBounded, BadBoundsThrow) {
   EXPECT_THROW((void)num::minimize_nelder_mead_bounded(
                    quadratic, start, std::vector<double>{}, std::vector<double>{}),
                std::invalid_argument);
-}
-
-TEST(GoldenSection, FindsParabolaMinimum) {
-  const auto res = num::minimize_golden_section(
-      [](double x) { return (x - 1.7) * (x - 1.7) + 3.0; }, 0.0, 5.0);
-  EXPECT_TRUE(res.converged);
-  EXPECT_NEAR(res.x, 1.7, 1e-6);
-  EXPECT_NEAR(res.f_value, 3.0, 1e-10);
-}
-
-TEST(GoldenSection, AsymmetricFunction) {
-  const auto res = num::minimize_golden_section(
-      [](double x) { return std::exp(x) - 3.0 * x; }, 0.0, 3.0);
-  EXPECT_NEAR(res.x, std::log(3.0), 1e-6);
-}
-
-TEST(GoldenSection, InvalidIntervalThrows) {
-  EXPECT_THROW(
-      (void)num::minimize_golden_section([](double x) { return x; }, 1.0, 1.0),
-      std::invalid_argument);
 }
 
 TEST(GridSearch, FindsBestLatticePoint) {

@@ -57,8 +57,13 @@ TEST(SolveCache, FirstInsertWins) {
 TEST(SolveCache, UnboundedByDefault) {
   solve_cache cache;
   EXPECT_EQ(cache.max_entries(), 0u);
-  for (int i = 0; i < 100; ++i)
-    cache.store_value("k" + std::to_string(i), static_cast<double>(i));
+  for (int i = 0; i < 100; ++i) {
+    // Appended, not "k" + std::to_string(i): gcc 12 flags that operator+
+    // with a -Wrestrict false positive.
+    std::string key = "k";
+    key += std::to_string(i);
+    cache.store_value(key, static_cast<double>(i));
+  }
   EXPECT_EQ(cache.size(), 100u);
   EXPECT_EQ(cache.stats().evictions, 0u);
 }

@@ -255,26 +255,30 @@ TEST(SolverBatch, ZeroPivotNewtonLaneFailsLikeTheScalarPath) {
   EXPECT_EQ(throws, 1);
 }
 
-TEST(SolverBatch, LegacyOverloadsAreExactShims) {
+TEST(SolverBatch, SampledPhiAndExplicitWorkspaceMatchThePlainRequest) {
   const dl_parameters params = dl_parameters::paper_hops(6.0);
   const initial_condition phi(observed);
   const dl_solver_options opts = options_for(dl_scheme::strang_cn);
-  const dl_solution via_request = solve_dl(
+  const dl_solution via_phi = solve_dl(
       {.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 6.0, .options = opts});
-  const dl_solution via_legacy = solve_dl(params, phi, 1.0, 6.0, opts);
-  expect_bitwise_equal(via_request, via_legacy, "legacy solve_dl shim");
+
+  dl_workspace ws;
+  const dl_solution via_workspace = solve_dl({.params = &params,
+                                              .phi = &phi,
+                                              .t0 = 1.0,
+                                              .t_end = 6.0,
+                                              .options = opts,
+                                              .workspace = &ws});
+  expect_bitwise_equal(via_workspace, via_phi, "explicit workspace");
 
   const std::vector<double> samples =
       phi.sample(params.x_min, params.x_max, 101);
-  const dl_solution via_profile_request = solve_dl({.params = &params,
-                                                    .phi_samples = samples,
-                                                    .t0 = 1.0,
-                                                    .t_end = 6.0,
-                                                    .options = opts});
-  const dl_solution via_profile_legacy =
-      solve_dl_profile(params, samples, 1.0, 6.0, opts);
-  expect_bitwise_equal(via_profile_request, via_profile_legacy,
-                       "legacy solve_dl_profile shim");
+  const dl_solution via_samples = solve_dl({.params = &params,
+                                            .phi_samples = samples,
+                                            .t0 = 1.0,
+                                            .t_end = 6.0,
+                                            .options = opts});
+  expect_bitwise_equal(via_samples, via_phi, "pre-sampled profile");
 }
 
 TEST(SolverBatch, MixedSpanSplitsIntoCompatibleGroupsIndexStably) {

@@ -71,15 +71,20 @@ TEST_P(WorkspaceReuse, BackToBackSolvesMatchFreshWorkspace) {
 
     core::dl_workspace fresh1;
     const core::dl_solution ref =
-        solve_dl(params, phi, 1.0, 6.0, opts, fresh1);
+        core::solve_dl({.params = &params, .phi = &phi, .t0 = 1.0,
+                        .t_end = 6.0, .options = opts, .workspace = &fresh1});
 
     // Same workspace, twice in a row: the second solve starts from dirty
     // buffers and must not care.
     core::dl_workspace reused;
-    const core::dl_solution first =
-        solve_dl(params, phi, 1.0, 6.0, opts, reused);
-    const core::dl_solution second =
-        solve_dl(params, phi, 1.0, 6.0, opts, reused);
+    const core::solve_request on_reused{.params = &params,
+                                        .phi = &phi,
+                                        .t0 = 1.0,
+                                        .t_end = 6.0,
+                                        .options = opts,
+                                        .workspace = &reused};
+    const core::dl_solution first = core::solve_dl(on_reused);
+    const core::dl_solution second = core::solve_dl(on_reused);
     expect_bitwise_equal(first, ref, what);
     expect_bitwise_equal(second, ref, what);
   }
@@ -98,8 +103,12 @@ TEST_P(WorkspaceReuse, ReuseAcrossGridSizesAndRateFamilies) {
           spatial ? spatial_params() : core::dl_parameters::paper_hops(6.0);
       const core::dl_solver_options opts = options_for(scheme, ppu);
       core::dl_workspace fresh;
-      const core::dl_solution a = solve_dl(params, phi, 1.0, 4.0, opts, fresh);
-      const core::dl_solution b = solve_dl(params, phi, 1.0, 4.0, opts, reused);
+      const core::dl_solution a =
+          core::solve_dl({.params = &params, .phi = &phi, .t0 = 1.0,
+                          .t_end = 4.0, .options = opts, .workspace = &fresh});
+      const core::dl_solution b =
+          core::solve_dl({.params = &params, .phi = &phi, .t0 = 1.0,
+                          .t_end = 4.0, .options = opts, .workspace = &reused});
       expect_bitwise_equal(a, b, spatial ? "spatial" : "temporal");
     }
   }
@@ -123,12 +132,18 @@ TEST(WorkspaceReuse, ThreadLocalWrapperMatchesExplicitWorkspace) {
   const core::dl_solver_options opts = options_for(dl_scheme::strang_cn);
 
   core::dl_workspace explicit_ws;
-  const core::dl_solution a = solve_dl(params, phi, 1.0, 6.0, opts,
-                                       explicit_ws);
-  // The plain overload borrows the thread-local workspace; run it twice
-  // so the second call exercises thread-local reuse.
-  const core::dl_solution b = solve_dl(params, phi, 1.0, 6.0, opts);
-  const core::dl_solution c = solve_dl(params, phi, 1.0, 6.0, opts);
+  core::solve_request request{.params = &params,
+                              .phi = &phi,
+                              .t0 = 1.0,
+                              .t_end = 6.0,
+                              .options = opts,
+                              .workspace = &explicit_ws};
+  const core::dl_solution a = core::solve_dl(request);
+  // Without .workspace the solve borrows the thread-local workspace; run
+  // it twice so the second call exercises thread-local reuse.
+  request.workspace = nullptr;
+  const core::dl_solution b = core::solve_dl(request);
+  const core::dl_solution c = core::solve_dl(request);
   expect_bitwise_equal(b, a, "thread-local (cold)");
   expect_bitwise_equal(c, a, "thread-local (warm)");
 }
@@ -142,8 +157,14 @@ TEST(WorkspaceReuse, TrailingShortStepRefactorsCleanly) {
   opts.dt = 0.03;
 
   core::dl_workspace ws;
-  const core::dl_solution a = solve_dl(params, phi, 1.0, 5.75, opts, ws);
-  const core::dl_solution b = solve_dl(params, phi, 1.0, 5.75, opts, ws);
+  const core::solve_request request{.params = &params,
+                                    .phi = &phi,
+                                    .t0 = 1.0,
+                                    .t_end = 5.75,
+                                    .options = opts,
+                                    .workspace = &ws};
+  const core::dl_solution a = core::solve_dl(request);
+  const core::dl_solution b = core::solve_dl(request);
   expect_bitwise_equal(b, a, "trailing step");
 }
 
@@ -178,8 +199,9 @@ TEST(TraceStorage, RowsViewTheContiguousBuffer) {
 TEST(TraceStorage, SolutionStatesAreContiguous) {
   const core::initial_condition phi(observed);
   const core::dl_parameters params = core::dl_parameters::paper_hops(6.0);
-  const core::dl_solution sol = solve_dl(params, phi, 1.0, 6.0,
-                                         options_for(dl_scheme::strang_cn));
+  const core::dl_solution sol =
+      core::solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 6.0,
+                      .options = options_for(dl_scheme::strang_cn)});
   const core::trace_storage& states = sol.states();
   ASSERT_EQ(states.size(), sol.times().size());
   EXPECT_EQ(states.data().size(), states.size() * states.cols());

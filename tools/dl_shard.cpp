@@ -28,7 +28,10 @@
 //       aborts the run (and its siblings); with --allow-partial the
 //       completed shards still merge — each surviving row byte-
 //       identical to the unsharded run's — and a JSON manifest records
-//       per-worker outcomes plus the missing sweep indices.  --journal
+//       per-worker outcomes plus the missing sweep indices.  Each worker
+//       leads its own process group; a SIGINT or SIGTERM to the driver
+//       is forwarded to every live worker group, the workers are
+//       reaped, and the driver then ends by that signal.  --journal
 //       write-ahead-journals each worker's cache ("<cache>.wal", see
 //       engine/cache_journal.h); --fault injects deterministic
 //       failures (engine/fault.h grammar) for tests and drills.
