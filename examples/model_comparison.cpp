@@ -1,20 +1,11 @@
-// Model comparison on ORGANIC cascade data — ported to the batch engine.
+// Model comparison on ORGANIC cascade data, on the batch engine.
 //
-// The calibrated generator behind the benches matches the paper's curves
-// by construction; this example instead runs the *mechanistic* cascade
-// simulator (follower spreading + front-page random arrivals, nothing
-// fitted) and asks which model explains the organic data best.  One
-// declarative sweep replaces the hand-rolled per-model loops: every
-// registered model family (DL under all four schemes × two grid
-// resolutions × five growth rates — the "calibrate" spec that fits
-// (d, K, a, b, c) on the early window, plus the paper-§V spatial axis: a
-// fixed separable r(x, t) = m(x)·r(t) and "calibrate-spatial", which
-// fits the per-hop multipliers — plus the heat, logistic, per-distance
-// logistic and SI baselines) runs on the same slice through
-// engine::run_sweep, first single-threaded and then on the full pool to
-// show the determinism + speedup contract.  A shared solve cache then
-// replays the whole sweep warm: zero additional PDE solves, byte-identical
-// CSV.
+// eval::make_comparison_sweep (src/eval/comparison.h) builds the sweep:
+// a mechanistic cascade (nothing fitted) and every registered model
+// family over schemes, grids, growth rates and domains.  This example
+// runs it first single-threaded and then on the full pool to show the
+// determinism + speedup contract.  A shared solve cache then replays the
+// whole sweep warm: zero additional PDE solves, byte-identical CSV.
 //
 // With --cache-file the solve cache persists across runs (load on start,
 // save on exit — see engine/cache_io.h): the second invocation's "cold"
@@ -22,159 +13,50 @@
 //
 // Build & run:  ./build/examples/model_comparison [--cache-file dlm.cache]
 //
-// Batch mode (for scripting and sharded execution — see docs/sharding.md):
-//
-//   model_comparison --csv out.csv [--shard i/N] [--cache-file f]
-//
-// runs the sweep once (no demo passes), writes the CSV to the file (or
-// stdout when --shard is given without --csv) and exits.  With --shard
-// only that shard's scenarios run — rows keep their global sweep
-// indices, so N shard CSVs recombine through `dl_shard --merge` into
-// the exact bytes of the unsharded CSV.
+// For one batch pass with CSV output, or sharded execution, run the same
+// sweep through `dl_shard --sweep comparison` (see docs/sharding.md).
 
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "digg/simulator.h"
 #include "engine/cache_io.h"
-#include "engine/model_registry.h"
 #include "engine/scenario_runner.h"
-#include "engine/shard.h"
 #include "engine/solve_cache.h"
-#include "graph/generators.h"
+#include "eval/comparison.h"
 
 int main(int argc, char** argv) {
   using namespace dlm;
 
   std::string cache_file;
-  std::string csv_path;
-  engine::shard_spec shard;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--cache-file" && i + 1 < argc) {
       cache_file = argv[++i];
-    } else if (arg == "--csv" && i + 1 < argc) {
-      csv_path = argv[++i];
-    } else if (arg == "--shard" && i + 1 < argc) {
-      try {
-        shard = engine::parse_shard_spec(argv[++i]);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 2;
-      }
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--cache-file <path>] [--csv <path>] "
-                   "[--shard <i>/<N>]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--cache-file <path>]\n", argv[0]);
       return 2;
     }
   }
-  const bool batch = !shard.is_all() || !csv_path.empty();
 
-  num::rng rand(777);
-  graph::digg_graph_params gp;
-  gp.users = 12000;
-  gp.attach = 6;
-  graph::digraph followers = graph::digg_follower_graph(gp, rand);
-
-  // Pick a well-followed initiator and run the organic cascade.
-  graph::node_id initiator = 0;
-  for (graph::node_id v = 0; v < followers.node_count(); ++v) {
-    if (followers.in_degree(v) > followers.in_degree(initiator)) initiator = v;
-  }
-  digg::cascade_params cp;
-  cp.horizon_hours = 12;
-  const std::vector<social::vote> votes =
-      digg::simulate_cascade(followers, initiator, 0, 0, cp, rand);
-  if (!batch)
-    std::printf("organic cascade: %zu votes in %d hours from initiator %u "
-                "(%zu followers)\n\n",
-                votes.size(), cp.horizon_hours, initiator,
-                followers.in_degree(initiator));
-
-  const engine::scenario_context ctx = engine::scenario_context::from_cascade(
-      std::move(followers), initiator, votes, cp.horizon_hours);
-
-  // One declarative sweep over every model family: DL expands over all
-  // four schemes × grids × rates (the "calibrate" spec fits the paper's
-  // untuned parameters to the first half of the window before solving;
-  // the spatial specs exercise the §V r(x, t) axis — "calibrate-spatial"
-  // fits one rate multiplier per distance group on the same window);
-  // baselines collapse the axes they ignore — a calibrate spec collapses
-  // to "preset" for models that cannot calibrate, a spatial spec to its
-  // temporal base for models without a spatial-rate axis.
-  engine::sweep_spec spec;
-  spec.models = engine::default_registry().names();
-  spec.schemes = {core::dl_scheme::ftcs, core::dl_scheme::strang_cn,
-                  core::dl_scheme::implicit_newton, core::dl_scheme::mol_rk4};
-  spec.grid = {20, 40};
-  spec.rates = {"preset", "constant:0.5", "spatial:preset|1.2,1,0.8,0.65",
-                "calibrate", "calibrate-spatial"};
-  // The core::domain axis rides along: non-line domains expand only
-  // under strang_cn, so the sweep covers the 2-D ADI sheet and the
-  // coupled communities without multiplying every scheme.
-  spec.domains = {"line", "grid2d:1,4", "comm:3|mix=0.05"};
-  spec.t_end = cp.horizon_hours;
+  const eval::comparison_sweep sweep = eval::make_comparison_sweep();
+  const engine::scenario_context& ctx = sweep.context;
+  const engine::dataset_slice& cascade = ctx.slice(0);
+  std::printf("organic cascade: %zu votes in %d hours from initiator %u "
+              "(%zu followers)\n\n",
+              sweep.votes, cascade.horizon_hours, cascade.initiator,
+              cascade.followers->in_degree(cascade.initiator));
 
   const std::vector<engine::scenario> scenarios =
-      engine::expand_sweep(spec, ctx);
-  if (!batch)
-    std::printf("sweep: %zu scenarios over %zu model families\n\n",
-                scenarios.size(), spec.models.size());
-
-  // ------------------------------------------------------- batch mode
-  // One deterministic pass, CSV out, exit status honest: an unwritable
-  // --cache-file or a failed flush is a nonzero exit, not a lost save.
-  if (batch) {
-    engine::runner_options options;
-    options.threads = 0;
-    options.calibration.coarse_steps = 3;
-    options.shard = shard;
-    std::optional<engine::persistent_cache> batch_persist;
-    if (!cache_file.empty()) {
-      batch_persist.emplace(cache_file);
-      if (!batch_persist->write_error().empty()) return 1;  // on stderr
-      options.cache = &batch_persist->cache();
-    }
-    const engine::sweep_result result =
-        engine::run_sweep(ctx, scenarios, options);
-    const std::string csv = result.table.to_csv();
-    if (csv_path.empty()) {
-      std::fwrite(csv.data(), 1, csv.size(), stdout);
-    } else {
-      std::ofstream out(csv_path, std::ios::binary | std::ios::trunc);
-      out.write(csv.data(), static_cast<std::streamsize>(csv.size()));
-      out.flush();
-      if (!out) {
-        std::fprintf(stderr, "%s: cannot write '%s'\n", argv[0],
-                     csv_path.c_str());
-        return 1;
-      }
-    }
-    std::fprintf(stderr, "shard %s: %zu of %zu scenarios -> %s\n",
-                 shard.label().c_str(), result.table.size(),
-                 scenarios.size(),
-                 csv_path.empty() ? "stdout" : csv_path.c_str());
-    if (batch_persist) {
-      try {
-        batch_persist->flush();
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: cache flush failed: %s\n", argv[0],
-                     e.what());
-        return 1;
-      }
-    }
-    return 0;
-  }
+      engine::expand_sweep(sweep.spec, ctx);
+  std::printf("sweep: %zu scenarios over %zu model families\n\n",
+              scenarios.size(), sweep.spec.models.size());
 
   engine::runner_options serial;
   serial.threads = 1;
-  serial.calibration.coarse_steps = 3;  // 3^5 lattice points per fit
+  serial.calibration = sweep.calibration;
   const engine::sweep_result one = engine::run_sweep(ctx, scenarios, serial);
 
   engine::runner_options parallel = serial;  // hardware_concurrency
@@ -254,7 +136,7 @@ int main(int argc, char** argv) {
   domain_spec.grid = {20};
   domain_spec.rates = {"preset"};
   domain_spec.domains = {"line", "grid2d:1,4", "comm:3|mix=0.05"};
-  domain_spec.t_end = cp.horizon_hours;
+  domain_spec.t_end = sweep.spec.t_end;
   const engine::sweep_result domains =
       engine::run_sweep(ctx, engine::expand_sweep(domain_spec, ctx), cached);
   std::printf("\ndomain sweep (line vs 2-D ADI sheet vs coupled "

@@ -41,18 +41,6 @@ double accuracy_table::overall_average() const {
   return count > 0 ? acc / static_cast<double>(count) : 0.0;
 }
 
-double accuracy_table::column_average(std::size_t j) const {
-  double acc = 0.0;
-  std::size_t count = 0;
-  for (const auto& row : cells) {
-    if (j < row.size()) {
-      acc += row[j];
-      ++count;
-    }
-  }
-  return count > 0 ? acc / static_cast<double>(count) : 0.0;
-}
-
 accuracy_table make_accuracy_table(
     std::span<const int> distances, std::span<const double> times,
     const std::vector<std::vector<double>>& predicted,

@@ -34,9 +34,6 @@ struct accuracy_table {
   /// Mean of all cells (the paper's "overall average prediction accuracy
   /// across all distances").
   [[nodiscard]] double overall_average() const;
-
-  /// Mean of the cells at a single time column.
-  [[nodiscard]] double column_average(std::size_t j) const;
 };
 
 /// Builds the table from predicted/actual surfaces laid out as

@@ -77,8 +77,8 @@ std::vector<model_trace> dl_adapter::solve_batch(
     p.r = make_rate(sc.rate, slice.metric);
     p.dom = make_domain(sc.domain);
     trace.domain = p.dom.label();
-    if (!std::isnan(sc.d_override)) p.d = sc.d_override;
-    if (!std::isnan(sc.k_override)) p.k = sc.k_override;
+    p.d = sc.d_override.value_or(p.d);
+    p.k = sc.k_override.value_or(p.k);
 
     core::dl_solver_options options;
     options.scheme = sc.scheme;

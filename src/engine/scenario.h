@@ -12,8 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -125,11 +125,11 @@ struct scenario {
   double t0 = 1.0;              ///< observation hour (initial profile)
   double t_end = 6.0;           ///< last evaluated hour
   std::uint64_t seed = 20090601;  ///< RNG seed for stochastic models
-  /// Optional overrides of the slice's base (d, K) — NaN keeps the base
+  /// Optional overrides of the slice's base (d, K); empty keeps the base
   /// value.  Set by the runner when a "calibrate" rate spec resolves, so
   /// the solved scenario (and its cache key) records the fitted values.
-  double d_override = std::numeric_limits<double>::quiet_NaN();
-  double k_override = std::numeric_limits<double>::quiet_NaN();
+  std::optional<double> d_override;
+  std::optional<double> k_override;
 };
 
 /// Declarative sweep: the cross product of the axes below over the chosen

@@ -157,10 +157,10 @@ std::string parse_request_args(const std::vector<std::string>& tokens,
       std::size_t seed = 0;
       if (!parse_number(value, seed)) return bad_value();
       args.sc.seed = seed;
-    } else if (key == "d") {
-      if (!parse_finite(value, args.sc.d_override)) return bad_value();
-    } else if (key == "k") {
-      if (!parse_finite(value, args.sc.k_override)) return bad_value();
+    } else if (key == "d" || key == "k") {
+      double v = 0.0;
+      if (!parse_finite(value, v)) return bad_value();
+      (key == "d" ? args.sc.d_override : args.sc.k_override) = v;
     } else if (key == "x") {
       // An integral value inside int's range (NaN and infinities fail
       // the comparisons), checked before the cast.
@@ -392,10 +392,10 @@ class remote_model final : public diffusion_model {
     std::string req = "solve" + request_tail(sc, slice, *local_);
     if (local_->uses_rate()) {
       req += " rate=" + sc.rate;
-      if (!std::isnan(sc.d_override))
-        req += " d=" + format_full_precision(sc.d_override);
-      if (!std::isnan(sc.k_override))
-        req += " k=" + format_full_precision(sc.k_override);
+      if (sc.d_override)
+        req += " d=" + format_full_precision(*sc.d_override);
+      if (sc.k_override)
+        req += " k=" + format_full_precision(*sc.k_override);
     }
     return parse_trace_reply(ok_reply(req));
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "engine/format.h"
@@ -271,9 +270,9 @@ std::string scenario_cache_key(const scenario& sc, const dataset_slice& slice,
   key += "|t0=" + format_full_precision(sc.t0) + "|t_end=" + format_full_precision(sc.t_end);
   key += "|seed=" + std::to_string(sc.seed);
   key += "|d=";
-  key += std::isnan(sc.d_override) ? "-" : format_full_precision(sc.d_override);
+  key += sc.d_override ? format_full_precision(*sc.d_override) : "-";
   key += "|k=";
-  key += std::isnan(sc.k_override) ? "-" : format_full_precision(sc.k_override);
+  key += sc.k_override ? format_full_precision(*sc.k_override) : "-";
   // Canonical domain label, appended only for a non-line domain on a
   // domain-capable model — 1-D keys stay byte-identical to every release
   // before the domain axis existed, so persistent caches keep hitting.

@@ -293,13 +293,11 @@ supervision_report supervise(std::span<const worker_command> commands,
     if (!any_live) break;
     std::this_thread::sleep_for(poll_sleep);
   }
-  // Every worker is reaped: hand an interrupt (even one that arrived as
-  // the last worker finished) to the caller's own disposition — by
-  // default it ends this process, as it would have without workers.
+  // Every worker is reaped: report an interrupt (even one that arrived as
+  // the last worker finished) for the caller to clean up and re-raise.
   catcher.restore();
-  if (const int interrupt = caught_signal; interrupt != 0) ::raise(interrupt);
-
   supervision_report report;
+  report.interrupted_by = caught_signal;
   report.outcomes.reserve(workers.size());
   for (worker_state& w : workers) report.outcomes.push_back(w.outcome);
   return report;

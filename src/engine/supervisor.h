@@ -22,8 +22,9 @@
 //  * each worker leads its own process group, and every kill targets the
 //    group, so helpers a worker forks die with it; a SIGINT or SIGTERM
 //    the supervising process receives is forwarded to every live group,
-//    the workers are reaped, and the signal is then re-raised under the
-//    caller's own disposition.
+//    the workers are reaped, the caller's disposition is restored, and
+//    the report names the signal (supervision_report::interrupted_by) so
+//    the caller can clean up before it re-raises.
 //
 // Determinism note: supervision changes *scheduling*, never *bytes*.  A
 // worker either completes its shard (whose output is deterministic) or
@@ -93,6 +94,11 @@ struct worker_outcome {
 struct supervision_report {
   /// One outcome per input command, in input order.
   std::vector<worker_outcome> outcomes;
+  /// The SIGINT or SIGTERM that interrupted the run (0: none).  Every
+  /// worker is reaped by then and the caller's disposition restored; the
+  /// caller ends itself by this signal (std::raise) once it has cleaned
+  /// up, as it would have ended without workers.
+  int interrupted_by = 0;
 
   [[nodiscard]] bool all_succeeded() const {
     for (const worker_outcome& o : outcomes)

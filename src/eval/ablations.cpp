@@ -9,7 +9,6 @@
 #include "eval/table.h"
 #include "models/heat_model.h"
 #include "models/per_distance_logistic.h"
-#include "numerics/stats.h"
 
 namespace dlm::eval {
 namespace {
@@ -115,79 +114,6 @@ void print_diffusion_ablation(std::ostream& out,
   out << table << "\n";
 }
 
-std::vector<scheme_ablation_row> run_scheme_ablation(
-    const experiment_context& ctx, std::size_t story_index) {
-  const int max_distance = 6;
-  const social::density_field field =
-      ctx.density(story_index, social::distance_metric::friendship_hops);
-  const int upper = std::min(max_distance, field.max_distance());
-
-  // The observed surface (t = 1..6) as an engine slice.
-  std::vector<std::vector<double>> surface(static_cast<std::size_t>(upper));
-  for (int x = 1; x <= upper; ++x) {
-    for (int t = 1; t <= 6; ++t)
-      surface[static_cast<std::size_t>(x - 1)].push_back(field.at(x, t));
-  }
-  const engine::scenario_context context = engine::scenario_context::
-      from_surface("scheme-ablation", social::distance_metric::friendship_hops,
-                   std::move(surface), core::dl_parameters::paper_hops(upper));
-
-  // One sweep: the four schemes plus a fine MOL-RK4 reference scenario.
-  const std::vector<core::dl_scheme> schemes{
-      core::dl_scheme::ftcs, core::dl_scheme::strang_cn,
-      core::dl_scheme::implicit_newton, core::dl_scheme::mol_rk4};
-  std::vector<engine::scenario> scenarios;
-  for (const core::dl_scheme scheme : schemes) {
-    engine::scenario sc;
-    sc.model = "dl";
-    sc.scheme = scheme;
-    scenarios.push_back(std::move(sc));
-  }
-  engine::scenario reference;
-  reference.model = "dl";
-  reference.scheme = core::dl_scheme::mol_rk4;
-  reference.points_per_unit = 80;
-  reference.dt = 0.002;
-  scenarios.push_back(std::move(reference));
-
-  engine::runner_options options;
-  options.keep_traces = true;
-  const engine::sweep_result result =
-      engine::run_sweep(context, scenarios, options);
-
-  const engine::model_trace& ref_trace = result.traces.back();
-  const std::size_t last = ref_trace.times.size() - 1;
-  std::vector<scheme_ablation_row> rows;
-  for (std::size_t i = 0; i < schemes.size(); ++i) {
-    scheme_ablation_row row;
-    row.scheme = schemes[i];
-    row.overall_accuracy = result.table.row(i).accuracy;
-    row.solve_ms = result.table.row(i).wall_ms;
-    const engine::model_trace& trace = result.traces[i];
-    for (std::size_t x = 0; x < trace.distances.size(); ++x)
-      row.deviation_vs_reference =
-          std::max(row.deviation_vs_reference,
-                   std::abs(trace.predicted[x][last] -
-                            ref_trace.predicted[x][last]));
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-void print_scheme_ablation(std::ostream& out,
-                           const std::vector<scheme_ablation_row>& rows) {
-  out << "Ablation — numerical scheme (story s1, hops, t = 1..6)\n"
-      << "deviation = max |difference| vs fine MOL-RK4 reference at t=6\n\n";
-  text_table table({"scheme", "overall accuracy", "deviation", "solve ms"});
-  for (const auto& row : rows) {
-    table.add_row({core::to_string(row.scheme),
-                   text_table::pct(row.overall_accuracy, 2),
-                   text_table::num(row.deviation_vs_reference, 6),
-                   text_table::num(row.solve_ms, 2)});
-  }
-  out << table << "\n";
-}
-
 std::vector<growth_ablation_row> run_growth_ablation(
     const experiment_context& ctx, std::size_t story_index) {
   const int max_distance = 6;
@@ -269,93 +195,6 @@ void print_growth_ablation(std::ostream& out,
   for (const auto& row : rows)
     table.add_row({row.label, text_table::pct(row.overall_accuracy, 2),
                    row.fitted ? text_table::num(row.fit_sse, 3) : "-"});
-  out << table << "\n";
-}
-
-std::vector<resolution_row> run_resolution_ablation() {
-  // Synthetic smooth initial profile on [1, 6].
-  const std::vector<double> initial{1.9, 0.8, 1.1, 0.6, 0.4, 0.3};
-  const core::dl_parameters params = core::dl_parameters::paper_hops(6.0);
-  const int horizon = 6;
-
-  // Finest level as reference — its surface doubles as the engine slice.
-  // Solved through the unified request API (one request, scalar path).
-  core::dl_solver_options fine;
-  fine.points_per_unit = 160;
-  fine.dt = 0.0025;
-  const core::initial_condition phi =
-      core::dl_model::build_initial(params, initial);
-  const core::dl_solution reference =
-      core::solve_dl({.params = &params,
-                      .phi = &phi,
-                      .t0 = 1.0,
-                      .t_end = static_cast<double>(horizon),
-                      .options = fine});
-  std::vector<std::vector<double>> surface(initial.size());
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    surface[i].push_back(initial[i]);
-    for (int t = 2; t <= horizon; ++t)
-      surface[i].push_back(reference.at(static_cast<double>(i) + 1.0,
-                                        static_cast<double>(t)));
-  }
-  const engine::scenario_context context = engine::scenario_context::
-      from_surface("resolution-ablation",
-                   social::distance_metric::friendship_hops,
-                   std::move(surface), params);
-
-  // Paired Δx/Δt refinement levels (not a full cross product).
-  struct level {
-    std::size_t ppu;
-    double dt;
-  };
-  const std::vector<level> levels{{5, 0.08}, {10, 0.04}, {20, 0.02},
-                                  {40, 0.01}, {80, 0.005}};
-  std::vector<engine::scenario> scenarios;
-  for (const level& lv : levels) {
-    engine::scenario sc;
-    sc.model = "dl";
-    sc.points_per_unit = lv.ppu;
-    sc.dt = lv.dt;
-    sc.t_end = horizon;
-    scenarios.push_back(std::move(sc));
-  }
-
-  engine::runner_options options;
-  options.keep_traces = true;
-  const engine::sweep_result result =
-      engine::run_sweep(context, scenarios, options);
-
-  std::vector<resolution_row> rows;
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    resolution_row row;
-    row.points_per_unit = levels[i].ppu;
-    row.dt = levels[i].dt;
-    row.solve_ms = result.table.row(i).wall_ms;
-    const engine::model_trace& trace = result.traces[i];
-    const std::size_t last = trace.times.size() - 1;
-    for (std::size_t x = 0; x < trace.distances.size(); ++x) {
-      const double ref = context.slice(0).actual_at(trace.distances[x],
-                                                    horizon);
-      row.deviation = std::max(row.deviation,
-                               std::abs(trace.predicted[x][last] - ref));
-    }
-    rows.push_back(row);
-  }
-  return rows;
-}
-
-void print_resolution_ablation(std::ostream& out,
-                               const std::vector<resolution_row>& rows) {
-  out << "Ablation — grid resolution (Strang-CN, paper s1 parameters)\n"
-      << "deviation = max |difference| at integer distances, t = 6, vs a\n"
-      << "160-points-per-unit, dt=0.0025 reference\n\n";
-  text_table table({"points/unit", "dt", "deviation", "solve ms"});
-  for (const auto& row : rows) {
-    table.add_row({std::to_string(row.points_per_unit),
-                   text_table::num(row.dt, 4),
-                   text_table::num(row.deviation, 7),
-                   text_table::num(row.solve_ms, 2)});
-  }
   out << table << "\n";
 }
 

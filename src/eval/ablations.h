@@ -1,8 +1,9 @@
 // Ablation experiment runners (DESIGN.md §2, non-paper benches).
 //
-// Each ablation isolates one design choice of the DL model or its solver:
-// the diffusion term, the r(t) family, the numerical scheme, and the grid
-// resolution.
+// Each ablation isolates one design choice of the DL model: the diffusion
+// term and the r(t) family.  The numerical-scheme and grid-resolution
+// ablations are plain engine sweeps (bench/ablation_solver_scheme.cpp,
+// bench/ablation_grid_resolution.cpp).
 #pragma once
 
 #include <cstddef>
@@ -10,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "core/dl_solver.h"
 #include "eval/experiments.h"
 
 namespace dlm::eval {
@@ -34,20 +34,6 @@ struct diffusion_ablation_result {
 void print_diffusion_ablation(std::ostream& out,
                               const diffusion_ablation_result& r);
 
-// ----------------------------------------------------- solver-scheme ablation
-/// Same prediction task solved with every scheme.
-struct scheme_ablation_row {
-  core::dl_scheme scheme = core::dl_scheme::strang_cn;
-  double overall_accuracy = 0.0;
-  /// Max |deviation| from the finest MOL-RK4 reference at t = 6.
-  double deviation_vs_reference = 0.0;
-  double solve_ms = 0.0;
-};
-[[nodiscard]] std::vector<scheme_ablation_row> run_scheme_ablation(
-    const experiment_context& ctx, std::size_t story_index);
-void print_scheme_ablation(std::ostream& out,
-                           const std::vector<scheme_ablation_row>& rows);
-
 // ------------------------------------------------------ growth-rate ablation
 /// Paper decaying r(t) vs constant rates vs least-squares-calibrated
 /// rates — temporal ("calibrate:4") and spatio-temporal
@@ -64,18 +50,5 @@ struct growth_ablation_row {
     const experiment_context& ctx, std::size_t story_index);
 void print_growth_ablation(std::ostream& out,
                            const std::vector<growth_ablation_row>& rows);
-
-// -------------------------------------------------- grid-resolution ablation
-/// Solution convergence under Δx, Δt refinement (no dataset needed).
-struct resolution_row {
-  std::size_t points_per_unit = 0;
-  double dt = 0.0;
-  /// Max |difference| at integer distances, t = 6, vs the finest level.
-  double deviation = 0.0;
-  double solve_ms = 0.0;
-};
-[[nodiscard]] std::vector<resolution_row> run_resolution_ablation();
-void print_resolution_ablation(std::ostream& out,
-                               const std::vector<resolution_row>& rows);
 
 }  // namespace dlm::eval

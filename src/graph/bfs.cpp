@@ -61,29 +61,4 @@ std::vector<hop_distance> bfs_distances_multi(
   });
 }
 
-std::vector<std::vector<node_id>> nodes_by_distance(const digraph& g,
-                                                    node_id source,
-                                                    bfs_direction direction) {
-  const std::vector<hop_distance> dist = bfs_distances(g, source, direction);
-  hop_distance max_d = 0;
-  for (hop_distance d : dist) {
-    if (d != unreachable) max_d = std::max(max_d, d);
-  }
-  std::vector<std::vector<node_id>> groups(max_d + 1);
-  for (node_id v = 0; v < dist.size(); ++v) {
-    if (dist[v] != unreachable) groups[dist[v]].push_back(v);
-  }
-  return groups;
-}
-
-hop_distance eccentricity(const digraph& g, node_id source,
-                          bfs_direction direction) {
-  const std::vector<hop_distance> dist = bfs_distances(g, source, direction);
-  hop_distance max_d = 0;
-  for (hop_distance d : dist) {
-    if (d != unreachable) max_d = std::max(max_d, d);
-  }
-  return max_d;
-}
-
 }  // namespace dlm::graph

@@ -36,17 +36,4 @@ enum class bfs_direction {
     const digraph& g, const std::vector<node_id>& sources,
     bfs_direction direction = bfs_direction::successors);
 
-/// Nodes grouped by hop distance: result[d] lists the nodes at distance d
-/// (result[0] == {source}).  Unreachable nodes are omitted.  The vector is
-/// truncated at the last non-empty group.
-[[nodiscard]] std::vector<std::vector<node_id>> nodes_by_distance(
-    const digraph& g, node_id source,
-    bfs_direction direction = bfs_direction::successors);
-
-/// Largest finite hop distance from `source` (its eccentricity within the
-/// reachable set); 0 if nothing else is reachable.
-[[nodiscard]] hop_distance eccentricity(
-    const digraph& g, node_id source,
-    bfs_direction direction = bfs_direction::successors);
-
 }  // namespace dlm::graph

@@ -1,128 +1,10 @@
 #include "graph/generators.h"
 
 #include <algorithm>
-
 #include <stdexcept>
 #include <unordered_set>
 
 namespace dlm::graph {
-
-digraph erdos_renyi(std::size_t n, double p, num::rng& rand) {
-  if (p < 0.0 || p > 1.0)
-    throw std::invalid_argument("erdos_renyi: p must be in [0,1]");
-  digraph_builder b(n);
-  for (node_id i = 0; i < n; ++i) {
-    for (node_id j = 0; j < n; ++j) {
-      if (i != j && rand.bernoulli(p)) b.add_edge(i, j);
-    }
-  }
-  return b.build();
-}
-
-digraph erdos_renyi_m(std::size_t n, std::size_t m, num::rng& rand) {
-  if (n < 2 && m > 0)
-    throw std::invalid_argument("erdos_renyi_m: too few nodes for any edge");
-  const std::size_t max_edges = n * (n - 1);
-  if (m > max_edges)
-    throw std::invalid_argument("erdos_renyi_m: m exceeds n(n-1)");
-  digraph_builder b(n);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(m * 2);
-  while (seen.size() < m) {
-    const auto i = static_cast<node_id>(rand.index(n));
-    const auto j = static_cast<node_id>(rand.index(n));
-    if (i == j) continue;
-    const std::uint64_t key = (static_cast<std::uint64_t>(i) << 32) | j;
-    if (seen.insert(key).second) b.add_edge(i, j);
-  }
-  return b.build();
-}
-
-digraph barabasi_albert(std::size_t n, std::size_t attach, num::rng& rand) {
-  if (attach == 0) throw std::invalid_argument("barabasi_albert: attach == 0");
-  if (n <= attach)
-    throw std::invalid_argument("barabasi_albert: need n > attach");
-
-  digraph_builder b(n);
-  // `endpoints` holds one entry per edge endpoint; sampling uniformly from
-  // it realizes degree-proportional (preferential) attachment.
-  std::vector<node_id> endpoints;
-  endpoints.reserve(2 * n * attach);
-
-  // Seed: a small complete kernel of (attach + 1) nodes.
-  const std::size_t kernel = attach + 1;
-  for (node_id i = 0; i < kernel; ++i) {
-    for (node_id j = 0; j < kernel; ++j) {
-      if (i == j) continue;
-      b.add_edge(i, j);
-      endpoints.push_back(i);
-      endpoints.push_back(j);
-    }
-  }
-
-  for (node_id v = static_cast<node_id>(kernel); v < n; ++v) {
-    std::unordered_set<node_id> chosen;
-    while (chosen.size() < attach) {
-      const node_id target = endpoints[rand.index(endpoints.size())];
-      if (target != v) chosen.insert(target);
-    }
-    for (node_id target : chosen) {
-      b.add_edge(v, target);
-      endpoints.push_back(v);
-      endpoints.push_back(target);
-    }
-  }
-  return b.build();
-}
-
-digraph watts_strogatz(std::size_t n, std::size_t k, double beta,
-                       num::rng& rand) {
-  if (k == 0) throw std::invalid_argument("watts_strogatz: k == 0");
-  if (n <= 2 * k)
-    throw std::invalid_argument("watts_strogatz: need n > 2k");
-  if (beta < 0.0 || beta > 1.0)
-    throw std::invalid_argument("watts_strogatz: beta must be in [0,1]");
-
-  // Undirected edge set as canonical (min, max) pairs.
-  std::unordered_set<std::uint64_t> edges;
-  const auto key = [](node_id a, node_id b) {
-    if (a > b) std::swap(a, b);
-    return (static_cast<std::uint64_t>(a) << 32) | b;
-  };
-  for (node_id v = 0; v < n; ++v) {
-    for (std::size_t d = 1; d <= k; ++d) {
-      const auto w = static_cast<node_id>((v + d) % n);
-      edges.insert(key(v, w));
-    }
-  }
-  // Rewire each ring edge with probability beta.
-  std::vector<std::uint64_t> initial(edges.begin(), edges.end());
-  for (std::uint64_t e : initial) {
-    if (!rand.bernoulli(beta)) continue;
-    const auto a = static_cast<node_id>(e >> 32);
-    edges.erase(e);
-    node_id c;
-    std::uint64_t candidate;
-    int guard = 0;
-    do {
-      c = static_cast<node_id>(rand.index(n));
-      candidate = key(a, c);
-      if (++guard > 1000) {  // pathological density; keep the original edge
-        candidate = e;
-        break;
-      }
-    } while (c == a || edges.contains(candidate));
-    edges.insert(candidate);
-  }
-
-  digraph_builder b(n);
-  for (std::uint64_t e : edges) {
-    const auto a = static_cast<node_id>(e >> 32);
-    const auto c = static_cast<node_id>(e & 0xffffffffu);
-    b.add_bidirectional(a, c);
-  }
-  return b.build();
-}
 
 digraph digg_follower_graph(const digg_graph_params& params, num::rng& rand) {
   const std::size_t n = params.users;

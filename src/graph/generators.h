@@ -4,8 +4,7 @@
 // follower network substrate is generated synthetically.  `digg_follower_graph`
 // is the production generator: preferential attachment (heavy-tailed
 // in-degree, like real follower counts) with partial edge reciprocation,
-// matching the qualitative structure reported for Digg.  Erdős–Rényi and
-// Watts–Strogatz are provided as structural baselines for tests/ablations.
+// matching the qualitative structure reported for Digg.
 #pragma once
 
 #include <cstddef>
@@ -14,26 +13,6 @@
 #include "numerics/rng.h"
 
 namespace dlm::graph {
-
-/// G(n, p): each ordered pair (a, b), a != b, holds an edge independently
-/// with probability p.  O(n²) — intended for small test graphs.
-[[nodiscard]] digraph erdos_renyi(std::size_t n, double p, num::rng& rand);
-
-/// Sparse G(n, m): exactly `m` distinct directed edges drawn uniformly.
-[[nodiscard]] digraph erdos_renyi_m(std::size_t n, std::size_t m,
-                                    num::rng& rand);
-
-/// Directed Barabási–Albert: nodes arrive one at a time and follow
-/// `attach` existing nodes chosen preferentially by current degree.
-/// Produces heavy-tailed in-degree.  Requires attach >= 1, n > attach.
-[[nodiscard]] digraph barabasi_albert(std::size_t n, std::size_t attach,
-                                      num::rng& rand);
-
-/// Watts–Strogatz small world on a ring (k nearest neighbours per side,
-/// rewire probability beta); each undirected edge becomes two directed
-/// edges.  Requires k >= 1 and n > 2k.
-[[nodiscard]] digraph watts_strogatz(std::size_t n, std::size_t k, double beta,
-                                     num::rng& rand);
 
 /// Parameters of the synthetic Digg-like follower network.
 ///

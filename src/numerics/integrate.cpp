@@ -1,7 +1,5 @@
 #include "numerics/integrate.h"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace dlm::num {
@@ -13,33 +11,6 @@ void check_sizes(std::span<const double> y, std::span<double> y_next) {
 }
 
 }  // namespace
-
-void euler_step(const ode_rhs& f, double t, std::span<const double> y, double h,
-                std::span<double> y_next) {
-  check_sizes(y, y_next);
-  const std::size_t n = y.size();
-  std::vector<double> k(n);
-  f(t, y, k);
-  for (std::size_t i = 0; i < n; ++i) y_next[i] = y[i] + h * k[i];
-}
-
-void heun_step(const ode_rhs& f, double t, std::span<const double> y, double h,
-               std::span<double> y_next) {
-  check_sizes(y, y_next);
-  const std::size_t n = y.size();
-  std::vector<double> k1(n), k2(n), mid(n);
-  f(t, y, k1);
-  for (std::size_t i = 0; i < n; ++i) mid[i] = y[i] + h * k1[i];
-  f(t + h, mid, k2);
-  for (std::size_t i = 0; i < n; ++i)
-    y_next[i] = y[i] + 0.5 * h * (k1[i] + k2[i]);
-}
-
-void rk4_step(const ode_rhs& f, double t, std::span<const double> y, double h,
-              std::span<double> y_next) {
-  rk4_scratch scratch;
-  rk4_step(f, t, y, h, y_next, scratch);
-}
 
 void rk4_scratch::prepare(std::size_t n) {
   k1.resize(n);
@@ -70,128 +41,21 @@ void rk4_step(const ode_rhs& f, double t, std::span<const double> y, double h,
     y_next[i] = y[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
 }
 
-ode_trajectory integrate_fixed(const ode_rhs& f, double t0,
-                               std::span<const double> y0, double t1,
-                               std::size_t n_steps, ode_scheme scheme,
-                               std::size_t record_every) {
-  if (!(t1 > t0)) throw std::invalid_argument("integrate_fixed: t1 must exceed t0");
-  if (n_steps == 0) throw std::invalid_argument("integrate_fixed: n_steps == 0");
-  if (record_every == 0) record_every = 1;
-
-  const double h = (t1 - t0) / static_cast<double>(n_steps);
-  std::vector<double> y(y0.begin(), y0.end());
-  std::vector<double> y_next(y.size());
-
-  ode_trajectory traj;
-  traj.times.push_back(t0);
-  traj.states.push_back(y);
-
-  for (std::size_t s = 0; s < n_steps; ++s) {
-    const double t = t0 + static_cast<double>(s) * h;
-    switch (scheme) {
-      case ode_scheme::euler: euler_step(f, t, y, h, y_next); break;
-      case ode_scheme::heun: heun_step(f, t, y, h, y_next); break;
-      case ode_scheme::rk4: rk4_step(f, t, y, h, y_next); break;
-    }
-    y.swap(y_next);
-    if ((s + 1) % record_every == 0 || s + 1 == n_steps) {
-      traj.times.push_back(t0 + static_cast<double>(s + 1) * h);
-      traj.states.push_back(y);
-    }
-  }
-  return traj;
-}
-
-adaptive_result integrate_rkf45(const ode_rhs& f, double t0,
-                                std::span<const double> y0, double t1,
-                                double atol, double rtol, double h_min) {
-  if (!(t1 > t0)) throw std::invalid_argument("integrate_rkf45: t1 must exceed t0");
-  const std::size_t n = y0.size();
-
-  // Fehlberg coefficients.
-  constexpr double a2 = 1.0 / 4, a3 = 3.0 / 8, a4 = 12.0 / 13, a5 = 1.0,
-                   a6 = 1.0 / 2;
-  constexpr double b21 = 1.0 / 4;
-  constexpr double b31 = 3.0 / 32, b32 = 9.0 / 32;
-  constexpr double b41 = 1932.0 / 2197, b42 = -7200.0 / 2197, b43 = 7296.0 / 2197;
-  constexpr double b51 = 439.0 / 216, b52 = -8.0, b53 = 3680.0 / 513,
-                   b54 = -845.0 / 4104;
-  constexpr double b61 = -8.0 / 27, b62 = 2.0, b63 = -3544.0 / 2565,
-                   b64 = 1859.0 / 4104, b65 = -11.0 / 40;
-  // 5th-order solution weights.
-  constexpr double c1 = 16.0 / 135, c3 = 6656.0 / 12825, c4 = 28561.0 / 56430,
-                   c5 = -9.0 / 50, c6 = 2.0 / 55;
-  // 4th-order solution weights (for the error estimate).
-  constexpr double d1 = 25.0 / 216, d3 = 1408.0 / 2565, d4 = 2197.0 / 4104,
-                   d5 = -1.0 / 5;
-
-  std::vector<double> y(y0.begin(), y0.end());
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), k5(n), k6(n), tmp(n), y5(n);
-
-  adaptive_result res;
-  double t = t0;
-  double h = (t1 - t0) / 16.0;
-
-  while (t < t1) {
-    h = std::min(h, t1 - t);
-    f(t, y, k1);
-    for (std::size_t i = 0; i < n; ++i) tmp[i] = y[i] + h * b21 * k1[i];
-    f(t + a2 * h, tmp, k2);
-    for (std::size_t i = 0; i < n; ++i)
-      tmp[i] = y[i] + h * (b31 * k1[i] + b32 * k2[i]);
-    f(t + a3 * h, tmp, k3);
-    for (std::size_t i = 0; i < n; ++i)
-      tmp[i] = y[i] + h * (b41 * k1[i] + b42 * k2[i] + b43 * k3[i]);
-    f(t + a4 * h, tmp, k4);
-    for (std::size_t i = 0; i < n; ++i)
-      tmp[i] = y[i] + h * (b51 * k1[i] + b52 * k2[i] + b53 * k3[i] + b54 * k4[i]);
-    f(t + a5 * h, tmp, k5);
-    for (std::size_t i = 0; i < n; ++i)
-      tmp[i] = y[i] + h * (b61 * k1[i] + b62 * k2[i] + b63 * k3[i] +
-                           b64 * k4[i] + b65 * k5[i]);
-    f(t + a6 * h, tmp, k6);
-
-    double err_norm = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      y5[i] = y[i] + h * (c1 * k1[i] + c3 * k3[i] + c4 * k4[i] + c5 * k5[i] +
-                          c6 * k6[i]);
-      const double y4 =
-          y[i] + h * (d1 * k1[i] + d3 * k3[i] + d4 * k4[i] + d5 * k5[i]);
-      const double scale = atol + rtol * std::max(std::abs(y[i]), std::abs(y5[i]));
-      const double e = (y5[i] - y4) / scale;
-      err_norm = std::max(err_norm, std::abs(e));
-    }
-
-    if (err_norm <= 1.0) {
-      t += h;
-      y.swap(y5);
-      ++res.steps_taken;
-    } else {
-      ++res.steps_rejected;
-    }
-
-    const double safety = 0.9;
-    const double factor =
-        (err_norm > 0.0) ? safety * std::pow(err_norm, -0.2) : 4.0;
-    h *= std::clamp(factor, 0.1, 4.0);
-    if (h < h_min)
-      throw std::runtime_error("integrate_rkf45: step size underflow");
-  }
-
-  res.y = std::move(y);
-  return res;
-}
-
 double integrate_scalar(const std::function<double(double, double)>& f,
                         double t0, double y0, double t1, std::size_t n_steps) {
   const ode_rhs rhs = [&f](double t, std::span<const double> y,
                            std::span<double> dydt) {
     dydt[0] = f(t, y[0]);
   };
-  const double y0v[1] = {y0};
-  return integrate_fixed(rhs, t0, y0v, t1, n_steps, ode_scheme::rk4,
-                         n_steps)  // record only the final state
-      .final_state()[0];
+  const double h = (t1 - t0) / static_cast<double>(n_steps);
+  std::vector<double> y{y0};
+  std::vector<double> y_next(1);
+  rk4_scratch scratch;
+  for (std::size_t s = 0; s < n_steps; ++s) {
+    rk4_step(rhs, t0 + static_cast<double>(s) * h, y, h, y_next, scratch);
+    y.swap(y_next);
+  }
+  return y[0];
 }
 
 }  // namespace dlm::num

@@ -17,19 +17,6 @@ namespace dlm::num {
 using ode_rhs =
     std::function<void(double t, std::span<const double> y, std::span<double> dydt)>;
 
-/// One explicit Euler step from (t, y) with step h; writes the result into
-/// `y_next` (may not alias y).
-void euler_step(const ode_rhs& f, double t, std::span<const double> y, double h,
-                std::span<double> y_next);
-
-/// One Heun (explicit trapezoid, 2nd order) step.
-void heun_step(const ode_rhs& f, double t, std::span<const double> y, double h,
-               std::span<double> y_next);
-
-/// One classical Runge–Kutta 4th-order step.
-void rk4_step(const ode_rhs& f, double t, std::span<const double> y, double h,
-              std::span<double> y_next);
-
 /// Reusable stage buffers for rk4_step: one allocation per run instead of
 /// five per step when a caller steps the same system repeatedly (the DL
 /// method-of-lines scheme does this thousands of times per solve).
@@ -40,51 +27,12 @@ struct rk4_scratch {
   void prepare(std::size_t n);
 };
 
-/// rk4_step writing its stages into caller-owned scratch — bitwise
-/// identical to the allocating overload, zero allocations once `scratch`
-/// has been prepared at the right size.
+/// One classical Runge–Kutta 4th-order step from (t, y) with step h,
+/// writing its stages into caller-owned scratch: zero allocations once
+/// `scratch` has been prepared at the right size.  `y_next` may not alias
+/// y.
 void rk4_step(const ode_rhs& f, double t, std::span<const double> y, double h,
               std::span<double> y_next, rk4_scratch& scratch);
-
-/// Time-stepping scheme selector for `integrate_fixed`.
-enum class ode_scheme { euler, heun, rk4 };
-
-/// A recorded trajectory: times[k] and the state at that time.
-struct ode_trajectory {
-  std::vector<double> times;
-  std::vector<std::vector<double>> states;
-
-  [[nodiscard]] std::size_t steps() const noexcept { return times.size(); }
-  [[nodiscard]] const std::vector<double>& final_state() const {
-    return states.back();
-  }
-};
-
-/// Integrates y' = f(t,y) from (t0, y0) to t1 with `n_steps` fixed steps of
-/// the chosen scheme, recording every `record_every`-th state (and always
-/// the first and last).  Throws std::invalid_argument for t1 <= t0 or
-/// n_steps == 0.
-[[nodiscard]] ode_trajectory integrate_fixed(const ode_rhs& f, double t0,
-                                             std::span<const double> y0,
-                                             double t1, std::size_t n_steps,
-                                             ode_scheme scheme = ode_scheme::rk4,
-                                             std::size_t record_every = 1);
-
-/// Result of adaptive integration.
-struct adaptive_result {
-  std::vector<double> y;        ///< state at t1
-  std::size_t steps_taken = 0;  ///< accepted steps
-  std::size_t steps_rejected = 0;
-};
-
-/// Adaptive Runge–Kutta–Fehlberg 4(5) from (t0,y0) to t1 with per-component
-/// absolute tolerance `atol` and relative tolerance `rtol`.
-/// Throws std::runtime_error if the step size collapses below `h_min`.
-[[nodiscard]] adaptive_result integrate_rkf45(const ode_rhs& f, double t0,
-                                              std::span<const double> y0,
-                                              double t1, double atol = 1e-8,
-                                              double rtol = 1e-8,
-                                              double h_min = 1e-12);
 
 /// Convenience: integrates a scalar ODE y' = f(t, y) with RK4 and returns
 /// y(t1).

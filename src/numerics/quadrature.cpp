@@ -4,14 +4,6 @@
 
 namespace dlm::num {
 
-double trapezoid_uniform(std::span<const double> y, double dx) {
-  if (y.size() < 2)
-    throw std::invalid_argument("trapezoid_uniform: need >= 2 samples");
-  double acc = 0.5 * (y.front() + y.back());
-  for (std::size_t i = 1; i + 1 < y.size(); ++i) acc += y[i];
-  return acc * dx;
-}
-
 double trapezoid(std::span<const double> x, std::span<const double> y) {
   if (x.size() != y.size())
     throw std::invalid_argument("trapezoid: x/y size mismatch");

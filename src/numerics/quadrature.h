@@ -10,10 +10,6 @@
 
 namespace dlm::num {
 
-/// Composite trapezoid rule over samples y at uniformly spaced abscissae
-/// with spacing `dx`.  Requires y.size() >= 2.
-[[nodiscard]] double trapezoid_uniform(std::span<const double> y, double dx);
-
 /// Composite trapezoid rule over samples (x[i], y[i]) with arbitrary
 /// (strictly increasing) abscissae.
 [[nodiscard]] double trapezoid(std::span<const double> x,

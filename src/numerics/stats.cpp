@@ -1,7 +1,6 @@
 #include "numerics/stats.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -28,16 +27,6 @@ double mean(std::span<const double> xs) {
   return acc / static_cast<double>(xs.size());
 }
 
-double variance(std::span<const double> xs) {
-  if (xs.size() < 2) throw std::invalid_argument("variance: need >= 2 samples");
-  const double m = mean(xs);
-  double acc = 0.0;
-  for (double v : xs) acc += (v - m) * (v - m);
-  return acc / static_cast<double>(xs.size() - 1);
-}
-
-double stddev(std::span<const double> xs) { return std::sqrt(variance(xs)); }
-
 double median(std::span<const double> xs) {
   require_nonempty(xs, "median");
   std::vector<double> sorted(xs.begin(), xs.end());
@@ -59,78 +48,6 @@ double percentile(std::span<const double> xs, double p) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  require_same_size(xs, ys, "pearson");
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-linear_fit fit_line(std::span<const double> xs, std::span<const double> ys) {
-  require_same_size(xs, ys, "fit_line");
-  const double mx = mean(xs);
-  const double my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double dx = xs[i] - mx;
-    const double dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  linear_fit fit;
-  if (sxx == 0.0) {
-    fit.intercept = my;
-    return fit;
-  }
-  fit.slope = sxy / sxx;
-  fit.intercept = my - fit.slope * mx;
-  fit.r_squared = (syy == 0.0) ? 1.0 : (sxy * sxy) / (sxx * syy);
-  return fit;
-}
-
-double rmse(std::span<const double> predicted, std::span<const double> actual) {
-  require_same_size(predicted, actual, "rmse");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    const double e = predicted[i] - actual[i];
-    acc += e * e;
-  }
-  return std::sqrt(acc / static_cast<double>(predicted.size()));
-}
-
-double mae(std::span<const double> predicted, std::span<const double> actual) {
-  require_same_size(predicted, actual, "mae");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < predicted.size(); ++i)
-    acc += std::abs(predicted[i] - actual[i]);
-  return acc / static_cast<double>(predicted.size());
-}
-
-double mape(std::span<const double> predicted, std::span<const double> actual,
-            double floor) {
-  require_same_size(predicted, actual, "mape");
-  double acc = 0.0;
-  std::size_t counted = 0;
-  for (std::size_t i = 0; i < predicted.size(); ++i) {
-    if (std::abs(actual[i]) < floor) continue;
-    acc += std::abs(predicted[i] - actual[i]) / std::abs(actual[i]);
-    ++counted;
-  }
-  if (counted == 0)
-    throw std::invalid_argument("mape: all actual values below floor");
-  return acc / static_cast<double>(counted);
 }
 
 double sse(std::span<const double> predicted, std::span<const double> actual) {

@@ -1,7 +1,5 @@
-// Descriptive statistics and error metrics over samples.
-//
-// The evaluation harness reports the paper's per-cell prediction accuracy
-// plus aggregate error metrics (MAPE/RMSE) over density surfaces.
+// Descriptive statistics over samples: mean, order statistics, the
+// least-squares objective and the extent of a sample.
 #pragma once
 
 #include <cstddef>
@@ -13,44 +11,11 @@ namespace dlm::num {
 /// Arithmetic mean; throws std::invalid_argument on empty input.
 [[nodiscard]] double mean(std::span<const double> xs);
 
-/// Unbiased sample variance (n-1 denominator); requires >= 2 samples.
-[[nodiscard]] double variance(std::span<const double> xs);
-
-/// Sample standard deviation.
-[[nodiscard]] double stddev(std::span<const double> xs);
-
 /// Median (average of the two central order statistics for even n).
 [[nodiscard]] double median(std::span<const double> xs);
 
 /// Linear-interpolated percentile, p in [0, 100].
 [[nodiscard]] double percentile(std::span<const double> xs, double p);
-
-/// Pearson correlation coefficient of two equal-length samples.
-[[nodiscard]] double pearson(std::span<const double> xs,
-                             std::span<const double> ys);
-
-/// Simple linear regression y ≈ slope * x + intercept.
-struct linear_fit {
-  double slope = 0.0;
-  double intercept = 0.0;
-  double r_squared = 0.0;
-};
-[[nodiscard]] linear_fit fit_line(std::span<const double> xs,
-                                  std::span<const double> ys);
-
-/// Root-mean-square error between predictions and observations.
-[[nodiscard]] double rmse(std::span<const double> predicted,
-                          std::span<const double> actual);
-
-/// Mean absolute error.
-[[nodiscard]] double mae(std::span<const double> predicted,
-                         std::span<const double> actual);
-
-/// Mean absolute percentage error in [0, +inf), skipping cells where
-/// |actual| < `floor` to avoid division blow-ups.
-[[nodiscard]] double mape(std::span<const double> predicted,
-                          std::span<const double> actual,
-                          double floor = 1e-12);
 
 /// Sum of squared residuals (the least-squares objective used by fitting).
 [[nodiscard]] double sse(std::span<const double> predicted,

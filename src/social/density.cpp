@@ -30,7 +30,7 @@ density_field::density_field(const social_network& net, story_id story,
 
   const std::size_t cells =
       static_cast<std::size_t>(max_distance_) * static_cast<std::size_t>(horizon_);
-  counts_.assign(cells, 0);
+  std::vector<std::size_t> counts(cells, 0);  // cumulative votes, (x,t)
   density_.assign(cells, 0.0);
 
   // Each vote lands in the snapshot of the hour it happened: hour index
@@ -42,14 +42,14 @@ density_field::density_field(const social_network& net, story_id story,
     const double h = hours_since(submitted, v.time);
     if (h < 0.0) continue;
     const int t = std::min(static_cast<int>(std::floor(h)) + 1, horizon_);
-    ++counts_[index(group, t)];
+    ++counts[index(group, t)];
   }
   // Cumulative over time per distance row.
   for (int x = 1; x <= max_distance_; ++x) {
     std::size_t acc = 0;
     for (int t = 1; t <= horizon_; ++t) {
-      acc += counts_[index(x, t)];
-      counts_[index(x, t)] = acc;
+      acc += counts[index(x, t)];
+      counts[index(x, t)] = acc;
       const std::size_t denom = group_sizes_[static_cast<std::size_t>(x)];
       density_[index(x, t)] =
           denom > 0 ? 100.0 * static_cast<double>(acc) /
@@ -77,21 +77,10 @@ std::vector<double> density_field::series_at_distance(int x) const {
   return out;
 }
 
-std::vector<double> density_field::profile_at_hour(int t) const {
-  std::vector<double> out(static_cast<std::size_t>(max_distance_));
-  for (int x = 1; x <= max_distance_; ++x)
-    out[static_cast<std::size_t>(x - 1)] = at(x, t);
-  return out;
-}
-
 std::size_t density_field::group_size(int x) const {
   if (x < 1 || x > max_distance_)
     throw std::out_of_range("density_field::group_size: bad distance");
   return group_sizes_[static_cast<std::size_t>(x)];
-}
-
-std::size_t density_field::influenced_count(int x, int t) const {
-  return counts_[index(x, t)];
 }
 
 bool density_field::is_monotone() const {

@@ -44,14 +44,8 @@ class density_field {
   /// Time series I(x, ·) for a fixed distance group, hours 1..hours().
   [[nodiscard]] std::vector<double> series_at_distance(int x) const;
 
-  /// Spatial profile I(·, t) for a fixed hour, distances 1..max_distance().
-  [[nodiscard]] std::vector<double> profile_at_hour(int t) const;
-
   /// Members of group x (the density denominator).
   [[nodiscard]] std::size_t group_size(int x) const;
-
-  /// Raw cumulative vote counts per group at hour t.
-  [[nodiscard]] std::size_t influenced_count(int x, int t) const;
 
   /// True if I(x, ·) is non-decreasing for every x — votes are cumulative,
   /// so a correctly built field always satisfies this.
@@ -67,7 +61,6 @@ class density_field {
   int max_distance_ = 0;
   distance_metric metric_ = distance_metric::friendship_hops;
   std::vector<std::size_t> group_sizes_;  ///< index 0 unused (source)
-  std::vector<std::size_t> counts_;       ///< cumulative votes, (x,t) matrix
   std::vector<double> density_;           ///< percentages, (x,t) matrix
 };
 

@@ -71,28 +71,4 @@ distance_partition partition_by_hops(const social_network& net,
   return part;
 }
 
-distance_partition partition_by_interest(const social_network& net,
-                                         user_id source,
-                                         std::size_t n_groups) {
-  const interest_grouping grouping = group_by_interest(net, source, n_groups);
-  distance_partition part;
-  part.metric = distance_metric::shared_interests;
-  part.group_of = grouping.group_of;
-  part.group_of[source] = 0;
-  part.sizes = grouping.sizes;
-  return part;
-}
-
-distance_partition make_partition(const social_network& net, user_id source,
-                                  distance_metric metric, int limit) {
-  switch (metric) {
-    case distance_metric::friendship_hops:
-      return partition_by_hops(net, source, limit);
-    case distance_metric::shared_interests:
-      return partition_by_interest(net, source,
-                                   static_cast<std::size_t>(limit));
-  }
-  throw std::invalid_argument("make_partition: unknown metric");
-}
-
 }  // namespace dlm::social

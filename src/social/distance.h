@@ -56,15 +56,4 @@ struct distance_partition {
                                                    user_id source,
                                                    int max_hops);
 
-/// Shared-interest partition with `n_groups` quantile bins (paper assigns
-/// values 1–5 to five disjoint groups).
-[[nodiscard]] distance_partition partition_by_interest(
-    const social_network& net, user_id source, std::size_t n_groups = 5);
-
-/// Dispatch on `metric`; `limit` is max_hops (hops) or n_groups (interest).
-[[nodiscard]] distance_partition make_partition(const social_network& net,
-                                                user_id source,
-                                                distance_metric metric,
-                                                int limit = 5);
-
 }  // namespace dlm::social

@@ -1,7 +1,6 @@
 #include "social/interest.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace dlm::social {
@@ -26,11 +25,6 @@ double jaccard_distance(std::span<const story_id> a,
   return 1.0 - static_cast<double>(intersection) / static_cast<double>(uni);
 }
 
-double shared_interest_distance(const social_network& net, user_id a,
-                                user_id b) {
-  return jaccard_distance(net.stories_of(a), net.stories_of(b));
-}
-
 std::vector<double> interest_distances_from(const social_network& net,
                                             user_id source) {
   const auto source_stories = net.stories_of(source);
@@ -41,13 +35,6 @@ std::vector<double> interest_distances_from(const social_network& net,
                   : jaccard_distance(source_stories, net.stories_of(u));
   }
   return dist;
-}
-
-interest_grouping group_by_interest_with_edges(const social_network& net,
-                                               user_id source,
-                                               std::vector<double> edges) {
-  return group_distances_with_edges(interest_distances_from(net, source),
-                                    source, std::move(edges));
 }
 
 interest_grouping group_distances_with_edges(std::span<const double> distances,
@@ -81,70 +68,6 @@ interest_grouping group_distances_with_edges(std::span<const double> distances,
     int group = static_cast<int>(n_groups);
     for (std::size_t k = 0; k < n_groups; ++k) {
       if (distances[u] <= edges[k]) {
-        group = static_cast<int>(k + 1);
-        break;
-      }
-    }
-    out.group_of[u] = group;
-    ++out.sizes[static_cast<std::size_t>(group)];
-  }
-  return out;
-}
-
-interest_grouping group_by_interest(const social_network& net, user_id source,
-                                    std::size_t n_groups,
-                                    interest_binning binning) {
-  if (n_groups == 0)
-    throw std::invalid_argument("group_by_interest: n_groups == 0");
-  const std::vector<double> dist = interest_distances_from(net, source);
-
-  interest_grouping out;
-  out.group_of.assign(net.user_count(), 0);
-  out.sizes.assign(n_groups + 1, 0);
-
-  // Collect the distances of everyone but the source.
-  std::vector<double> others;
-  others.reserve(dist.size() - 1);
-  for (user_id u = 0; u < dist.size(); ++u) {
-    if (u != source) others.push_back(dist[u]);
-  }
-  if (others.empty()) return out;
-
-  out.edges.resize(n_groups);
-  if (binning == interest_binning::equal_width) {
-    // Robust range: 0.5th percentile as the lower edge so a single
-    // near-duplicate history does not stretch every bin.
-    std::vector<double> sorted = others;
-    std::sort(sorted.begin(), sorted.end());
-    const double lo = sorted[static_cast<std::size_t>(
-        0.005 * static_cast<double>(sorted.size() - 1))];
-    const double hi = sorted.back();
-    const double width = (hi > lo) ? (hi - lo) / static_cast<double>(n_groups)
-                                   : 1.0;
-    for (std::size_t k = 0; k < n_groups; ++k)
-      out.edges[k] = lo + width * static_cast<double>(k + 1);
-  } else {
-    std::vector<double> sorted = others;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t k = 0; k < n_groups; ++k) {
-      const double q = static_cast<double>(k + 1) / static_cast<double>(n_groups);
-      const auto idx = static_cast<std::size_t>(
-          std::ceil(q * static_cast<double>(sorted.size())) - 1);
-      out.edges[k] = sorted[std::min(idx, sorted.size() - 1)];
-    }
-  }
-  // Guarantee the last edge swallows the maximum (floating-point safety).
-  out.edges.back() = std::max(out.edges.back(), 1.0);
-
-  for (user_id u = 0; u < dist.size(); ++u) {
-    if (u == source) {
-      out.group_of[u] = 0;
-      ++out.sizes[0];
-      continue;
-    }
-    int group = static_cast<int>(n_groups);
-    for (std::size_t k = 0; k < n_groups; ++k) {
-      if (dist[u] <= out.edges[k]) {
         group = static_cast<int>(k + 1);
         break;
       }

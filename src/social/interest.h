@@ -24,10 +24,6 @@ namespace dlm::social {
 [[nodiscard]] double jaccard_distance(std::span<const story_id> a,
                                       std::span<const story_id> b);
 
-/// Shared-interest distance between two users of `net`.
-[[nodiscard]] double shared_interest_distance(const social_network& net,
-                                              user_id a, user_id b);
-
 /// Shared-interest distance from `source` to every user (vector indexed by
 /// user id; distance to self is 0).
 [[nodiscard]] std::vector<double> interest_distances_from(
@@ -43,31 +39,12 @@ struct interest_grouping {
   std::vector<std::size_t> sizes;
 };
 
-/// How bin edges are chosen when grouping continuous interest distances.
-enum class interest_binning {
-  equal_width,  ///< uniform bins over [min, max] of observed distances
-  quantile,     ///< equal-population bins (the paper's "disjoint groups")
-};
-
-/// Groups every user (except the source) into `n_groups` interest-distance
-/// bins, group 1 = most-shared interests, matching the paper's assignment
-/// of values 1–5 to "five disjoint groups based on their interest ranges"
-/// (equal-width ranges; near groups are naturally small because most users
-/// share little content with the initiator).  Users who voted nothing sit
-/// at distance 1 and land in the outermost group.
-[[nodiscard]] interest_grouping group_by_interest(
-    const social_network& net, user_id source, std::size_t n_groups = 5,
-    interest_binning binning = interest_binning::equal_width);
-
-/// Groups by explicit right bin edges (ascending; the last edge is raised
-/// to cover the maximum distance).  Used when the caller calibrates the
-/// edges itself — e.g. the dataset synthesizer, which picks edges so the
-/// two distance metrics' vote totals are consistent (the paper leaves the
+/// Groups every user but `source` by explicit right bin edges over
+/// precomputed interest `distances` (ascending edges; the last edge is
+/// raised to cover the maximum distance), group 1 = most-shared
+/// interests.  The dataset synthesizer picks the edges so the two
+/// distance metrics' vote totals are consistent (the paper leaves the
 /// choice of "interest ranges" open).
-[[nodiscard]] interest_grouping group_by_interest_with_edges(
-    const social_network& net, user_id source, std::vector<double> edges);
-
-/// Precomputed-distance variant of `group_by_interest_with_edges`.
 [[nodiscard]] interest_grouping group_distances_with_edges(
     std::span<const double> distances, user_id source,
     std::vector<double> edges);

@@ -71,19 +71,6 @@ std::optional<story_info> social_network::info(story_id story) const {
   return meta;
 }
 
-std::vector<story_info> social_network::top_stories(std::size_t limit) const {
-  std::vector<story_info> all;
-  all.reserve(story_count_);
-  for (story_id s = 0; s < story_count_; ++s) {
-    if (auto meta = info(s)) all.push_back(std::move(*meta));
-  }
-  std::sort(all.begin(), all.end(), [](const story_info& a, const story_info& b) {
-    return a.vote_count > b.vote_count;
-  });
-  if (all.size() > limit) all.resize(limit);
-  return all;
-}
-
 social_network_builder::social_network_builder(graph::digraph followers,
                                                std::size_t n_stories)
     : graph_(std::move(followers)), n_stories_(n_stories) {}

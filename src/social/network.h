@@ -47,9 +47,6 @@ class social_network {
   /// story received no votes.
   [[nodiscard]] std::optional<story_info> info(story_id story) const;
 
-  /// Stories sorted by vote count descending ("front page" order).
-  [[nodiscard]] std::vector<story_info> top_stories(std::size_t limit) const;
-
  private:
   graph::digraph graph_;
   std::size_t story_count_;

@@ -79,24 +79,4 @@ TEST(Bfs, BadSourceThrows) {
   EXPECT_THROW((void)bfs_distances(g, 5), std::out_of_range);
 }
 
-TEST(NodesByDistance, GroupsCorrectly) {
-  digraph_builder b(6);
-  b.add_edge(0, 1);
-  b.add_edge(0, 2);
-  b.add_edge(1, 3);
-  b.add_edge(2, 4);
-  // node 5 unreachable
-  const auto groups = nodes_by_distance(b.build(), 0);
-  ASSERT_EQ(groups.size(), 3u);
-  EXPECT_EQ(groups[0], std::vector<node_id>{0});
-  EXPECT_EQ(groups[1], (std::vector<node_id>{1, 2}));
-  EXPECT_EQ(groups[2], (std::vector<node_id>{3, 4}));
-}
-
-TEST(Eccentricity, PathAndIsolated) {
-  const digraph g = path_graph(5);
-  EXPECT_EQ(eccentricity(g, 0), 4u);
-  EXPECT_EQ(eccentricity(g, 4), 0u);  // nothing reachable forward
-}
-
 }  // namespace

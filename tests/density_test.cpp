@@ -45,16 +45,7 @@ TEST(DensityField, CumulativePercentages) {
   EXPECT_DOUBLE_EQ(field.at(2, 3), 50.0);   // 1 of 2 by hour 3
 }
 
-TEST(DensityField, InfluencedCounts) {
-  const social_network net = voted_net();
-  const distance_partition part = partition_by_hops(net, 0);
-  const density_field field(net, 0, part, 4);
-  EXPECT_EQ(field.influenced_count(1, 1), 1u);
-  EXPECT_EQ(field.influenced_count(1, 4), 2u);
-  EXPECT_EQ(field.influenced_count(2, 4), 1u);
-}
-
-TEST(DensityField, SeriesAndProfiles) {
+TEST(DensityField, SeriesAtDistance) {
   const social_network net = voted_net();
   const distance_partition part = partition_by_hops(net, 0);
   const density_field field(net, 0, part, 4);
@@ -63,11 +54,6 @@ TEST(DensityField, SeriesAndProfiles) {
   ASSERT_EQ(series.size(), 4u);
   EXPECT_DOUBLE_EQ(series[0], 25.0);
   EXPECT_DOUBLE_EQ(series[3], 50.0);
-
-  const std::vector<double> profile = field.profile_at_hour(3);
-  ASSERT_EQ(profile.size(), 2u);
-  EXPECT_DOUBLE_EQ(profile[0], 50.0);
-  EXPECT_DOUBLE_EQ(profile[1], 50.0);
 }
 
 TEST(DensityField, AlwaysMonotone) {

@@ -70,35 +70,6 @@ TEST(GroupFractions, SumToOneOverReachable) {
   EXPECT_NEAR(frac[1], 1.0 / 3.0, 1e-12);
 }
 
-TEST(PartitionByInterest, GroupsEveryVoter) {
-  social_network_builder b(chain_graph(), 4);
-  b.add_vote(0, 0, 1);
-  b.add_vote(0, 1, 2);
-  b.add_vote(1, 0, 3);
-  b.add_vote(1, 1, 4);
-  b.add_vote(2, 2, 5);
-  b.add_vote(3, 3, 6);
-  const social_network net = b.build();
-  const distance_partition part = partition_by_interest(net, 0, 3);
-  EXPECT_EQ(part.metric, distance_metric::shared_interests);
-  EXPECT_EQ(part.group_of[0], 0);
-  std::size_t grouped = 0;
-  for (std::size_t x = 1; x < part.sizes.size(); ++x) grouped += part.sizes[x];
-  EXPECT_EQ(grouped, net.user_count() - 1);
-  // u1 shares everything with the source; u3 shares nothing.
-  EXPECT_LT(part.group_of[1], part.group_of[3]);
-}
-
-TEST(MakePartition, DispatchesOnMetric) {
-  const social_network net = chain_net();
-  const distance_partition hops =
-      make_partition(net, 0, distance_metric::friendship_hops, 5);
-  EXPECT_EQ(hops.metric, distance_metric::friendship_hops);
-  const distance_partition interest =
-      make_partition(net, 0, distance_metric::shared_interests, 3);
-  EXPECT_EQ(interest.metric, distance_metric::shared_interests);
-}
-
 TEST(DistanceMetric, ToString) {
   EXPECT_EQ(to_string(distance_metric::friendship_hops), "friendship-hops");
   EXPECT_EQ(to_string(distance_metric::shared_interests), "shared-interests");

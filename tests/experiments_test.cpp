@@ -154,22 +154,4 @@ TEST(Ablations, DlBeatsSingleMechanismBaselines) {
   EXPECT_GE(result.dl_overall, result.logistic_overall - 0.05);
 }
 
-TEST(Ablations, SchemesAgreeOnAccuracy) {
-  const auto rows = run_scheme_ablation(ctx(), 0);
-  ASSERT_EQ(rows.size(), 4u);
-  for (const auto& row : rows) {
-    EXPECT_NEAR(row.overall_accuracy, rows.front().overall_accuracy, 0.02)
-        << dlm::core::to_string(row.scheme);
-    EXPECT_LT(row.deviation_vs_reference, 0.2);
-  }
-}
-
-TEST(Ablations, ResolutionConverges) {
-  const auto rows = run_resolution_ablation();
-  ASSERT_GE(rows.size(), 3u);
-  // Deviation shrinks as the grid refines.
-  EXPECT_LT(rows.back().deviation, rows.front().deviation);
-  EXPECT_LT(rows.back().deviation, 0.01);
-}
-
 }  // namespace

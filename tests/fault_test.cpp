@@ -413,19 +413,22 @@ TEST(Supervisor, FailFastKillsTheSiblingsWholeProcessGroup) {
       << "helper " << helper << " outlived its fail-fast-killed worker";
 }
 
-TEST(Supervisor, SigtermIsForwardedToTheWorkerGroupsThenReRaised) {
+TEST(Supervisor, SigtermIsForwardedToTheWorkerGroupsThenReported) {
   const subreaper_scope reaper;
   const std::filesystem::path pid_file = temp_path("sigterm_helper.pid");
   std::filesystem::remove(pid_file);
   // A driver process supervising one helper-forking worker, as dl_shard
-  // does; SIGTERM it once the helper is running.
+  // does; SIGTERM it once the helper is running.  supervise reports the
+  // signal and the driver re-raises it, as dl_shard does after cleanup.
   const pid_t driver = ::fork();
   ASSERT_GE(driver, 0);
   if (driver == 0) {
     const std::vector<engine::worker_command> commands = {
         sh(forks_helper(pid_file), "worker 0/1")};
-    (void)engine::supervise(commands, engine::supervisor_options{});
-    ::_exit(0);  // reached only if the re-raised SIGTERM did not end us
+    const engine::supervision_report report =
+        engine::supervise(commands, engine::supervisor_options{});
+    if (report.interrupted_by == SIGTERM) ::raise(SIGTERM);
+    ::_exit(0);  // reached only if the SIGTERM was not reported
   }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -824,6 +827,44 @@ TEST(ShardFaultDrill, TornJournalWriteFailsTheWorkerAndRetrySucceeds) {
   std::filesystem::remove(out_csv);
   std::filesystem::remove(cache);
   std::filesystem::remove(engine::cache_journal_path(cache));
+}
+
+TEST(ShardFaultDrill, SigtermLeavesNoShardTempFiles) {
+  const std::filesystem::path dir = temp_path("sigterm_drill");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string csv = (dir / "x.csv").string();
+  const std::string cache = (dir / "x.cache").string();
+  // Worker 0 hangs; worker 1 finishes and leaves its shard files behind
+  // for the merge that the SIGTERM pre-empts.
+  const pid_t driver = ::fork();
+  ASSERT_GE(driver, 0);
+  if (driver == 0) {
+    ::execl(DLM_SHARD_BIN, DLM_SHARD_BIN, "--shards", "2", "--csv",
+            csv.c_str(), "--cache-file", cache.c_str(), "--journal",
+            "--bench-rates", "4", "--fault", "hang:worker0@chunk0",
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!(std::filesystem::exists(csv + ".shard1") &&
+           std::filesystem::exists(cache + ".shard1")) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_TRUE(std::filesystem::exists(csv + ".shard1"))
+      << "worker 1 never wrote its shard CSV";
+  ::kill(driver, SIGTERM);
+  int status = 0;
+  ASSERT_EQ(::waitpid(driver, &status, 0), driver);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGTERM)
+      << "driver wait status " << status;
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    left.push_back(entry.path().filename().string());
+  EXPECT_TRUE(left.empty())
+      << "left behind: " << ::testing::PrintToString(left);
+  std::filesystem::remove_all(dir);
 }
 
 #endif  // DLM_SHARD_BIN

@@ -11,62 +11,6 @@ namespace {
 using namespace dlm::graph;
 using dlm::num::rng;
 
-TEST(ErdosRenyi, EdgeProbabilityExtremes) {
-  rng r(1);
-  EXPECT_EQ(erdos_renyi(10, 0.0, r).edge_count(), 0u);
-  EXPECT_EQ(erdos_renyi(10, 1.0, r).edge_count(), 90u);
-  EXPECT_THROW((void)erdos_renyi(5, 1.5, r), std::invalid_argument);
-}
-
-TEST(ErdosRenyi, EdgeCountNearExpectation) {
-  rng r(2);
-  const digraph g = erdos_renyi(100, 0.05, r);
-  const double expected = 100.0 * 99.0 * 0.05;
-  EXPECT_NEAR(static_cast<double>(g.edge_count()), expected, 80.0);
-}
-
-TEST(ErdosRenyiM, ExactEdgeCount) {
-  rng r(3);
-  const digraph g = erdos_renyi_m(50, 200, r);
-  EXPECT_EQ(g.edge_count(), 200u);
-  EXPECT_THROW((void)erdos_renyi_m(3, 100, r), std::invalid_argument);
-}
-
-TEST(BarabasiAlbert, StructureAndHeavyTail) {
-  rng r(4);
-  const digraph g = barabasi_albert(2000, 3, r);
-  EXPECT_EQ(g.node_count(), 2000u);
-  // Every non-kernel node adds exactly `attach` out-edges.
-  EXPECT_GE(g.edge_count(), (2000u - 4u) * 3u);
-  // Heavy tail: the max total degree far exceeds the mean.
-  std::size_t max_deg = 0;
-  for (node_id v = 0; v < g.node_count(); ++v)
-    max_deg = std::max(max_deg, g.in_degree(v) + g.out_degree(v));
-  const double mean_deg =
-      2.0 * static_cast<double>(g.edge_count()) / 2000.0;
-  EXPECT_GT(static_cast<double>(max_deg), 5.0 * mean_deg);
-  EXPECT_THROW((void)barabasi_albert(3, 3, r), std::invalid_argument);
-  EXPECT_THROW((void)barabasi_albert(10, 0, r), std::invalid_argument);
-}
-
-TEST(WattsStrogatz, RingWithoutRewiring) {
-  rng r(5);
-  const digraph g = watts_strogatz(20, 2, 0.0, r);
-  // Ring: every node linked to 2 neighbours per side, bidirectional.
-  EXPECT_EQ(g.edge_count(), 20u * 2u * 2u);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 0));
-  EXPECT_TRUE(g.has_edge(0, 19));
-  EXPECT_THROW((void)watts_strogatz(4, 2, 0.0, r), std::invalid_argument);
-  EXPECT_THROW((void)watts_strogatz(20, 2, 1.5, r), std::invalid_argument);
-}
-
-TEST(WattsStrogatz, RewiringKeepsEdgeCount) {
-  rng r(6);
-  const digraph g = watts_strogatz(100, 3, 0.3, r);
-  EXPECT_EQ(g.edge_count(), 100u * 3u * 2u);
-}
-
 TEST(DiggGraph, Determinism) {
   digg_graph_params params;
   params.users = 3000;

@@ -6,106 +6,24 @@
 
 namespace {
 
-using dlm::num::integrate_fixed;
-using dlm::num::integrate_rkf45;
 using dlm::num::integrate_scalar;
 using dlm::num::ode_rhs;
-using dlm::num::ode_scheme;
 
 const ode_rhs exponential_decay = [](double, std::span<const double> y,
                                      std::span<double> dydt) {
   dydt[0] = -y[0];
 };
 
-// Harmonic oscillator: y0' = y1, y1' = -y0.
-const ode_rhs oscillator = [](double, std::span<const double> y,
-                              std::span<double> dydt) {
-  dydt[0] = y[1];
-  dydt[1] = -y[0];
-};
-
-TEST(IntegrateFixed, ExponentialDecayRk4) {
-  const double y0[1] = {1.0};
-  const auto traj = integrate_fixed(exponential_decay, 0.0, y0, 1.0, 100);
-  EXPECT_NEAR(traj.final_state()[0], std::exp(-1.0), 1e-8);
-}
-
-TEST(IntegrateFixed, RecordsRequestedStates) {
-  const double y0[1] = {1.0};
-  const auto traj =
-      integrate_fixed(exponential_decay, 0.0, y0, 1.0, 10, ode_scheme::rk4, 2);
-  // initial + every 2nd step (5 records; step 10 is also the last).
-  EXPECT_EQ(traj.steps(), 6u);
-  EXPECT_DOUBLE_EQ(traj.times.front(), 0.0);
-  EXPECT_DOUBLE_EQ(traj.times.back(), 1.0);
-}
-
-TEST(IntegrateFixed, InvalidArgumentsThrow) {
-  const double y0[1] = {1.0};
-  EXPECT_THROW((void)integrate_fixed(exponential_decay, 1.0, y0, 0.5, 10),
-               std::invalid_argument);
-  EXPECT_THROW((void)integrate_fixed(exponential_decay, 0.0, y0, 1.0, 0),
-               std::invalid_argument);
-}
-
-TEST(IntegrateFixed, OscillatorConservesEnergyApproximately) {
-  const double y0[2] = {1.0, 0.0};
-  const auto traj =
-      integrate_fixed(oscillator, 0.0, y0, 20.0, 20000, ode_scheme::rk4, 20000);
-  const auto& yf = traj.final_state();
-  const double energy = yf[0] * yf[0] + yf[1] * yf[1];
-  EXPECT_NEAR(energy, 1.0, 1e-6);
-  EXPECT_NEAR(yf[0], std::cos(20.0), 1e-5);
-}
-
-// Order-of-convergence property: halving h divides the error by ~2^order.
-class SchemeOrder
-    : public ::testing::TestWithParam<std::pair<ode_scheme, double>> {};
-
-TEST_P(SchemeOrder, ObservedOrderMatches) {
-  const auto [scheme, expected_order] = GetParam();
-  const double y0[1] = {1.0};
-  const auto error_with = [&](std::size_t steps) {
-    const auto traj =
-        integrate_fixed(exponential_decay, 0.0, y0, 1.0, steps, scheme, steps);
-    return std::abs(traj.final_state()[0] - std::exp(-1.0));
+// Order-of-convergence property: halving h divides the error by ~2^4.
+TEST(Rk4, ObservedOrderIsFour) {
+  const auto error_with = [](std::size_t steps) {
+    const double y1 = integrate_scalar([](double, double y) { return -y; },
+                                       0.0, 1.0, 1.0, steps);
+    return std::abs(y1 - std::exp(-1.0));
   };
   const double e1 = error_with(40);
   const double e2 = error_with(80);
-  const double observed = std::log2(e1 / e2);
-  EXPECT_NEAR(observed, expected_order, 0.35)
-      << "e1=" << e1 << " e2=" << e2;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemes, SchemeOrder,
-    ::testing::Values(std::pair{ode_scheme::euler, 1.0},
-                      std::pair{ode_scheme::heun, 2.0},
-                      std::pair{ode_scheme::rk4, 4.0}));
-
-TEST(IntegrateRkf45, MeetsTolerance) {
-  const double y0[1] = {1.0};
-  const auto res = integrate_rkf45(exponential_decay, 0.0, y0, 2.0, 1e-10, 1e-10);
-  EXPECT_NEAR(res.y[0], std::exp(-2.0), 1e-8);
-  EXPECT_GT(res.steps_taken, 0u);
-}
-
-TEST(IntegrateRkf45, AdaptsToStiffness) {
-  // Fast transient then slow decay: λ switches from -50 to -0.1.
-  const ode_rhs stiff = [](double t, std::span<const double> y,
-                           std::span<double> dydt) {
-    dydt[0] = (t < 0.1 ? -50.0 : -0.1) * y[0];
-  };
-  const double y0[1] = {1.0};
-  const auto res = integrate_rkf45(stiff, 0.0, y0, 1.0, 1e-9, 1e-9);
-  const double exact = std::exp(-50.0 * 0.1) * std::exp(-0.1 * 0.9);
-  EXPECT_NEAR(res.y[0], exact, 1e-5);
-}
-
-TEST(IntegrateRkf45, InvalidRangeThrows) {
-  const double y0[1] = {1.0};
-  EXPECT_THROW((void)integrate_rkf45(exponential_decay, 1.0, y0, 1.0),
-               std::invalid_argument);
+  EXPECT_NEAR(std::log2(e1 / e2), 4.0, 0.35) << "e1=" << e1 << " e2=" << e2;
 }
 
 TEST(IntegrateScalar, LogisticOde) {
@@ -118,8 +36,10 @@ TEST(IntegrateScalar, LogisticOde) {
 TEST(StepFunctions, SizeMismatchThrows) {
   std::vector<double> y{1.0};
   std::vector<double> out(2);
-  EXPECT_THROW(dlm::num::euler_step(exponential_decay, 0.0, y, 0.1, out),
-               std::invalid_argument);
+  dlm::num::rk4_scratch scratch;
+  EXPECT_THROW(
+      dlm::num::rk4_step(exponential_decay, 0.0, y, 0.1, out, scratch),
+      std::invalid_argument);
 }
 
 }  // namespace

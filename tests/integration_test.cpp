@@ -1,15 +1,14 @@
 // Cross-module integration: the full paper pipeline end to end.
 //
-//   synthesize dataset → persist/reload CSV → rebuild density surfaces →
-//   construct φ from hour 1 → solve the DL equation → verify accuracy and
-//   the §II.C properties on the result.
+//   synthesize dataset → density surfaces → construct φ from hour 1 →
+//   solve the DL equation → verify accuracy and the §II.C properties on
+//   the result.
 
 #include <gtest/gtest.h>
 
 #include "core/accuracy.h"
 #include "core/dl_model.h"
 #include "core/properties.h"
-#include "digg/dataset.h"
 #include "digg/simulator.h"
 #include "eval/experiments.h"
 #include "social/density.h"
@@ -17,24 +16,6 @@
 namespace {
 
 using namespace dlm;
-
-TEST(Integration, DatasetSurvivesDiskRoundTripBitExactly) {
-  const digg::digg_dataset data =
-      digg::make_dataset(digg::test_scale_scenario());
-  const std::string dir = ::testing::TempDir() + "/dlm_integration_dataset";
-  digg::save_dataset(dir, data.network);
-  const social::social_network loaded = digg::load_dataset(dir);
-
-  // Density surfaces computed from the reloaded network are identical.
-  const social::density_field before(data.network, data.flagship_ids[0],
-                                     data.hop_partitions[0], 50);
-  const social::density_field after(loaded, data.flagship_ids[0],
-                                    data.hop_partitions[0], 50);
-  for (int x = 1; x <= before.max_distance(); ++x) {
-    for (int t = 1; t <= 50; t += 7)
-      EXPECT_DOUBLE_EQ(before.at(x, t), after.at(x, t));
-  }
-}
 
 TEST(Integration, FullPredictionPipeline) {
   const eval::experiment_context ctx =

@@ -48,14 +48,6 @@ TEST(Jaccard, EmptyHistoriesAreMaximallyDistant) {
   EXPECT_DOUBLE_EQ(jaccard_distance(a, b), 1.0);
 }
 
-TEST(SharedInterestDistance, OverNetwork) {
-  const social_network net = history_net();
-  EXPECT_DOUBLE_EQ(shared_interest_distance(net, 0, 1), 0.0);
-  // u0 {0,1,2} vs u2 {0,5}: ∩=1, ∪=4.
-  EXPECT_NEAR(shared_interest_distance(net, 0, 2), 0.75, 1e-12);
-  EXPECT_DOUBLE_EQ(shared_interest_distance(net, 0, 3), 1.0);
-}
-
 TEST(InterestDistancesFrom, SelfIsZero) {
   const social_network net = history_net();
   const std::vector<double> dist = interest_distances_from(net, 0);
@@ -65,44 +57,22 @@ TEST(InterestDistancesFrom, SelfIsZero) {
   EXPECT_DOUBLE_EQ(dist[3], 1.0);
 }
 
-TEST(GroupByInterest, SizesCoverEveryone) {
-  const social_network net = history_net();
-  const interest_grouping grouping = group_by_interest(net, 0, 3);
-  std::size_t total = 0;
-  for (std::size_t g = 0; g < grouping.sizes.size(); ++g)
-    total += grouping.sizes[g];
-  EXPECT_EQ(total, net.user_count());
-  EXPECT_EQ(grouping.group_of[0], 0);  // the source
-  EXPECT_EQ(grouping.sizes[0], 1u);
-}
-
-TEST(GroupByInterest, NearUsersGetLowerGroups) {
-  const social_network net = history_net();
-  const interest_grouping grouping = group_by_interest(net, 0, 3);
-  EXPECT_LT(grouping.group_of[1], grouping.group_of[3]);
-}
-
-TEST(GroupByInterest, ZeroGroupsThrows) {
-  const social_network net = history_net();
-  EXPECT_THROW((void)group_by_interest(net, 0, 0), std::invalid_argument);
-}
-
 TEST(GroupWithEdges, ExplicitEdgesRespected) {
-  const social_network net = history_net();
+  const std::vector<double> dist = interest_distances_from(history_net(), 0);
   const interest_grouping grouping =
-      group_by_interest_with_edges(net, 0, {0.1, 0.8, 1.0});
+      group_distances_with_edges(dist, 0, {0.1, 0.8, 1.0});
   EXPECT_EQ(grouping.group_of[1], 1);  // distance 0 ≤ 0.1
   EXPECT_EQ(grouping.group_of[2], 2);  // 0.75 ≤ 0.8
   EXPECT_EQ(grouping.group_of[3], 3);  // 1.0
 }
 
 TEST(GroupWithEdges, LastEdgeRaisedToCoverMax) {
-  const social_network net = history_net();
+  const std::vector<double> dist = interest_distances_from(history_net(), 0);
   // Max distance is 1.0 but the last edge is 0.5: it must be raised so
   // every user lands in a group.
   const interest_grouping grouping =
-      group_by_interest_with_edges(net, 0, {0.2, 0.5});
-  for (user_id u = 0; u < net.user_count(); ++u) {
+      group_distances_with_edges(dist, 0, {0.2, 0.5});
+  for (user_id u = 0; u < dist.size(); ++u) {
     if (u == 0) continue;
     EXPECT_GE(grouping.group_of[u], 1);
     EXPECT_LE(grouping.group_of[u], 2);
@@ -110,28 +80,11 @@ TEST(GroupWithEdges, LastEdgeRaisedToCoverMax) {
 }
 
 TEST(GroupWithEdges, InvalidEdgesThrow) {
-  const social_network net = history_net();
-  EXPECT_THROW((void)group_by_interest_with_edges(net, 0, {}),
+  const std::vector<double> dist = interest_distances_from(history_net(), 0);
+  EXPECT_THROW((void)group_distances_with_edges(dist, 0, {}),
                std::invalid_argument);
-  EXPECT_THROW((void)group_by_interest_with_edges(net, 0, {0.8, 0.2}),
+  EXPECT_THROW((void)group_distances_with_edges(dist, 0, {0.8, 0.2}),
                std::invalid_argument);
-}
-
-TEST(GroupByInterest, QuantileBinningBalancesGroups) {
-  // 40 users with distinct histories spread over distances.
-  social_network_builder b(graph::digraph(41), 40);
-  for (user_id u = 1; u <= 40; ++u) {
-    // User u votes stories {0..u-1} → varying overlap with the source.
-    for (story_id s = 0; s < u; ++s) b.add_vote(u, s, u * 100 + s);
-  }
-  for (story_id s = 0; s < 10; ++s) b.add_vote(0, s, s);  // source history
-  const social_network net = b.build();
-  const interest_grouping grouping =
-      group_by_interest(net, 0, 4, interest_binning::quantile);
-  for (std::size_t g = 1; g <= 4; ++g) {
-    EXPECT_GE(grouping.sizes[g], 5u) << "group " << g;
-    EXPECT_LE(grouping.sizes[g], 15u) << "group " << g;
-  }
 }
 
 }  // namespace

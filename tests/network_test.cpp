@@ -73,15 +73,6 @@ TEST(SocialNetwork, StoryInfo) {
   EXPECT_FALSE(net.info(2).has_value());  // no votes
 }
 
-TEST(SocialNetwork, TopStoriesOrdered) {
-  const social_network net = make_net();
-  const auto top = net.top_stories(10);
-  ASSERT_EQ(top.size(), 2u);
-  EXPECT_EQ(top[0].id, 0u);  // 3 votes
-  EXPECT_EQ(top[1].id, 1u);  // 2 votes
-  EXPECT_EQ(net.top_stories(1).size(), 1u);
-}
-
 TEST(SocialNetwork, OutOfRangeAccessThrows) {
   const social_network net = make_net();
   EXPECT_THROW((void)net.votes_for(9), std::out_of_range);

@@ -9,24 +9,6 @@ namespace {
 
 using dlm::num::simpson;
 using dlm::num::trapezoid;
-using dlm::num::trapezoid_uniform;
-
-TEST(TrapezoidUniform, ExactForLinear) {
-  // f(x) = 2x on [0, 1] with 11 samples: exact for linear functions.
-  std::vector<double> y;
-  for (int i = 0; i <= 10; ++i) y.push_back(2.0 * i / 10.0);
-  EXPECT_NEAR(trapezoid_uniform(y, 0.1), 1.0, 1e-12);
-}
-
-TEST(TrapezoidUniform, ConstantFunction) {
-  const std::vector<double> y(5, 3.0);
-  EXPECT_NEAR(trapezoid_uniform(y, 0.25), 3.0, 1e-12);
-}
-
-TEST(TrapezoidUniform, TooFewSamplesThrows) {
-  EXPECT_THROW((void)trapezoid_uniform(std::vector<double>{1.0}, 0.1),
-               std::invalid_argument);
-}
 
 TEST(Trapezoid, NonUniformAbscissae) {
   // ∫ x dx on [0, 2] = 2, exact for the trapezoid rule on any partition.

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "digg/simulator.h"
 #include "engine/model_registry.h"
@@ -206,11 +210,17 @@ TEST(ScenarioRunner, SolveCacheKeepsCsvIdenticalAndSkipsResolves) {
   EXPECT_EQ(warm.table.to_csv(), plain.table.to_csv());
 }
 
+/// The small calibrated dataset, built once for the dataset sweeps.
+const scenario_context& dataset_context() {
+  static const scenario_context ctx = scenario_context::from_dataset(
+      digg::make_dataset(digg::test_scale_scenario()));
+  return ctx;
+}
+
 TEST(ScenarioRunner, DatasetSweepCoversAllModelsDeterministically) {
   // Full five-family sweep (incl. the RNG-seeded SI model) on the small
   // calibrated dataset: the CSV must be identical at 1 and 4 threads.
-  const scenario_context ctx = scenario_context::from_dataset(
-      digg::make_dataset(digg::test_scale_scenario()));
+  const scenario_context& ctx = dataset_context();
   ASSERT_GE(ctx.slice_count(), 2u);
 
   sweep_spec spec;
@@ -225,6 +235,32 @@ TEST(ScenarioRunner, DatasetSweepCoversAllModelsDeterministically) {
   const sweep_result many = run_sweep(ctx, spec, parallel);
   EXPECT_EQ(one.table.to_csv(), many.table.to_csv());
   EXPECT_EQ(one.table.size(), 10u);  // 5 models × 2 slices, axes collapsed
+}
+
+TEST(ScenarioRunner, SchemesAgreeOnTheDatasetSweep) {
+  // bench/ablation_solver_scheme's sweep: DL under all four schemes on
+  // s1/hops and s1/interests.  The paper regime is smooth, so the schemes
+  // differ in cost and stability margin, not in accuracy.
+  sweep_spec spec;
+  spec.models = {"dl"};
+  spec.slices = {0, 1};
+  spec.schemes = {core::dl_scheme::ftcs, core::dl_scheme::strang_cn,
+                  core::dl_scheme::implicit_newton, core::dl_scheme::mol_rk4};
+  const sweep_result result = run_sweep(dataset_context(), spec);
+  ASSERT_EQ(result.table.size(), 8u);
+  // Overall accuracy range over the four schemes, per slice.
+  std::map<std::string, std::pair<double, double>> range;
+  for (const result_row& row : result.table.rows()) {
+    auto& [lo, hi] =
+        range.try_emplace(row.slice, row.accuracy, row.accuracy)
+            .first->second;
+    lo = std::min(lo, row.accuracy);
+    hi = std::max(hi, row.accuracy);
+  }
+  ASSERT_EQ(range.size(), 2u);
+  for (const auto& [slice, lo_hi] : range)
+    EXPECT_LE(lo_hi.second - lo_hi.first, 0.02)
+        << "scheme accuracies spread on " << slice;
 }
 
 TEST(MakeRate, ParsesEveryForm) {

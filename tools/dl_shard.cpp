@@ -31,10 +31,11 @@
 //       per-worker outcomes plus the missing sweep indices.  Each worker
 //       leads its own process group; a SIGINT or SIGTERM to the driver
 //       is forwarded to every live worker group, the workers are
-//       reaped, and the driver then ends by that signal.  --journal
-//       write-ahead-journals each worker's cache ("<cache>.wal", see
-//       engine/cache_journal.h); --fault injects deterministic
-//       failures (engine/fault.h grammar) for tests and drills.
+//       reaped, the per-worker temp files removed, and the driver then
+//       ends by that signal.  --journal write-ahead-journals each
+//       worker's cache ("<cache>.wal", see engine/cache_journal.h);
+//       --fault injects deterministic failures (engine/fault.h grammar)
+//       for tests and drills.
 //
 //   dl_shard --worker i/N --csv out.csv [--sweep ...]
 //            [--cache-file f] [--threads T] [--batch-width W]
@@ -61,13 +62,14 @@
 //
 // Sweeps: "bench" is a self-contained DL surface (the dl_serve test
 // surface) × one scheme × 3 grids × R constant rates — pure solver
-// throughput.  "comparison" is examples/model_comparison's organic-
-// cascade sweep (every model family × schemes × grids × rates ×
-// domains, calibration included) — the full-diversity workload CI
-// byte-diffs against `model_comparison --shard`.
+// throughput.  "comparison" is the organic-cascade model comparison of
+// eval/comparison.h (every model family × schemes × grids × rates ×
+// domains, calibration included) — the full-diversity workload whose
+// one-shard and sharded runs CI byte-diffs.
 
 #include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -77,7 +79,6 @@
 #include <vector>
 
 #include "cli_common.h"
-#include "digg/simulator.h"
 #include "engine/cache_io.h"
 #include "engine/fault.h"
 #include "engine/format.h"
@@ -85,7 +86,7 @@
 #include "engine/service.h"
 #include "engine/shard.h"
 #include "engine/supervisor.h"
-#include "graph/generators.h"
+#include "eval/comparison.h"
 
 namespace {
 
@@ -174,39 +175,11 @@ sweep_setup make_bench_sweep(std::size_t rate_count) {
   return setup;
 }
 
-/// examples/model_comparison's organic-cascade sweep, verbatim — the
-/// driver must expand the identical scenario list for its shard CSVs to
-/// merge byte-identically with that binary's `--shard` outputs.
+/// The organic-cascade model comparison (eval/comparison.h): every model
+/// family × schemes × grids × rates × domains, calibration included.
 sweep_setup make_comparison_sweep() {
-  num::rng rand(777);
-  graph::digg_graph_params gp;
-  gp.users = 12000;
-  gp.attach = 6;
-  graph::digraph followers = graph::digg_follower_graph(gp, rand);
-  graph::node_id initiator = 0;
-  for (graph::node_id v = 0; v < followers.node_count(); ++v) {
-    if (followers.in_degree(v) > followers.in_degree(initiator)) initiator = v;
-  }
-  digg::cascade_params cp;
-  cp.horizon_hours = 12;
-  const std::vector<social::vote> votes =
-      digg::simulate_cascade(followers, initiator, 0, 0, cp, rand);
-
-  sweep_setup setup;
-  setup.context = engine::scenario_context::from_cascade(
-      std::move(followers), initiator, votes, cp.horizon_hours);
-  setup.spec.models = engine::default_registry().names();
-  setup.spec.schemes = {core::dl_scheme::ftcs, core::dl_scheme::strang_cn,
-                        core::dl_scheme::implicit_newton,
-                        core::dl_scheme::mol_rk4};
-  setup.spec.grid = {20, 40};
-  setup.spec.rates = {"preset", "constant:0.5",
-                      "spatial:preset|1.2,1,0.8,0.65", "calibrate",
-                      "calibrate-spatial"};
-  setup.spec.domains = {"line", "grid2d:1,4", "comm:3|mix=0.05"};
-  setup.spec.t_end = cp.horizon_hours;
-  setup.calibration.coarse_steps = 3;
-  return setup;
+  eval::comparison_sweep sweep = eval::make_comparison_sweep();
+  return {std::move(sweep.context), std::move(sweep.spec), sweep.calibration};
 }
 
 sweep_setup make_sweep(const std::string& name, std::size_t bench_rates) {
@@ -343,7 +316,8 @@ struct shard_run_report {
 /// CSVs (and caches when opt.cache_path is set) and removes the
 /// per-worker temp files.  Without allow_partial, any finally-failed
 /// worker throws (its diagnostic naming the signal/timeout and shard);
-/// with it, the completed shards merge and `missing` lists the gap.
+/// with it, the completed shards merge and `missing` lists the gap.  A
+/// SIGINT/SIGTERM during the run removes the temp files and re-raises.
 shard_run_report run_sharded(const cli_options& opt, const std::string& exe,
                              std::size_t shards, std::size_t scenario_count) {
   shard_run_report report;
@@ -404,6 +378,14 @@ shard_run_report run_sharded(const cli_options& opt, const std::string& exe,
     }
   };
 
+  // An interrupted driver still ends by its signal, as it would have
+  // without workers, but only after the temp files are gone.
+  if (const int interrupt = report.workers.interrupted_by; interrupt != 0) {
+    cleanup();
+    std::raise(interrupt);
+    throw std::runtime_error("interrupted by signal " +
+                             std::to_string(interrupt));
+  }
   if (!report.workers.all_succeeded() && !opt.allow_partial) {
     cleanup();
     std::string what;
