@@ -41,25 +41,4 @@ std::vector<double> dl_model::predict_profile(double t) const {
   return solution_.at_integer_distances(t, lo, hi);
 }
 
-void dl_model::predict_profile_into(double t, std::span<double> out) const {
-  const int lo = static_cast<int>(std::lround(params_.x_min));
-  const int hi = static_cast<int>(std::lround(params_.x_max));
-  solution_.at_integer_distances(t, lo, hi, out);
-}
-
-std::vector<std::vector<double>> dl_model::predict_surface(
-    std::span<const double> times) const {
-  const int lo = static_cast<int>(std::lround(params_.x_min));
-  const int hi = static_cast<int>(std::lround(params_.x_max));
-  std::vector<std::vector<double>> out(
-      static_cast<std::size_t>(hi - lo + 1),
-      std::vector<double>(times.size(), 0.0));
-  std::vector<double> profile(static_cast<std::size_t>(hi - lo + 1));
-  for (std::size_t j = 0; j < times.size(); ++j) {
-    solution_.at_integer_distances(times[j], lo, hi, profile);
-    for (std::size_t i = 0; i < profile.size(); ++i) out[i][j] = profile[i];
-  }
-  return out;
-}
-
 }  // namespace dlm::core

@@ -42,16 +42,6 @@ class dl_model {
   /// Predicted densities at all integer distances at time t.
   [[nodiscard]] std::vector<double> predict_profile(double t) const;
 
-  /// Allocation-free variant writing into `out` (x_max − x_min + 1
-  /// values) — the shape repeated callers (calibration objectives, sweep
-  /// adapters) should use with a reused buffer.
-  void predict_profile_into(double t, std::span<double> out) const;
-
-  /// Predicted surface over integer distances × the given times;
-  /// result[i][j] = prediction at distances[i], times[j].
-  [[nodiscard]] std::vector<std::vector<double>> predict_surface(
-      std::span<const double> times) const;
-
   [[nodiscard]] const dl_parameters& parameters() const noexcept {
     return params_;
   }

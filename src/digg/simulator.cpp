@@ -343,22 +343,6 @@ topic_model make_topic_model(std::size_t users, std::size_t clusters,
 
 std::vector<vote> background_corpus(const topic_model& topics,
                                     std::size_t n_stories,
-                                    story_id first_story, num::rng& rand) {
-  return background_corpus(topics, n_stories, first_story, {}, 0, rand);
-}
-
-std::vector<vote> background_corpus(const topic_model& topics,
-                                    std::size_t n_stories,
-                                    story_id first_story,
-                                    std::span<const user_id> vips,
-                                    std::size_t vip_min_history,
-                                    num::rng& rand) {
-  return background_corpus(topics, n_stories, first_story, vips,
-                           vip_min_history, corpus_params{}, rand);
-}
-
-std::vector<vote> background_corpus(const topic_model& topics,
-                                    std::size_t n_stories,
                                     story_id first_story,
                                     std::span<const user_id> vips,
                                     std::size_t vip_min_history,

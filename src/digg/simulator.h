@@ -80,14 +80,6 @@ struct topic_model {
                                            std::size_t clusters,
                                            num::rng& rand);
 
-/// Background-corpus votes: `n_stories` stories (ids [first_story,
-/// first_story + n_stories)), each drawing voters mostly from one topic
-/// cluster with heavy-tailed per-user activity.  Builds the vote histories
-/// that make shared-interest distance meaningful.
-[[nodiscard]] std::vector<social::vote> background_corpus(
-    const topic_model& topics, std::size_t n_stories,
-    social::story_id first_story, num::rng& rand);
-
 /// Corpus volume/coherence knobs.
 struct corpus_params {
   /// Mean background votes per user.  Dense histories (≈8+) are required
@@ -98,15 +90,12 @@ struct corpus_params {
   double cluster_affinity = 0.85;
 };
 
-/// Variant that also guarantees every user in `vips` (flagship initiators)
-/// a history of at least `vip_min_history` votes on stories within their
-/// own topic clusters.
-[[nodiscard]] std::vector<social::vote> background_corpus(
-    const topic_model& topics, std::size_t n_stories,
-    social::story_id first_story, std::span<const social::user_id> vips,
-    std::size_t vip_min_history, num::rng& rand);
-
-/// Full-control variant.
+/// Background-corpus votes: `n_stories` stories (ids [first_story,
+/// first_story + n_stories)), each drawing voters mostly from one topic
+/// cluster with heavy-tailed per-user activity.  Builds the vote histories
+/// that make shared-interest distance meaningful.  Every user in `vips`
+/// (flagship initiators) gets a history of at least `vip_min_history`
+/// votes on stories within their own topic clusters.
 [[nodiscard]] std::vector<social::vote> background_corpus(
     const topic_model& topics, std::size_t n_stories,
     social::story_id first_story, std::span<const social::user_id> vips,

@@ -55,16 +55,6 @@ std::vector<double> target_curve(const group_target& group,
   return curve;
 }
 
-std::vector<std::vector<double>> target_surface(
-    const std::vector<group_target>& groups, const surface_params& surface,
-    int horizon_hours, int substeps) {
-  std::vector<std::vector<double>> out;
-  out.reserve(groups.size());
-  for (const group_target& g : groups)
-    out.push_back(target_curve(g, surface, horizon_hours, substeps));
-  return out;
-}
-
 vote_time_distribution::vote_time_distribution(
     const std::vector<double>& curve) {
   if (curve.empty())

@@ -59,11 +59,6 @@ struct surface_params {
                                                int horizon_hours,
                                                int substeps = 32);
 
-/// Full surface: one curve per group (same order as `groups`).
-[[nodiscard]] std::vector<std::vector<double>> target_surface(
-    const std::vector<group_target>& groups, const surface_params& surface,
-    int horizon_hours, int substeps = 32);
-
 /// Vote-time sampling helper: piecewise-linear cumulative curve over
 /// [0, horizon] hours built from a target curve (density 0 at t = 0,
 /// curve[k] at t = k+1).  `invert(u)` maps u ∈ [0, 1] to the vote time in

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <ostream>
 #include <stdexcept>
 #include <utility>
 
@@ -219,11 +218,6 @@ std::string result_table::to_csv(const csv_options& options) const {
   return out;
 }
 
-void result_table::write_csv(std::ostream& out,
-                             const csv_options& options) const {
-  out << to_csv(options);
-}
-
 result_table result_table::from_csv(std::string_view csv) {
   const std::vector<std::vector<std::string>> records = parse_csv(csv);
   if (records.empty())
@@ -332,33 +326,6 @@ std::string result_table::to_text() const {
   return table.str();
 }
 
-result_table merge_tables(std::span<const result_table> shards) {
-  std::size_t total = 0;
-  for (const result_table& shard : shards) total += shard.size();
-  std::vector<result_row> rows;
-  rows.reserve(total);
-  for (const result_table& shard : shards)
-    rows.insert(rows.end(), shard.rows().begin(), shard.rows().end());
-  std::sort(rows.begin(), rows.end(),
-            [](const result_row& a, const result_row& b) {
-              return a.index < b.index;
-            });
-  // A valid partition sorts to exactly 0..total−1; the first slot that
-  // does not match pinpoints either an overlap or a gap.
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    if (rows[k].index == k) continue;
-    if (k > 0 && rows[k].index == rows[k - 1].index)
-      throw std::invalid_argument(
-          "merge_tables: scenario index " + std::to_string(rows[k].index) +
-          " appears in more than one shard");
-    throw std::invalid_argument(
-        "merge_tables: scenario index " + std::to_string(k) +
-        " is missing from the merged shards (dropped or truncated shard "
-        "table?)");
-  }
-  return result_table(std::move(rows));
-}
-
 partial_merge merge_tables_partial(std::span<const result_table> shards,
                                    std::size_t total) {
   std::size_t present = 0;
@@ -376,19 +343,36 @@ partial_merge merge_tables_partial(std::span<const result_table> shards,
   for (std::size_t k = 0; k < rows.size(); ++k) {
     if (k > 0 && rows[k].index == rows[k - 1].index)
       throw std::invalid_argument(
-          "merge_tables_partial: scenario index " +
-          std::to_string(rows[k].index) + " appears in more than one shard");
+          "merge_tables: scenario index " + std::to_string(rows[k].index) +
+          " appears in more than one shard");
     if (rows[k].index >= total)
       throw std::invalid_argument(
-          "merge_tables_partial: scenario index " +
-          std::to_string(rows[k].index) + " is out of range for a sweep of " +
-          std::to_string(total) + " scenarios");
+          "merge_tables: scenario index " + std::to_string(rows[k].index) +
+          " is out of range for a sweep of " + std::to_string(total) +
+          " scenarios");
     for (; next < rows[k].index; ++next) out.missing.push_back(next);
     next = rows[k].index + 1;
   }
   for (; next < total; ++next) out.missing.push_back(next);
   out.table = result_table(std::move(rows));
   return out;
+}
+
+result_table merge_tables(std::span<const result_table> shards) {
+  // The sweep ends at the highest index present; any gap below it is a
+  // dropped or truncated shard.
+  std::size_t total = 0;
+  for (const result_table& shard : shards)
+    for (const result_row& row : shard.rows())
+      total = std::max(total, row.index + 1);
+  partial_merge merged = merge_tables_partial(shards, total);
+  if (!merged.missing.empty())
+    throw std::invalid_argument(
+        "merge_tables: scenario index " +
+        std::to_string(merged.missing.front()) +
+        " is missing from the merged shards (dropped or truncated shard "
+        "table?)");
+  return std::move(merged.table);
 }
 
 }  // namespace dlm::engine

@@ -14,7 +14,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
@@ -102,7 +101,6 @@ class result_table {
   /// Doubles are printed with %.17g and string fields are RFC-4180
   /// quoted, so from_csv round-trips exactly.
   [[nodiscard]] std::string to_csv(const csv_options& options = {}) const;
-  void write_csv(std::ostream& out, const csv_options& options = {}) const;
 
   /// Parses CSV produced by to_csv (any column set).  Throws
   /// std::invalid_argument on an unknown header or a malformed line.
@@ -115,17 +113,6 @@ class result_table {
  private:
   std::vector<result_row> rows_;
 };
-
-/// Recombines the per-shard tables of one partitioned sweep
-/// (engine/shard.h) into the unsharded table: rows are concatenated and
-/// ordered by their global scenario index, so the merged table's CSV and
-/// text renderings are byte-identical to the single-process run's —
-/// regardless of shard count or the order the shard tables are passed
-/// in.  Validates that the shards form an exact partition:
-/// throws std::invalid_argument when a scenario index appears in more
-/// than one shard or is missing entirely (a dropped or truncated shard
-/// CSV must not merge into a silently smaller table).
-[[nodiscard]] result_table merge_tables(std::span<const result_table> shards);
 
 /// Outcome of merge_tables_partial.
 struct partial_merge {
@@ -140,13 +127,21 @@ struct partial_merge {
   std::vector<std::size_t> missing;
 };
 
-/// Like merge_tables, but for the surviving shards of a partially failed
-/// run (dl_shard --allow-partial): rows are merged and sorted as usual,
-/// and gaps are *reported* instead of rejected.  `total` is the full
-/// sweep's scenario count.  Still throws std::invalid_argument on a
-/// duplicated index or an index >= total — those are corruption, not
-/// degradation.
+/// Recombines the per-shard tables of one partitioned sweep
+/// (engine/shard.h) of `total` scenarios: rows are concatenated and
+/// ordered by their global scenario index, so each row's CSV and text
+/// rendering is byte-identical to the single-process run's — regardless
+/// of shard count or the order the shard tables are passed in.  Gaps are
+/// *reported* (the surviving shards of a dl_shard --allow-partial run);
+/// a duplicated index or an index >= total throws std::invalid_argument
+/// — those are corruption, not degradation.
 [[nodiscard]] partial_merge merge_tables_partial(
     std::span<const result_table> shards, std::size_t total);
+
+/// merge_tables_partial over a sweep that ends at the highest index
+/// present, requiring an exact partition: additionally throws
+/// std::invalid_argument when an index below it is missing (a dropped or
+/// truncated shard CSV must not merge into a silently smaller table).
+[[nodiscard]] result_table merge_tables(std::span<const result_table> shards);
 
 }  // namespace dlm::engine

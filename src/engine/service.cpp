@@ -86,9 +86,10 @@ bool parse_number(std::string_view text, T& out) {
   return ec == std::errc() && ptr == end;
 }
 
-/// A request's real-valued argument: parsed whole and finite (NaN is
-/// scenario's "unset" sentinel for d/k, so it must never arrive as a
-/// value).
+/// A request's real-valued argument (dt, t0, t_end, t, d, k): parsed
+/// whole and finite.  No solve is defined for an infinite one, and a NaN
+/// fails every later range check silently and would enter the cache key,
+/// so both are rejected here, at the boundary.
 bool parse_finite(std::string_view text, double& out) {
   return parse_number(text, out) && std::isfinite(out);
 }
@@ -569,7 +570,6 @@ dl_service::dl_service(scenario_context context, service_options options)
   } else {
     journal_options journal;
     journal.enabled = options_.journal;
-    journal.compact_bytes = options_.journal_compact_bytes;
     persistent_.emplace(options_.cache_file, options_.cache_max_entries,
                         journal);
     startup_load_ = persistent_->startup_load();

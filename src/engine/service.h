@@ -112,10 +112,8 @@ struct service_options {
   /// Write-ahead journal the resident cache to "<cache_file>.wal" (see
   /// engine/cache_journal.h): a SIGKILLed service loses at most the
   /// in-flight record instead of everything since the last flush.
+  /// The journal auto-checkpoints at journal_options' default threshold.
   bool journal = false;
-  /// Auto-checkpoint threshold for the journal (journal_options
-  /// semantics); 0 disables auto-compaction.
-  std::uint64_t journal_compact_bytes = 4ull << 20;
 };
 
 // --------------------------------------------------------------- framing

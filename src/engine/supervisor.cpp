@@ -157,9 +157,7 @@ supervision_report supervise(std::span<const worker_command> commands,
     throw std::invalid_argument(
         "supervise: timeout_sec must lie in [0, 1e9] seconds");
   if (!(options.backoff_initial_ms >= 0.0 &&
-        std::isfinite(options.backoff_initial_ms) &&
-        options.backoff_multiplier >= 0.0 &&
-        std::isfinite(options.backoff_multiplier)))
+        std::isfinite(options.backoff_initial_ms)))
     throw std::invalid_argument(
         "supervise: backoff must be finite and non-negative");
   std::vector<worker_state> workers(commands.size());
@@ -191,7 +189,8 @@ supervision_report supervise(std::span<const worker_command> commands,
       // whose duration_cast is undefined.
       double backoff = std::min(options.backoff_initial_ms, kMaxWaitMs);
       for (std::size_t r = 1; r < w.attempts; ++r)
-        backoff = std::min(backoff * options.backoff_multiplier, kMaxWaitMs);
+        backoff =
+            std::min(backoff * kSupervisorBackoffMultiplier, kMaxWaitMs);
       std::fprintf(stderr,
                    "supervise: %s %s (attempt %zu); retrying in %.0f ms\n",
                    w.command->label.c_str(), diagnostic.c_str(), w.attempts,

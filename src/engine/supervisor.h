@@ -10,10 +10,10 @@
 //    worker is SIGKILLed and reported as such, never waited on forever;
 //  * a crashed worker's diagnostic names the signal (strsignal) and the
 //    worker's label, not just a raw wait status;
-//  * failures are retried up to max_retries times with exponential
-//    backoff, and the attempt number is exported to the child through
-//    the DLM_WORKER_ATTEMPT environment variable (engine/fault.h reads
-//    it back, so injected faults can be armed per attempt);
+//  * failures are retried up to max_retries times with a backoff that
+//    doubles per retry, and the attempt number is exported to the child
+//    through the DLM_WORKER_ATTEMPT environment variable (engine/fault.h
+//    reads it back, so injected faults can be armed per attempt);
 //  * with fail_fast (the default) the first worker to exhaust its
 //    retries takes the rest down: siblings are SIGKILLed and reaped —
 //    no orphans, no zombies; with fail_fast off the survivors run to
@@ -56,6 +56,10 @@ struct worker_command {
 /// steady_clock::duration without overflow.
 inline constexpr double kMaxSupervisorWaitSec = 1e9;
 
+/// Growth factor of the retry backoff: each retry waits twice as long as
+/// the one before.  dl_shard's --retries/--backoff check assumes it.
+inline constexpr double kSupervisorBackoffMultiplier = 2.0;
+
 struct supervisor_options {
   /// Per-attempt wall-clock timeout in seconds; 0 disables (a worker
   /// may then legitimately run forever, as the old driver allowed).
@@ -64,10 +68,10 @@ struct supervisor_options {
   /// Retries after the first failed attempt (so max_retries = 2 means
   /// up to 3 attempts).
   std::size_t max_retries = 0;
-  /// Backoff before retry r is initial * multiplier^(r-1) milliseconds,
-  /// capped at kMaxSupervisorWaitSec.  Both must be finite and >= 0.
+  /// Backoff before retry r is initial * kSupervisorBackoffMultiplier^(r-1)
+  /// milliseconds, capped at kMaxSupervisorWaitSec.  Must be finite and
+  /// >= 0.
   double backoff_initial_ms = 100.0;
-  double backoff_multiplier = 2.0;
   /// First worker to exhaust its retries SIGKILLs and reaps all other
   /// running workers (their outcome reports the termination).  Off for
   /// --allow-partial, where survivors should finish and be merged.

@@ -57,8 +57,8 @@ class lane_search {
  public:
   explicit lane_search(const calibration_options& options)
       : options_(options) {
-    // The lattice over minimize_grid's own enumeration order, so the
-    // argmin (lowest index on ties) is the serial scan's.  Spatial
+    // The lattice in grid_lattice_points' scan order; tell() keeps the
+    // lowest index on ties, so the argmin is the serial scan's.  Spatial
     // multiplier axes are pinned at the neutral 1.0 — a lattice over them
     // would grow exponentially in the group count; Nelder–Mead refines
     // them below.

@@ -1,11 +1,7 @@
 #include "models/logistic.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
-
-#include "numerics/optimize/nelder_mead.h"
-#include "numerics/stats.h"
 
 namespace dlm::models {
 
@@ -21,58 +17,6 @@ double logistic_step(double n, double integrated_rate, double k) {
   if (n <= 0.0) return n;  // 0 is an equilibrium; negatives pass through
   const double growth = std::exp(integrated_rate);
   return k * n * growth / (k + n * (growth - 1.0));
-}
-
-logistic_fit fit_logistic(std::span<const double> t,
-                          std::span<const double> n) {
-  if (t.size() != n.size())
-    throw std::invalid_argument("fit_logistic: size mismatch");
-  if (t.size() < 3) throw std::invalid_argument("fit_logistic: need >= 3 samples");
-  const double n_max = num::extent(n).max;
-  if (!(n_max > 0.0))
-    throw std::invalid_argument("fit_logistic: need a positive sample");
-
-  const double t0 = t.front();
-  // Heuristic start: K slightly above the max, N0 at the first positive
-  // sample, r from the early doubling rate.
-  double n0_guess = n.front() > 0.0 ? n.front() : 1e-3 * n_max;
-  double k_guess = 1.1 * n_max;
-  double r_guess = 0.5;
-  for (std::size_t i = 1; i < n.size(); ++i) {
-    if (n[i] > n0_guess && n[i] < 0.8 * k_guess && t[i] > t0) {
-      r_guess = std::max(
-          0.05, std::log(n[i] / n0_guess) / (t[i] - t0));
-      break;
-    }
-  }
-
-  const auto objective = [&](std::span<const double> p) {
-    const double r = p[0];
-    const double k = p[1];
-    const double n0 = p[2];
-    if (r <= 0.0 || k <= 0.0 || n0 <= 0.0 || n0 >= k) return 1e18;
-    double acc = 0.0;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      const double pred = logistic_solution(n0, r, k, t0, t[i]);
-      const double e = pred - n[i];
-      acc += e * e;
-    }
-    return acc;
-  };
-
-  const double start[3] = {r_guess, k_guess, n0_guess};
-  num::nelder_mead_options opt;
-  opt.max_iterations = 4000;
-  opt.initial_step = 0.25;
-  const num::nelder_mead_result res =
-      num::minimize_nelder_mead(objective, start, opt);
-
-  logistic_fit fit;
-  fit.r = res.x[0];
-  fit.k = res.x[1];
-  fit.n0 = res.x[2];
-  fit.sse = res.f_value;
-  return fit;
 }
 
 }  // namespace dlm::models

@@ -1,14 +1,9 @@
 // The scalar logistic growth model (paper Eq. 2).
 //
 // N' = r·N·(1 − N/K) — the paper's model of the *growth process* (spread
-// within one distance group).  Provides the closed-form solution, the
-// exact one-step propagator the Strang-split DL solver uses, and a
-// least-squares fitter that recovers (r, K, N0) from a sampled curve.
+// within one distance group).  Provides the closed-form solution and the
+// exact one-step propagator the Strang-split DL solver uses.
 #pragma once
-
-#include <functional>
-#include <span>
-#include <vector>
 
 namespace dlm::models {
 
@@ -22,17 +17,5 @@ namespace dlm::models {
 /// time ∫r): N ← K·N·e^R / (K + N·(e^R − 1)).  Maps [0, K] to [0, K] for
 /// any R ≥ 0 — the positivity backbone of the Strang-split DL scheme.
 [[nodiscard]] double logistic_step(double n, double integrated_rate, double k);
-
-/// Least-squares fit of (r, K, N0) to samples (t[i], n[i]) via
-/// Nelder–Mead from a heuristic start.  Requires >= 3 samples and at
-/// least one strictly positive n.
-struct logistic_fit {
-  double r = 0.0;
-  double k = 0.0;
-  double n0 = 0.0;
-  double sse = 0.0;  ///< objective at the optimum
-};
-[[nodiscard]] logistic_fit fit_logistic(std::span<const double> t,
-                                        std::span<const double> n);
 
 }  // namespace dlm::models

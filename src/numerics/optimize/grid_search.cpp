@@ -1,31 +1,27 @@
 #include "numerics/optimize/grid_search.h"
 
-#include <limits>
 #include <stdexcept>
 
 namespace dlm::num {
-namespace {
 
-/// Validates the axes and visits every lattice point in scan order (axis
-/// 0 varying fastest) with O(dims) memory — both public entry points
-/// share this enumeration, so their orders can never drift apart.
-template <typename Visitor>
-void for_each_lattice_point(std::span<const grid_axis> axes,
-                            Visitor&& visit) {
-  if (axes.empty()) throw std::invalid_argument("minimize_grid: no axes");
+std::vector<std::vector<double>> grid_lattice_points(
+    std::span<const grid_axis> axes) {
+  if (axes.empty())
+    throw std::invalid_argument("grid_lattice_points: no axes");
   for (const grid_axis& ax : axes) {
     if (ax.count == 0)
-      throw std::invalid_argument("minimize_grid: axis count must be >= 1");
+      throw std::invalid_argument(
+          "grid_lattice_points: axis count must be >= 1");
     if (ax.count > 1 && !(ax.hi > ax.lo))
-      throw std::invalid_argument("minimize_grid: require hi > lo for count > 1");
+      throw std::invalid_argument(
+          "grid_lattice_points: require hi > lo for count > 1");
   }
 
   const std::size_t dims = axes.size();
   std::vector<std::size_t> idx(dims, 0);
-  std::vector<double> point(dims);
-
-  bool done = false;
-  while (!done) {
+  std::vector<std::vector<double>> points;
+  for (;;) {
+    std::vector<double>& point = points.emplace_back(dims);
     for (std::size_t k = 0; k < dims; ++k) {
       const grid_axis& ax = axes[k];
       point[k] = (ax.count == 1)
@@ -33,7 +29,6 @@ void for_each_lattice_point(std::span<const grid_axis> axes,
                      : ax.lo + (ax.hi - ax.lo) * static_cast<double>(idx[k]) /
                            static_cast<double>(ax.count - 1);
     }
-    visit(std::span<const double>(point));
 
     // Odometer increment across the lattice.
     std::size_t k = 0;
@@ -41,35 +36,8 @@ void for_each_lattice_point(std::span<const grid_axis> axes,
       if (++idx[k] < axes[k].count) break;
       idx[k] = 0;
     }
-    done = (k == dims);
+    if (k == dims) return points;
   }
-}
-
-}  // namespace
-
-std::vector<std::vector<double>> grid_lattice_points(
-    std::span<const grid_axis> axes) {
-  std::vector<std::vector<double>> points;
-  for_each_lattice_point(axes, [&points](std::span<const double> point) {
-    points.emplace_back(point.begin(), point.end());
-  });
-  return points;
-}
-
-grid_search_result minimize_grid(
-    const std::function<double(std::span<const double>)>& f,
-    std::span<const grid_axis> axes) {
-  grid_search_result best;
-  best.f_value = std::numeric_limits<double>::infinity();
-  for_each_lattice_point(axes, [&](std::span<const double> point) {
-    const double fv = f(point);
-    ++best.evaluations;
-    if (fv < best.f_value) {
-      best.f_value = fv;
-      best.x.assign(point.begin(), point.end());
-    }
-  });
-  return best;
 }
 
 }  // namespace dlm::num

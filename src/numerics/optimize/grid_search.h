@@ -1,11 +1,11 @@
-// Exhaustive grid search over boxed parameter spaces.
+// Exhaustive lattice over boxed parameter spaces.
 //
-// Coarse calibration pass: scan a lattice of (d, K, r-parameters) and hand
-// the best cell to Nelder–Mead for refinement.
+// Coarse calibration pass: fit::calibrate_dl evaluates every point of a
+// lattice of (d, K, r-parameters) and hands the best one to the
+// Nelder–Mead stepper for refinement.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -19,28 +19,12 @@ struct grid_axis {
   std::size_t count = 1;
 };
 
-/// Result of a lattice scan.
-struct grid_search_result {
-  std::vector<double> x;        ///< best lattice point
-  double f_value = 0.0;         ///< objective there
-  std::size_t evaluations = 0;  ///< total lattice points visited
-};
-
-/// Every point of the Cartesian lattice defined by `axes`, materialized
-/// in evaluation order (axis 0 varying fastest) — the exact sequence
-/// minimize_grid visits, exposed so callers that fan the evaluations out
-/// (parallel calibration) resolve ties identically to the serial scan.
-/// O(points × dims) memory; use minimize_grid for a streaming scan.
-/// Throws std::invalid_argument for empty axes, a zero-count axis, or
-/// hi <= lo on a multi-point axis.
+/// Every point of the Cartesian lattice defined by `axes`, in scan order
+/// (axis 0 varying fastest).  A caller that takes the argmin keeps the
+/// lowest index on ties, so the choice does not depend on how the
+/// evaluations were fanned out.  Throws std::invalid_argument for empty
+/// axes, a zero-count axis, or hi <= lo on a multi-point axis.
 [[nodiscard]] std::vector<std::vector<double>> grid_lattice_points(
-    std::span<const grid_axis> axes);
-
-/// Evaluates `f` at every point of the Cartesian lattice defined by
-/// `axes` — streaming, O(dims) memory — and returns the argmin (lowest
-/// index on ties).  Throws like grid_lattice_points.
-[[nodiscard]] grid_search_result minimize_grid(
-    const std::function<double(std::span<const double>)>& f,
     std::span<const grid_axis> axes);
 
 }  // namespace dlm::num

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace dlm::num {
@@ -18,6 +17,14 @@ nelder_mead::nelder_mead(std::span<const double> x0,
       probe_(x0_) {
   if (x0.empty())
     throw std::invalid_argument("nelder_mead: empty starting point");
+  if (!lower_.empty() || !upper_.empty()) {
+    if (lower_.size() != x0.size() || upper_.size() != x0.size())
+      throw std::invalid_argument("nelder_mead: bound size mismatch");
+    for (std::size_t i = 0; i < x0.size(); ++i) {
+      if (!(lower_[i] <= upper_[i]))
+        throw std::invalid_argument("nelder_mead: lower > upper");
+    }
+  }
   // The initial simplex: x0 plus n displaced vertices, asked in order.
   simplex_.reserve(x0.size() + 1);
   project(probe_);
@@ -154,33 +161,5 @@ void nelder_mead::next_iteration() {
 }
 
 nelder_mead_result nelder_mead::result() const { return result_; }
-
-namespace {
-
-nelder_mead_result drive(nelder_mead search, const objective_fn& f) {
-  while (!search.done()) search.tell(f(search.ask()));
-  return search.result();
-}
-
-}  // namespace
-
-nelder_mead_result minimize_nelder_mead(const objective_fn& f,
-                                        std::span<const double> x0,
-                                        const nelder_mead_options& options) {
-  return drive(nelder_mead(x0, options), f);
-}
-
-nelder_mead_result minimize_nelder_mead_bounded(
-    const objective_fn& f, std::span<const double> x0,
-    std::span<const double> lower, std::span<const double> upper,
-    const nelder_mead_options& options) {
-  if (lower.size() != x0.size() || upper.size() != x0.size())
-    throw std::invalid_argument("nelder_mead_bounded: bound size mismatch");
-  for (std::size_t i = 0; i < x0.size(); ++i) {
-    if (!(lower[i] <= upper[i]))
-      throw std::invalid_argument("nelder_mead_bounded: lower > upper");
-  }
-  return drive(nelder_mead(x0, options, lower, upper), f);
-}
 
 }  // namespace dlm::num

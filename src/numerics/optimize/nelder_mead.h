@@ -6,14 +6,10 @@
 // is the right tool.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
 namespace dlm::num {
-
-/// Objective: maps a parameter vector to a scalar cost.
-using objective_fn = std::function<double(std::span<const double>)>;
 
 /// Options controlling the Nelder–Mead iteration.
 struct nelder_mead_options {
@@ -30,7 +26,7 @@ struct nelder_mead_options {
   double sigma = 0.5;
 };
 
-/// Result of a minimization run.
+/// Result of a finished search.
 struct nelder_mead_result {
   std::vector<double> x;       ///< best parameter vector found
   double f_value = 0.0;        ///< objective at `x`
@@ -43,16 +39,17 @@ struct nelder_mead_result {
 /// search wants evaluated next, tell() hands back its value.  A caller
 /// that advances many searches at once (fit::calibrate_dl's lockstep
 /// lanes) steps each of them one point per round and evaluates the
-/// round's points together; minimize_nelder_mead* below run one search
-/// to the end.  The sequence of asked points — and therefore the
-/// result — depends only on the told values, never on how or when they
-/// were computed.
+/// round's points together; a single search runs to the end with
+/// `while (!s.done()) s.tell(f(s.ask()));`.  The sequence of asked
+/// points — and therefore the result — depends only on the told values,
+/// never on how or when they were computed.
 class nelder_mead {
  public:
   /// Starts a search at `x0`.  Empty `lower`/`upper` → unconstrained;
   /// otherwise every asked point is first clamped into [lower, upper]
-  /// (projection method; the caller validates the bounds).  Throws
-  /// std::invalid_argument for an empty starting point.
+  /// (projection method).  Throws std::invalid_argument for an empty
+  /// starting point, bounds whose sizes differ from x0's, or a
+  /// lower[i] > upper[i] (or NaN) bound.
   nelder_mead(std::span<const double> x0, const nelder_mead_options& options,
               std::span<const double> lower = {},
               std::span<const double> upper = {});
@@ -98,18 +95,5 @@ class nelder_mead {
   std::size_t evaluations_ = 0;
   nelder_mead_result result_;
 };
-
-/// Minimizes `f` starting from `x0` using the Nelder–Mead simplex method.
-/// Throws std::invalid_argument for an empty starting point.
-[[nodiscard]] nelder_mead_result minimize_nelder_mead(
-    const objective_fn& f, std::span<const double> x0,
-    const nelder_mead_options& options = {});
-
-/// Variant with box constraints: candidates are clamped into
-/// [lower[i], upper[i]] before evaluation (projection method).
-[[nodiscard]] nelder_mead_result minimize_nelder_mead_bounded(
-    const objective_fn& f, std::span<const double> x0,
-    std::span<const double> lower, std::span<const double> upper,
-    const nelder_mead_options& options = {});
 
 }  // namespace dlm::num

@@ -1,19 +1,13 @@
-// Numerical quadrature over sampled functions and callables.
+// Numerical quadrature over callables.
 //
-// Used to compute "total influence mass" ∫ I(x,t) dx diagnostics and to
-// verify conservation properties of the pure-diffusion limit in tests.
+// Integrates growth rates over a step (∫ r(t) dt) when a rate has no
+// closed-form integral.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <span>
 
 namespace dlm::num {
-
-/// Composite trapezoid rule over samples (x[i], y[i]) with arbitrary
-/// (strictly increasing) abscissae.
-[[nodiscard]] double trapezoid(std::span<const double> x,
-                               std::span<const double> y);
 
 /// Composite Simpson rule for a callable over [a, b] with n subintervals
 /// (n is rounded up to the next even number; n >= 2).

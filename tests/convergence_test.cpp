@@ -17,6 +17,15 @@
 //   * strang_cn in time ≥ 3.5 (second-order Strang splitting with an
 //     exact reaction substep and Crank–Nicolson diffusion);
 //   * implicit_newton in time ≥ 1.7 (first-order backward Euler).
+//
+// The d = 0 limit is checked against the closed form: without diffusion
+// every node follows the scalar logistic ODE from its own initial value,
+// N(t) = models::logistic_solution(φ(x), r, K, t0, t).  strang_cn is
+// exact there up to rounding (its reaction half-steps are the exact
+// logistic propagator and Crank–Nicolson with λ = 0 is the identity),
+// so it must match to 1e-10 relative; implicit_newton's error against it
+// must fall by ≥ 1.8× per dt halving (first order, measured directly
+// rather than through successive differences).
 
 #include <gtest/gtest.h>
 
@@ -26,6 +35,7 @@
 #include <vector>
 
 #include "core/dl_solver.h"
+#include "models/logistic.h"
 
 namespace {
 
@@ -121,6 +131,75 @@ TEST(ObservedOrder, ImplicitNewtonIsFirstOrderInTime) {
       time_ratios(dl_scheme::implicit_newton, 0.08);
   ASSERT_EQ(ratios.size(), 2u);
   for (const double ratio : ratios) EXPECT_GE(ratio, 1.7);
+}
+
+constexpr double kLimitRate = 0.6;
+
+/// The d = 0 limit: constant rate, φ_i = 0.2 (i + 1) on the default
+/// grid (0.2 … 20.2, below K = 25), recorded every hour from t0 to tEnd.
+struct logistic_limit {
+  dl_parameters params = dl_parameters::paper_hops(6.0);
+  std::vector<double> phi;
+
+  logistic_limit() {
+    params.d = 0.0;
+    params.r = growth_rate::constant(kLimitRate);
+    const dl_solver_options defaults;
+    const std::size_t nodes =
+        static_cast<std::size_t>(params.x_max - params.x_min) *
+            defaults.points_per_unit + 1;
+    for (std::size_t i = 0; i < nodes; ++i)
+      phi.push_back(0.2 * static_cast<double>(i + 1));
+  }
+
+  [[nodiscard]] dl_solution solve(dl_scheme scheme, double dt) const {
+    dl_solver_options options;
+    options.scheme = scheme;
+    options.dt = dt;
+    return solve_dl({.params = &params,
+                     .phi_samples = phi,
+                     .t0 = kT0,
+                     .t_end = kTEnd,
+                     .options = options});
+  }
+
+  [[nodiscard]] double exact(std::size_t node, double t) const {
+    return dlm::models::logistic_solution(phi[node], kLimitRate, params.k,
+                                          kT0, t);
+  }
+};
+
+TEST(LogisticLimit, StrangCnIsExactWithoutDiffusion) {
+  const logistic_limit limit;
+  const dl_solution solution = limit.solve(dl_scheme::strang_cn, 0.02);
+  ASSERT_EQ(solution.times().size(), 6u);
+  ASSERT_EQ(solution.states().cols(), limit.phi.size());
+  for (std::size_t s = 0; s < solution.times().size(); ++s) {
+    const double t = solution.times()[s];
+    for (std::size_t i = 0; i < limit.phi.size(); ++i) {
+      const double exact = limit.exact(i, t);
+      EXPECT_NEAR(solution.states()[s][i], exact, 1e-10 * exact)
+          << "t=" << t << " node " << i;
+    }
+  }
+}
+
+TEST(LogisticLimit, ImplicitNewtonErrorIsFirstOrder) {
+  const logistic_limit limit;
+  std::vector<double> errors;
+  for (const double dt : {0.08, 0.04, 0.02}) {
+    const dl_solution solution = limit.solve(dl_scheme::implicit_newton, dt);
+    const std::span<const double> last = solution.states().back();
+    double error = 0.0;
+    for (std::size_t i = 0; i < last.size(); ++i)
+      error = std::max(error, std::abs(last[i] - limit.exact(i, kTEnd)));
+    errors.push_back(error);
+  }
+  for (std::size_t k = 0; k + 1 < errors.size(); ++k) {
+    EXPECT_GT(errors[k + 1], 0.0);
+    EXPECT_GE(errors[k] / errors[k + 1], 1.8)
+        << "error " << errors[k] << " -> " << errors[k + 1];
+  }
 }
 
 }  // namespace

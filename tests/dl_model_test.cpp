@@ -28,20 +28,6 @@ TEST(DlModel, PredictionsGrowWithTime) {
   }
 }
 
-TEST(DlModel, SurfaceMatchesPointQueries) {
-  const dl_model model(dl_parameters::paper_hops(6.0), observed);
-  const std::vector<double> times{2.0, 4.0, 6.0};
-  const auto surface = model.predict_surface(times);
-  ASSERT_EQ(surface.size(), 6u);
-  for (std::size_t i = 0; i < 6; ++i) {
-    ASSERT_EQ(surface[i].size(), 3u);
-    for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_DOUBLE_EQ(surface[i][j],
-                       model.predict(static_cast<int>(i + 1), times[j]));
-    }
-  }
-}
-
 TEST(DlModel, HonorsDomainFromParameters) {
   // 5 observations on [1, 5].
   const std::vector<double> five(observed.begin(), observed.begin() + 5);

@@ -62,28 +62,4 @@ TEST(LogisticStep, ZeroRateIsIdentity) {
   EXPECT_DOUBLE_EQ(logistic_step(3.7, 0.0, 25.0), 3.7);
 }
 
-TEST(FitLogistic, RecoversParametersFromCleanCurve) {
-  const double r = 0.6, k = 20.0, n0 = 1.0;
-  std::vector<double> t, n;
-  for (int i = 0; i <= 20; ++i) {
-    t.push_back(i);
-    n.push_back(logistic_solution(n0, r, k, 0.0, i));
-  }
-  const logistic_fit fit = fit_logistic(t, n);
-  EXPECT_NEAR(fit.r, r, 0.02);
-  EXPECT_NEAR(fit.k, k, 0.2);
-  EXPECT_NEAR(fit.n0, n0, 0.1);
-  EXPECT_LT(fit.sse, 1e-3);
-}
-
-TEST(FitLogistic, InputValidation) {
-  const std::vector<double> two{0.0, 1.0};
-  EXPECT_THROW((void)fit_logistic(two, std::vector<double>{1.0}),
-               std::invalid_argument);
-  EXPECT_THROW((void)fit_logistic(two, two), std::invalid_argument);
-  const std::vector<double> t{0.0, 1.0, 2.0};
-  const std::vector<double> zeros{0.0, 0.0, 0.0};
-  EXPECT_THROW((void)fit_logistic(t, zeros), std::invalid_argument);
-}
-
 }  // namespace

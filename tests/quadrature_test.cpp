@@ -8,23 +8,6 @@
 namespace {
 
 using dlm::num::simpson;
-using dlm::num::trapezoid;
-
-TEST(Trapezoid, NonUniformAbscissae) {
-  // ∫ x dx on [0, 2] = 2, exact for the trapezoid rule on any partition.
-  const std::vector<double> x{0.0, 0.3, 1.1, 2.0};
-  const std::vector<double> y{0.0, 0.3, 1.1, 2.0};
-  EXPECT_NEAR(trapezoid(x, y), 2.0, 1e-12);
-}
-
-TEST(Trapezoid, ErrorsOnBadInput) {
-  const std::vector<double> x{0.0, 1.0};
-  EXPECT_THROW((void)trapezoid(x, std::vector<double>{1.0}),
-               std::invalid_argument);
-  const std::vector<double> bad_x{1.0, 1.0};
-  EXPECT_THROW((void)trapezoid(bad_x, std::vector<double>{1.0, 2.0}),
-               std::invalid_argument);
-}
 
 TEST(Simpson, ExactForCubics) {
   const auto f = [](double x) { return x * x * x - x + 2.0; };

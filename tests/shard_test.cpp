@@ -746,8 +746,6 @@ TEST(ShardCli, RejectsMalformedNumbersByFlagAndPosition) {
       {"--shards 2x", "--shards", "at position 2"},
       {"--shards 2 --threads 4x", "--threads", "at position 4"},
       {"--shards 2 --threads -4", "--threads", "at position 4"},
-      {"--shards 2 --batch-width -8", "--batch-width", "at position 4"},
-      {"--shards 2 --batch-width 8.5", "--batch-width", "at position 4"},
       {"--shards 2 --retries -1", "--retries", "at position 4"},
       {"--shards 2 --retries ' 1'", "--retries", "at position 4"},
       {"--bench --bench-rates -3", "--bench-rates", "at position 3"},

@@ -135,7 +135,8 @@ TEST(BackgroundCorpus, VipsGetHistories) {
   rng r(5);
   const topic_model topics = make_topic_model(2000, 10, r);
   const std::vector<social::user_id> vips{7, 42};
-  const auto votes = background_corpus(topics, 60, 0, vips, 15, r);
+  const auto votes = background_corpus(topics, 60, 0, vips, 15,
+                                       corpus_params{}, r);
   std::size_t vip_votes = 0;
   std::set<social::story_id> vip_stories;
   for (const auto& v : votes) {

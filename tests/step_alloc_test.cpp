@@ -1,0 +1,116 @@
+// The allocation-free solver hot path, counted (ctest label `perf`).
+//
+// A steady-state time step must not touch the heap.  bench/alloc_counter.h
+// replaces the global operator new family with a counting wrapper, and
+// each case differences two warm solves over the same window and record
+// grid, one with half the step size: the trace, the times and the
+// solution objects are the same size in both, so any allocation made per
+// step shows up as a nonzero difference.  Covered: the four scalar
+// schemes on the line, the 2-D ADI sheet, coupled communities, and the
+// batched Strang–CN and implicit-Newton lanes at width 4.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <functional>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "../bench/alloc_counter.h"
+#include "core/dl_batch_workspace.h"
+#include "core/dl_solver.h"
+#include "core/dl_workspace.h"
+
+namespace {
+
+using namespace dlm;
+using core::dl_scheme;
+
+const std::vector<double> observed{1.9, 0.8, 1.1, 0.6, 0.4, 0.3};
+
+/// Runs one solve (or one batched call) at step `dt`.
+using solve_fn = std::function<void(double dt)>;
+
+/// Heap allocations of one warm call: the first call sizes the
+/// workspace for this shape, the second is counted.
+std::int64_t warm_allocations(const solve_fn& solve, double dt) {
+  solve(dt);
+  const std::uint64_t before = bench::allocations_now();
+  solve(dt);
+  return static_cast<std::int64_t>(bench::allocations_now() - before);
+}
+
+struct step_case {
+  std::string name;
+  dl_scheme scheme = dl_scheme::strang_cn;
+  core::domain dom{};
+  std::size_t points_per_unit = 20;
+  std::size_t lanes = 0;  ///< 0: one scalar solve; else batched lanes
+};
+
+void PrintTo(const step_case& c, std::ostream* os) { *os << c.name; }
+
+const std::vector<step_case> cases = {
+    {"ftcs", dl_scheme::ftcs},
+    {"strang_cn", dl_scheme::strang_cn},
+    {"implicit_newton", dl_scheme::implicit_newton},
+    {"mol_rk4", dl_scheme::mol_rk4},
+    {"grid2d_adi", dl_scheme::strang_cn, core::domain::grid(1.0, 5.0), 10},
+    {"communities", dl_scheme::strang_cn, core::domain::coupled(4, 0.05)},
+    {"batched_strang_cn_4", dl_scheme::strang_cn, {}, 20, 4},
+    {"batched_newton_4", dl_scheme::implicit_newton, {}, 20, 4},
+};
+
+class StepAllocations : public ::testing::TestWithParam<step_case> {};
+
+TEST_P(StepAllocations, AddedStepsAllocateNothing) {
+  const step_case& c = GetParam();
+  const core::initial_condition phi(observed);
+  core::dl_solver_options opts;
+  opts.scheme = c.scheme;
+  opts.points_per_unit = c.points_per_unit;
+  const double dt = c.scheme == dl_scheme::ftcs ? 0.005 : 0.02;
+
+  // Per-lane d and K, as a calibration round probes them.
+  const std::size_t lanes = c.lanes == 0 ? 1 : c.lanes;
+  std::vector<core::dl_parameters> params;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    params.push_back(core::dl_parameters::paper_hops(6.0));
+    params.back().dom = c.dom;
+    params.back().d *= 1.0 + 0.15 * static_cast<double>(l);
+    params.back().k *= 1.0 - 0.05 * static_cast<double>(l);
+  }
+
+  core::dl_workspace ws;
+  core::dl_batch_workspace batch_ws;
+  const solve_fn solve = [&](double step) {
+    std::vector<core::solve_request> requests;
+    for (const core::dl_parameters& p : params) {
+      requests.push_back({.params = &p, .phi = &phi, .options = opts});
+      requests.back().options.dt = step;
+      if (c.lanes == 0) requests.back().workspace = &ws;
+    }
+    if (c.lanes == 0) {
+      (void)core::solve_dl(requests.front());
+    } else {
+      (void)core::solve_dl(requests, batch_ws);
+    }
+  };
+
+  const std::int64_t base = warm_allocations(solve, dt);
+  const std::int64_t fine = warm_allocations(solve, 0.5 * dt);
+  // The counter is live: a solve hands back heap-owned traces.
+  EXPECT_GT(base, 0);
+  EXPECT_EQ(fine - base, 0)
+      << base << " allocations at dt " << dt << ", " << fine << " at "
+      << 0.5 * dt;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HotPath, StepAllocations, ::testing::ValuesIn(cases),
+    [](const ::testing::TestParamInfo<step_case>& info) {
+      return info.param.name;
+    });
+
+}  // namespace

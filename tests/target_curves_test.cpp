@@ -70,15 +70,6 @@ TEST(TargetCurve, InvalidArgumentsThrow) {
                std::invalid_argument);
 }
 
-TEST(TargetSurface, OneCurvePerGroup) {
-  const surface_params s{{1.4, 1.5, 0.25}, 25.0, 4.0};
-  const std::vector<group_target> groups{{1.9, 18.5, 1.0}, {0.75, 7.5, 1.0}};
-  const auto surface = target_surface(groups, s, 20);
-  ASSERT_EQ(surface.size(), 2u);
-  EXPECT_EQ(surface[0].size(), 20u);
-  EXPECT_GT(surface[0].back(), surface[1].back());
-}
-
 TEST(VoteTimeDistribution, InvertsMonotonically) {
   const std::vector<double> curve{1.0, 3.0, 6.0, 10.0};
   const vote_time_distribution dist(curve);

@@ -7,25 +7,24 @@
 // sweep with global scenario numbering intact.  This driver re-execs
 // itself as the workers, waits for them, and recombines:
 //
-//   * shard CSVs   → engine::merge_tables → one CSV, byte-identical to
-//                    the unsharded run's;
+//   * shard CSVs   → engine::merge_tables_partial → one CSV, byte-
+//                    identical to the unsharded run's;
 //   * shard caches → engine::merge_cache_files → one cache file,
 //                    byte-identical to the unsharded run's.
 //
 // Modes:
 //
 //   dl_shard --shards N [--sweep bench|comparison] [--csv out.csv]
-//            [--text out.txt] [--cache-file out.cache] [--threads T]
-//            [--batch-width W] [--timeout S] [--retries R] [--backoff MS]
-//            [--allow-partial] [--manifest out.json] [--journal]
-//            [--fault PLAN]
+//            [--cache-file out.cache] [--threads T] [--timeout S]
+//            [--retries R] [--backoff MS] [--allow-partial]
+//            [--manifest out.json] [--journal] [--fault PLAN]
 //       run the sweep as N local worker processes and merge, the batch
 //       chunks cost-balanced across them (engine/shard.h).  Workers
 //       run under engine::supervise: a crashed worker's diagnostic
 //       names the signal and shard, a hung worker is killed after
-//       --timeout seconds, failures retry up to --retries times with
-//       exponential backoff.  By default any finally-failed worker
-//       aborts the run (and its siblings); with --allow-partial the
+//       --timeout seconds, failures retry up to --retries times with a
+//       backoff that doubles per retry.  By default any finally-failed
+//       worker aborts the run (and its siblings); with --allow-partial the
 //       completed shards still merge — each surviving row byte-
 //       identical to the unsharded run's — and a JSON manifest records
 //       per-worker outcomes plus the missing sweep indices.  Each worker
@@ -38,8 +37,7 @@
 //       for tests and drills.
 //
 //   dl_shard --worker i/N --csv out.csv [--sweep ...]
-//            [--cache-file f] [--threads T] [--batch-width W]
-//            [--socket /path/dlm.sock]
+//            [--cache-file f] [--threads T] [--socket /path/dlm.sock]
 //       run one shard (the driver spawns these; also usable by hand —
 //       e.g. one per machine).  With --socket the same run_sweep solves
 //       and calibrates on a resident dl_serve server instead of locally
@@ -97,13 +95,12 @@ using namespace dlm::cli;
 
 const char* kUsage =
     "usage: dl_shard --shards N [--sweep bench|comparison]\n"
-    "                [--csv out.csv] [--text out.txt]\n"
-    "                [--cache-file out.cache]\n"
-    "                [--threads T] [--batch-width W] [--timeout S]\n"
+    "                [--csv out.csv] [--cache-file out.cache]\n"
+    "                [--threads T] [--timeout S]\n"
     "                [--retries R] [--backoff MS] [--allow-partial]\n"
     "                [--manifest out.json] [--journal] [--fault PLAN]\n"
     "       dl_shard --worker <i>/<N> --csv out.csv\n"
-    "                [--sweep ...] [--threads T] [--batch-width W]\n"
+    "                [--sweep ...] [--threads T]\n"
     "                [--cache-file f [--journal] | --socket /path/dlm.sock]\n"
     "                [--fault PLAN]\n"
     "       dl_shard --merge out.csv in0.csv in1.csv ...\n"
@@ -124,11 +121,9 @@ struct cli_options {
   // shared
   std::string sweep = "bench";
   std::string csv_path;
-  std::string text_path;
   std::string cache_path;
   int cache_position = 0;  ///< argv position of --cache-file, for errors
   std::size_t threads = 0;
-  std::size_t batch_width = 0;
   // failure domain (driver: supervision; worker: fault arming + journal)
   double timeout_sec = 0.0;
   std::size_t retries = 0;
@@ -204,15 +199,6 @@ std::string self_executable(const char* argv0) {
 
 // ------------------------------------------------------------- the merge
 
-engine::result_table merge_csv_files(
-    const std::vector<std::filesystem::path>& inputs) {
-  std::vector<engine::result_table> tables;
-  tables.reserve(inputs.size());
-  for (const std::filesystem::path& path : inputs)
-    tables.push_back(engine::result_table::from_csv(read_file(path)));
-  return engine::merge_tables(tables);
-}
-
 struct merged_cache_report {
   engine::cache_merge_result merge;
   std::uintmax_t file_bytes = 0;
@@ -247,7 +233,6 @@ int run_worker(const cli_options& opt) {
 
   engine::runner_options options;
   options.threads = opt.threads;
-  options.batch_width = opt.batch_width;
   options.shard = *opt.worker;
   options.calibration = setup.calibration;
   options.on_chunk_start =
@@ -336,10 +321,6 @@ shard_run_report run_sharded(const cli_options& opt, const std::string& exe,
                                   "--threads",   std::to_string(opt.threads),
                                   "--bench-rates",
                                   std::to_string(opt.bench_rates)};
-    if (opt.batch_width != 0) {
-      args.push_back("--batch-width");
-      args.push_back(std::to_string(opt.batch_width));
-    }
     if (!opt.cache_path.empty()) {
       const std::string cache =
           opt.cache_path + ".shard" + std::to_string(i);
@@ -396,28 +377,29 @@ shard_run_report run_sharded(const cli_options& opt, const std::string& exe,
     throw std::runtime_error(what);
   }
 
-  // Merge what completed.  On full success this is the historical
-  // exact-partition merge (a gap there is corruption and still throws);
-  // a partial run merges the surviving shards and records the gap.
+  // Merge what completed.  A partial run records the gap; after full
+  // success a gap is corruption and throws.
   const clock_type::time_point merge_start = clock_type::now();
-  std::vector<std::filesystem::path> good_csvs;
+  // The shard tables and their merged copy are freed before the cache
+  // merge, which is the driver's peak.
   std::vector<std::filesystem::path> good_caches;
-  for (std::size_t i = 0; i < shards; ++i) {
-    if (!report.workers.outcomes[i].succeeded) continue;
-    good_csvs.push_back(csvs[i]);
-    if (!caches.empty()) good_caches.push_back(caches[i]);
-  }
-  if (report.workers.all_succeeded()) {
-    report.merged_csv = merge_csv_files(good_csvs).to_csv();
-  } else {
+  {
     std::vector<engine::result_table> tables;
-    tables.reserve(good_csvs.size());
-    for (const std::filesystem::path& path : good_csvs)
-      tables.push_back(engine::result_table::from_csv(read_file(path)));
-    engine::partial_merge partial =
+    for (std::size_t i = 0; i < shards; ++i) {
+      if (!report.workers.outcomes[i].succeeded) continue;
+      tables.push_back(engine::result_table::from_csv(read_file(csvs[i])));
+      if (!caches.empty()) good_caches.push_back(caches[i]);
+    }
+    engine::partial_merge merged =
         engine::merge_tables_partial(tables, scenario_count);
-    report.merged_csv = partial.table.to_csv();
-    report.missing = std::move(partial.missing);
+    tables.clear();
+    if (report.workers.all_succeeded() && !merged.missing.empty())
+      throw std::runtime_error(
+          "scenario index " + std::to_string(merged.missing.front()) +
+          " is missing from the merged shards (dropped or truncated shard "
+          "CSV?)");
+    report.merged_csv = merged.table.to_csv();
+    report.missing = std::move(merged.missing);
   }
   if (!good_caches.empty())
     report.cache = merge_cache_files_to(opt.cache_path, good_caches);
@@ -466,9 +448,6 @@ int run_driver(const cli_options& opt, const std::string& exe) {
   const shard_run_report report =
       run_sharded(opt, exe, opt.shards, scenario_count);
   write_file(opt.csv_path, report.merged_csv);
-  if (!opt.text_path.empty())
-    write_file(opt.text_path,
-               engine::result_table::from_csv(report.merged_csv).to_text());
   if (opt.allow_partial) {
     const std::string manifest = opt.manifest_path.empty()
                                      ? opt.csv_path + ".manifest.json"
@@ -662,16 +641,11 @@ int main(int argc, char** argv) {
         opt.sweep = next("--sweep");
       } else if (arg == "--csv") {
         opt.csv_path = next("--csv");
-      } else if (arg == "--text") {
-        opt.text_path = next("--text");
       } else if (arg == "--cache-file") {
         opt.cache_position = i;
         opt.cache_path = next("--cache-file");
       } else if (arg == "--threads") {
         opt.threads = parse_cli_number<std::size_t>(arg, next("--threads"));
-      } else if (arg == "--batch-width") {
-        opt.batch_width =
-            parse_cli_number<std::size_t>(arg, next("--batch-width"));
       } else if (arg == "--socket") {
         opt.socket_path = next("--socket");
       } else if (arg == "--timeout") {
@@ -731,13 +705,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The doubling backoff schedule, bounded like --timeout: the last
-  // retry must not wait longer than 1e9 seconds.
+  // The supervisor's doubling backoff schedule, bounded like --timeout:
+  // the last retry must not wait longer than 1e9 seconds.
   double last_backoff_ms = opt.backoff_ms;
   for (std::size_t r = 1;
        r < opt.retries && last_backoff_ms <= 1e3 * engine::kMaxSupervisorWaitSec;
        ++r)
-    last_backoff_ms *= 2.0;
+    last_backoff_ms *= engine::kSupervisorBackoffMultiplier;
   if (opt.retries > 0 &&
       last_backoff_ms > 1e3 * engine::kMaxSupervisorWaitSec)
     return bad_cli(
