@@ -4,10 +4,10 @@
 // Every solver benchmark reports two counters next to ns/op:
 //
 //  * allocs_per_solve — heap allocations per whole solve (counting
-//    allocator, bench/alloc_counter.h).  With a reused dl_workspace this
-//    is the handful of unavoidable per-solve allocations: sampling φ,
+//    allocator, bench/alloc_counter.h).  On the warm thread-local
+//    workspace this is the handful of per-solve allocations: sampling φ,
 //    the times/trace buffers that leave with the dl_solution, and the
-//    solution object itself.
+//    span call's grouping and result vectors.
 //  * allocs_per_step — the marginal allocations of adding a time step,
 //    measured by differencing two warm solves that differ only in step
 //    count.  The hot-path contract is that this is exactly 0 for every
@@ -23,10 +23,8 @@
 #include <cmath>
 
 #include "alloc_counter.h"
-#include "core/dl_batch_workspace.h"
 #include "core/dl_model.h"
 #include "core/dl_solver.h"
-#include "core/dl_workspace.h"
 #include "numerics/cubic_spline.h"
 #include "numerics/tridiagonal.h"
 
@@ -51,10 +49,8 @@ core::dl_solver_options options_for(core::dl_scheme scheme,
 double allocs_per_step(const core::dl_parameters& params,
                        const core::initial_condition& phi,
                        core::dl_solver_options opts) {
-  core::dl_workspace ws;
-  core::solve_request request{
-      .params = &params, .phi = &phi, .options = opts, .workspace = &ws};
-  (void)solve_dl(request);  // warm the workspace
+  core::solve_request request{.params = &params, .phi = &phi, .options = opts};
+  (void)solve_dl(request);  // warm this thread's workspace
   const std::uint64_t before = bench::allocations_now();
   (void)solve_dl(request);
   const std::uint64_t base = bench::allocations_now() - before;
@@ -107,9 +103,9 @@ BENCHMARK(bm_newton)->Arg(20)->Arg(80);
 BENCHMARK(bm_rk4)->Arg(20)->Arg(80);
 
 // Batched lockstep Strang–CN: Args(width, points per unit) — width
-// independent scenarios (same grid/dt, per-lane d) advanced over one SoA
-// batch workspace.  items_processed counts scenarios, so the report's
-// items/sec column is scenarios/sec directly — width 1 is the scalar
+// independent scenarios (same grid/dt, per-lane d) advanced over this
+// thread's SoA batch workspace.  items_processed counts scenarios, so the
+// report's items/sec column is scenarios/sec directly — width 1 is the scalar
 // baseline (a group of one takes the scalar path inside solve_dl), width
 // 3 pads its second two-lane pack with a discarded copy, and grid 80 is
 // the dl_shard bench sweep's shape (401 nodes, 8 lanes per chunk).
@@ -128,9 +124,8 @@ void bm_batched_strang_cn(benchmark::State& state) {
   requests.reserve(width);
   for (std::size_t l = 0; l < width; ++l)
     requests.push_back({.params = &params[l], .phi = &phi, .options = opts});
-  core::dl_batch_workspace ws;
   for (auto _ : state) {
-    const std::vector<core::dl_solution> sols = core::solve_dl(requests, ws);
+    const std::vector<core::dl_solution> sols = core::solve_dl(requests);
     benchmark::DoNotOptimize(sols.back().states().back().data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -162,9 +157,8 @@ void bm_batched_newton(benchmark::State& state) {
   for (std::size_t l = 0; l < width; ++l)
     requests.push_back(
         {.params = &params[l], .phi = &phi, .t_end = 4.0, .options = opts});
-  core::dl_batch_workspace ws;
   for (auto _ : state) {
-    const std::vector<core::dl_solution> sols = core::solve_dl(requests, ws);
+    const std::vector<core::dl_solution> sols = core::solve_dl(requests);
     benchmark::DoNotOptimize(sols.back().states().back().data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

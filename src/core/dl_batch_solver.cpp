@@ -1,12 +1,12 @@
 // Batched DL solver: advances a span of solve_requests in lockstep.
 //
-// Compatible requests — same scheme, grid, dt, record cadence, time
-// window and Newton settings — form a group, solved in chunks of at most
-// eight lanes.  A chunk's lanes share one time loop over the
-// structure-of-arrays dl_batch_workspace (u[node*W + lane]), and its
-// lane kernels — the fused Strang–CN step and the implicit-Newton step —
-// run on an explicit two-double vector type (the SSE2 baseline
-// register): a chunk is P = 1..4 packs of two lanes, so each divide is
+// Compatible requests — same scheme, grid, dt, time window and Newton
+// settings — form a group, solved in chunks of at most eight lanes.  A
+// chunk's lanes share one time loop over the structure-of-arrays
+// dl_batch_workspace (u[node*W + lane]), and its lane kernels — the
+// fused Strang–CN step and the implicit-Newton step — run on an
+// explicit two-double vector type (the SSE2 baseline register): a
+// chunk is P = 1..4 packs of two lanes, so each divide is
 // one divpd for two lanes, and the P independent Thomas chains
 // interleave (the division chain of one pack overlaps the arithmetic of
 // the others).  An odd chunk pads its last pack with a copy of its last
@@ -33,8 +33,7 @@
 // that measured no faster than scalar solves — ftcs (0.58–0.85× across
 // grids and widths), mol_rk4 (0.68–0.96×) and strang_cn with a spatial
 // rate (about 1.0×: its per-node exps cost the same either way) — plus
-// non-line domains, requests carrying their own dl_workspace (the caller
-// asked for exactly those buffers), and chunks of one lane.
+// non-line domains and chunks of one lane.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -67,7 +66,6 @@ struct group_key {
   double x_min = 0.0;
   double x_max = 0.0;
   double dt = 0.0;
-  double record_dt = 0.0;  ///< effective (inf for final_state output)
   double t0 = 0.0;
   double t_end = 0.0;
   int newton_max_iter = 0;
@@ -78,20 +76,21 @@ struct group_key {
 
 group_key key_of(const solve_request& request) {
   request.params->validate();
-  const dl_solver_options options = detail::effective_options(request);
+  const dl_solver_options& options = request.options;
   return {options.scheme,
           detail::node_count(*request.params, options),
           request.params->x_min,
           request.params->x_max,
           options.dt,
-          options.record_dt,
           request.t0,
           request.t_end,
           options.newton_max_iter,
           options.newton_tol};
 }
 
-/// Mirrors the scalar path's workspace_guard for the batch workspace.
+/// Marks the batch workspace busy for the duration of a solve, so a
+/// reentrant solve on the same thread falls back to a private workspace
+/// instead of clobbering live buffers.
 class batch_guard {
  public:
   explicit batch_guard(dl_batch_workspace& ws) : ws_(ws) { ws_.in_use = true; }
@@ -346,17 +345,16 @@ void solve_group(std::span<const solve_request> requests,
   bws.prepare(n, W, key.scheme);
   for (std::size_t i = 0; i < n; ++i) bws.node_x[i] = grid.x(i);
 
-  // Per-lane setup: the scalar path's validation (same exceptions),
-  // initial data scattered node-major × lane-minor, rate classification.
+  // The scalar path's window validation (same exceptions), once for the
+  // group's shared window.
+  const detail::time_loop loop(key.t0, key.t_end, key.dt);
+
+  // Per-lane setup: initial data scattered node-major × lane-minor, rate
+  // classification.
   std::vector<double> samples;
   for (std::size_t l = 0; l < W; ++l) {
     const solve_request& request = requests[member(l)];
     const dl_parameters& params = *request.params;
-    const dl_solver_options options = detail::effective_options(request);
-    if (!(request.t_end > request.t0))
-      throw std::invalid_argument("solve_dl: t_end must exceed t0");
-    if (!(options.dt > 0.0))
-      throw std::invalid_argument("solve_dl: dt must be positive");
     if (request.phi != nullptr) {
       samples = request.phi->sample(params.x_min, params.x_max, n);
       // Same clip as the scalar path applies to .phi: densities are
@@ -475,22 +473,13 @@ void solve_group(std::span<const solve_request> requests,
     bws.u.swap(bws.u_next);
   };
 
-  // Shared record bookkeeping — the scalar path's, once for all lanes.
-  const std::size_t total_steps = static_cast<std::size_t>(
-      std::ceil((key.t_end - key.t0) / key.dt - 1e-12));
-  std::size_t max_records = total_steps;
-  if (key.record_dt > 0.0) {
-    const double est = (key.t_end - key.t0) / key.record_dt;
-    if (est < static_cast<double>(total_steps))
-      max_records = static_cast<std::size_t>(est) + 1;
-  }
-  std::vector<double> times;
-  times.reserve(max_records + 2);
+  // Shared record bookkeeping — the scalar path's time loop, once for
+  // all lanes.
   std::vector<trace_storage> traces;
   traces.reserve(lanes);
   for (std::size_t l = 0; l < lanes; ++l) {
     traces.emplace_back(n);
-    traces.back().reserve(max_records + 2);
+    traces.back().reserve(loop.max_rows());
   }
   const auto record = [&]() {
     for (std::size_t l = 0; l < lanes; ++l) {
@@ -498,33 +487,21 @@ void solve_group(std::span<const solve_request> requests,
       traces[l].append_row(bws.row);
     }
   };
-  times.push_back(key.t0);
-  record();
-  double next_record = key.t0 + key.record_dt;
-
-  for (std::size_t step = 0; step < total_steps; ++step) {
-    const double t = key.t0 + static_cast<double>(step) * key.dt;
-    const double h = std::min(key.dt, key.t_end - t);
-    if (h <= 0.0) break;
-    if (key.scheme == dl_scheme::strang_cn)
-      step_strang(t, h);
-    else
-      step_newton(t, h);
-    const double t_new = t + h;
-    if (t_new + 1e-12 >= next_record || step + 1 == total_steps) {
-      times.push_back(t_new);
-      record();
-      while (next_record <= t_new + 1e-12) next_record += key.record_dt;
-    }
-  }
+  const std::vector<double> times = loop.run(
+      [&](double t, double h) {
+        if (key.scheme == dl_scheme::strang_cn)
+          step_strang(t, h);
+        else
+          step_newton(t, h);
+      },
+      record);
 
   for (std::size_t l = 0; l < lanes; ++l)
     solved[members[l]] = dl_solution(grid, times, std::move(traces[l]));
 }
 
-}  // namespace
-
-std::vector<dl_solution> solve_dl(std::span<const solve_request> requests,
+/// solve_dl(span) on the given batch workspace.
+std::vector<dl_solution> solve_on(std::span<const solve_request> requests,
                                   dl_batch_workspace& workspace) {
   const batch_guard guard(workspace);
   std::vector<std::optional<dl_solution>> solved(requests.size());
@@ -546,8 +523,7 @@ std::vector<dl_solution> solve_dl(std::span<const solve_request> requests,
     const bool lanes_win =
         scheme == dl_scheme::implicit_newton ||
         (scheme == dl_scheme::strang_cn && !request.params->r.spatial());
-    if (request.workspace != nullptr || !lanes_win ||
-        !request.params->dom.is_line()) {
+    if (!lanes_win || !request.params->dom.is_line()) {
       // Non-line domains (2-D ADI, coupled communities) have their own
       // stepping loops; they run scalar rather than in SoA lockstep.
       scalar_lanes.push_back(i);
@@ -577,12 +553,8 @@ std::vector<dl_solution> solve_dl(std::span<const solve_request> requests,
         solve_group(requests, g.key, chunk, workspace, solved);
     }
   }
-  for (const std::size_t i : scalar_lanes) {
-    const solve_request& request = requests[i];
-    solved[i] = detail::solve_request_scalar(
-        request,
-        request.workspace != nullptr ? *request.workspace : workspace.scalar);
-  }
+  for (const std::size_t i : scalar_lanes)
+    solved[i] = detail::solve_request_scalar(requests[i], workspace.scalar);
 
   std::vector<dl_solution> out;
   out.reserve(requests.size());
@@ -590,15 +562,21 @@ std::vector<dl_solution> solve_dl(std::span<const solve_request> requests,
   return out;
 }
 
+}  // namespace
+
 std::vector<dl_solution> solve_dl(std::span<const solve_request> requests) {
   dl_batch_workspace& shared = thread_batch_workspace();
   if (shared.in_use) {
-    // Reentrant batched solve (e.g. a custom rate field that itself runs
-    // the solver): don't clobber the outer batch's live lanes.
+    // Reentrant solve on this thread: don't clobber the outer solve's
+    // live buffers.
     dl_batch_workspace local;
-    return solve_dl(requests, local);
+    return solve_on(requests, local);
   }
-  return solve_dl(requests, shared);
+  return solve_on(requests, shared);
+}
+
+dl_solution solve_dl(const solve_request& request) {
+  return std::move(solve_dl(std::span(&request, 1)).front());
 }
 
 }  // namespace dlm::core

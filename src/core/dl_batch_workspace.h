@@ -87,13 +87,14 @@ struct dl_batch_workspace {
   num::tridiagonal_matrix cn_lhs;  ///< build scratch for cache entries
 
   /// Scalar workspace for the lanes the batch path hands back to the
-  /// scalar solver: ftcs and mol_rk4 requests, non-line domains, groups
-  /// of one, and requests carrying their own dl_workspace.
+  /// scalar solver: ftcs, mol_rk4 and spatial-rate strang_cn requests,
+  /// non-line domains and groups of one — so solve_dl(request), the span
+  /// of one, always runs here.
   dl_workspace scalar;
 
-  /// True while a batched solve is running on this workspace; the
-  /// thread-local wrapper checks it to survive reentrancy (mirrors
-  /// dl_workspace::in_use).
+  /// True while a solve is running on this workspace; solve_dl checks it
+  /// so a reentrant solve on the same thread falls back to a private
+  /// workspace instead of clobbering live buffers.
   bool in_use = false;
 
   /// Sizes every buffer for an n-node, `width`-lane group of the given
@@ -102,8 +103,8 @@ struct dl_batch_workspace {
   void prepare(std::size_t n, std::size_t width, dl_scheme scheme);
 };
 
-/// This thread's shared batch workspace — what the plain batched
-/// solve_dl overload uses.
+/// This thread's workspace: the only scratch solve_dl uses (a reentrant
+/// solve excepted).
 [[nodiscard]] dl_batch_workspace& thread_batch_workspace();
 
 }  // namespace dlm::core

@@ -1,8 +1,9 @@
 // Non-line domain solvers for the Diffusive Logistic equation.
 //
 // detail::solve_profile dispatches here for the two non-line domain kinds
-// (core/domain.h); the 1-D line keeps its original stepping loops in
-// dl_solver.cpp, untouched.
+// (core/domain.h); the 1-D line keeps its stepping loops in dl_solver.cpp.
+// All of them step the same detail::time_loop, so record times match
+// across domains.
 //
 //  * grid2d — u(x, y, t) with ∂u/∂t = d(u_xx + u_yy) + r(x, t)u(1 − u/K)
 //    and no-flux boundaries on all four edges, advanced by Strang
@@ -47,38 +48,6 @@ void require_strang(const dl_parameters& params,
                                 to_string(options.scheme) + ")");
 }
 
-/// Snapshot recording state shared by both solvers — the same cadence
-/// expressions as the 1-D line, so record times match across domains.
-struct recorder {
-  std::vector<double> times;
-  trace_storage trace;
-  double next_record;
-  double record_dt;
-
-  recorder(std::size_t n, std::size_t total_steps, double t0, double t_end,
-           const dl_solver_options& options)
-      : trace(n), next_record(t0 + options.record_dt),
-        record_dt(options.record_dt) {
-    std::size_t max_records = total_steps;
-    if (options.record_dt > 0.0) {
-      const double est = (t_end - t0) / options.record_dt;
-      if (est < static_cast<double>(total_steps))
-        max_records = static_cast<std::size_t>(est) + 1;
-    }
-    times.reserve(max_records + 2);
-    trace.reserve(max_records + 2);
-  }
-
-  void record_if_due(double t_new, bool last_step,
-                     const std::vector<double>& u) {
-    if (t_new + 1e-12 >= next_record || last_step) {
-      times.push_back(t_new);
-      trace.append_row(u);
-      while (next_record <= t_new + 1e-12) next_record += record_dt;
-    }
-  }
-};
-
 }  // namespace
 
 std::vector<double> broadcast_profile(const dl_parameters& params,
@@ -100,8 +69,9 @@ std::vector<double> broadcast_profile(const dl_parameters& params,
 }
 
 dl_solution solve_dl_grid2d(const dl_parameters& params,
-                            std::span<const double> phi_samples, double t0,
-                            double t_end, const dl_solver_options& options,
+                            std::span<const double> phi_samples,
+                            const time_loop& loop,
+                            const dl_solver_options& options,
                             dl_workspace& ws) {
   require_strang(params, options);
   const std::size_t nx = node_count(params, options);
@@ -115,7 +85,6 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
   const double dx = grid.spacing();
   const double dy = y_grid.spacing();
 
-  const workspace_guard guard(ws.in_use);
   ws.prepare(n);
   std::vector<double>& u = ws.u;
   std::vector<double>& u_star = ws.u_next;  ///< ADI intermediate u*
@@ -160,18 +129,11 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
     }
   };
 
-  const std::size_t total_steps = static_cast<std::size_t>(
-      std::ceil((t_end - t0) / options.dt - 1e-12));
-  recorder rec(n, total_steps, t0, t_end, options);
-  rec.times.push_back(t0);
-  rec.trace.append_row(u);
-
+  trace_storage trace(n);
+  trace.reserve(loop.max_rows());
   const num::tridiagonal_matrix& ax = ws.cn_rhs;    // I + (λx/2)Ax
   const num::tridiagonal_matrix& ay = ws.cn_rhs_y;  // I + (λy/2)Ay
-  for (std::size_t step = 0; step < total_steps; ++step) {
-    const double t = t0 + static_cast<double>(step) * options.dt;
-    const double h = std::min(options.dt, t_end - t);
-    if (h <= 0.0) break;
+  const auto step = [&](double t, double h) {
     if (h != options.dt) build_operators(h);
 
     sampler.integrals_over(t, t + 0.5 * h, r_int);
@@ -211,15 +173,14 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
     }
 
     react(rt);
-    rec.record_if_due(t + h, step + 1 == total_steps, u);
-  }
-
-  return dl_solution(grid, std::move(rec.times), std::move(rec.trace), ny);
+  };
+  std::vector<double> times = loop.run(step, [&] { trace.append_row(u); });
+  return dl_solution(grid, std::move(times), std::move(trace), ny);
 }
 
 dl_solution solve_dl_communities(const dl_parameters& params,
                                  std::span<const double> phi_samples,
-                                 double t0, double t_end,
+                                 const time_loop& loop,
                                  const dl_solver_options& options,
                                  dl_workspace& ws) {
   require_strang(params, options);
@@ -232,7 +193,6 @@ dl_solution solve_dl_communities(const dl_parameters& params,
   const num::uniform_grid grid(params.x_min, params.x_max, nx);
   const double dx = grid.spacing();
 
-  const workspace_guard guard(ws.in_use);
   ws.prepare(n);
   std::vector<double>& u = ws.u;
   std::vector<double>& pre_mix = ws.u_next;
@@ -260,16 +220,9 @@ dl_solution solve_dl_communities(const dl_parameters& params,
   const bool mixing_on = kc > 1 && params.dom.has_mixing();
   const std::vector<double>& mix = params.dom.mixing;
 
-  const std::size_t total_steps = static_cast<std::size_t>(
-      std::ceil((t_end - t0) / options.dt - 1e-12));
-  recorder rec(n, total_steps, t0, t_end, options);
-  rec.times.push_back(t0);
-  rec.trace.append_row(u);
-
-  for (std::size_t step = 0; step < total_steps; ++step) {
-    const double t = t0 + static_cast<double>(step) * options.dt;
-    const double h = std::min(options.dt, t_end - t);
-    if (h <= 0.0) break;
+  trace_storage trace(n);
+  trace.reserve(loop.max_rows());
+  const auto step = [&](double t, double h) {
     if (h != options.dt) build_operators(h);
 
     sampler.integrals_over(t, t + 0.5 * h, r_int);
@@ -296,11 +249,9 @@ dl_solution solve_dl_communities(const dl_parameters& params,
         }
       }
     }
-
-    rec.record_if_due(t + h, step + 1 == total_steps, u);
-  }
-
-  return dl_solution(grid, std::move(rec.times), std::move(rec.trace), kc);
+  };
+  std::vector<double> times = loop.run(step, [&] { trace.append_row(u); });
+  return dl_solution(grid, std::move(times), std::move(trace), kc);
 }
 
 }  // namespace dlm::core::detail

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "core/dl_solver_internal.h"
@@ -14,13 +13,13 @@ namespace dlm::core {
 namespace {
 
 // The per-node arithmetic (logistic propagator, CN matrix entries, node
-// count, rate sampling, the fused Strang–CN sweep) lives in
-// dl_solver_internal.h, shared verbatim with the batched SoA solver and
-// the domain solvers so every path is the same IEEE operation sequence.
+// count, rate sampling, the fused Strang–CN sweep, the time loop) lives
+// in dl_solver_internal.h, shared verbatim with the batched SoA solver
+// and the domain solvers so every path is the same IEEE operation
+// sequence.
 using detail::build_cn_matrices;
 using detail::node_count;
 using detail::rate_sampler;
-using detail::workspace_guard;
 
 }  // namespace
 
@@ -157,21 +156,17 @@ dl_solution detail::solve_profile(const dl_parameters& params,
                                   const dl_solver_options& options,
                                   dl_workspace& ws) {
   params.validate();
-  if (!(t_end > t0))
-    throw std::invalid_argument("solve_dl: t_end must exceed t0");
-  if (!(options.dt > 0.0))
-    throw std::invalid_argument("solve_dl: dt must be positive");
+  const detail::time_loop loop(t0, t_end, options.dt);
   // Non-line domains take their own stepping loops (ADI / per-community
-  // fused steps + mixing); the 1-D line continues below, untouched.
+  // fused steps + mixing); the 1-D line continues below.
   switch (params.dom.kind) {
     case domain_kind::line:
       break;
     case domain_kind::grid2d:
-      return detail::solve_dl_grid2d(params, phi_samples, t0, t_end, options,
-                                     ws);
+      return detail::solve_dl_grid2d(params, phi_samples, loop, options, ws);
     case domain_kind::communities:
-      return detail::solve_dl_communities(params, phi_samples, t0, t_end,
-                                          options, ws);
+      return detail::solve_dl_communities(params, phi_samples, loop, options,
+                                          ws);
   }
   const std::size_t n = node_count(params, options);
   if (phi_samples.size() != n)
@@ -188,7 +183,6 @@ dl_solution detail::solve_profile(const dl_parameters& params,
           std::to_string(dt_max));
   }
 
-  const workspace_guard guard(ws.in_use);
   ws.prepare(n);
   std::vector<double>& u = ws.u;
   std::vector<double>& u_next = ws.u_next;
@@ -218,24 +212,9 @@ dl_solution detail::solve_profile(const dl_parameters& params,
     ws.cn_factor.factor(ws.cn_lhs);
   }
 
-  const std::size_t total_steps = static_cast<std::size_t>(
-      std::ceil((t_end - t0) / options.dt - 1e-12));
-
-  // Recorded snapshots: one contiguous buffer, reserved for the exact
-  // record count so steady-state stepping never reallocates.
-  std::size_t max_records = total_steps;
-  if (options.record_dt > 0.0) {
-    const double est = (t_end - t0) / options.record_dt;
-    if (est < static_cast<double>(total_steps))
-      max_records = static_cast<std::size_t>(est) + 1;
-  }
-  std::vector<double> times;
-  times.reserve(max_records + 2);
+  // Recorded snapshots: one contiguous buffer, reserved up front.
   trace_storage trace(n);
-  trace.reserve(max_records + 2);
-  times.push_back(t0);
-  trace.append_row(u);
-  double next_record = t0 + options.record_dt;
+  trace.reserve(loop.max_rows());
 
   std::vector<double>& rt_react = ws.rt_react;
   // Hoisted into a std::function once — handing the lambda to rk4_step
@@ -249,11 +228,7 @@ dl_solution detail::solve_profile(const dl_parameters& params,
           params.d * dydt[i] + rt_react[i] * y[i] * (1.0 - y[i] / params.k);
   };
 
-  for (std::size_t step = 0; step < total_steps; ++step) {
-    const double t = t0 + static_cast<double>(step) * options.dt;
-    const double h = std::min(options.dt, t_end - t);
-    if (h <= 0.0) break;
-
+  const auto step = [&](double t, double h) {
     switch (options.scheme) {
       case dl_scheme::ftcs: {
         neumann_laplacian(u, dx, lap);
@@ -328,31 +303,14 @@ dl_solution detail::solve_profile(const dl_parameters& params,
         break;
       }
     }
-
-    const double t_new = t + h;
-    if (t_new + 1e-12 >= next_record || step + 1 == total_steps) {
-      times.push_back(t_new);
-      trace.append_row(u);
-      while (next_record <= t_new + 1e-12) next_record += options.record_dt;
-    }
-  }
-
+  };
+  std::vector<double> times = loop.run(step, [&] { trace.append_row(u); });
   return dl_solution(grid, std::move(times), std::move(trace));
-}
-
-dl_solver_options detail::effective_options(const solve_request& request) {
-  dl_solver_options options = request.options;
-  // final_state is snapshots with an unreachable record cadence: only the
-  // initial and final rows are recorded, and those rows are bitwise
-  // identical to the matching snapshot-mode rows.
-  if (request.output == dl_output_mode::final_state)
-    options.record_dt = std::numeric_limits<double>::infinity();
-  return options;
 }
 
 dl_solution detail::solve_request_scalar(const solve_request& request,
                                          dl_workspace& ws) {
-  const dl_solver_options options = detail::effective_options(request);
+  const dl_solver_options& options = request.options;
   const dl_parameters& params = *request.params;
   if (request.phi == nullptr) {
     if (request.phi_samples.empty())
@@ -376,19 +334,6 @@ dl_solution detail::solve_request_scalar(const solve_request& request,
   }
   return solve_profile(params, samples, request.t0, request.t_end, options,
                        ws);
-}
-
-dl_solution solve_dl(const solve_request& request) {
-  if (request.params == nullptr)
-    throw std::invalid_argument("solve_dl: request has no parameters");
-  if (request.workspace != nullptr)
-    return detail::solve_request_scalar(request, *request.workspace);
-  dl_workspace& shared = thread_workspace();
-  if (shared.in_use) {
-    dl_workspace local;
-    return detail::solve_request_scalar(request, local);
-  }
-  return detail::solve_request_scalar(request, shared);
 }
 
 }  // namespace dlm::core

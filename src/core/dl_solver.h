@@ -25,22 +25,21 @@
 // per grid node.  Separable-form fields (every r(t)-only run) keep the
 // original cost: the spatial profile is hoisted out of the time loop.
 //
-// The hot path is allocation-free: every scratch buffer lives in a
-// core::dl_workspace (reused across solves — a request borrows a
-// thread-local one unless it names its own), the Strang–CN diffusion
-// matrix is Thomas-factored once per run, and recorded snapshots land in
-// one contiguous trace_storage buffer reserved up front.  A steady-state
-// time step performs zero heap allocations.
+// The hot path is allocation-free: every scratch buffer lives in this
+// thread's core::dl_batch_workspace (reused across solves), the Strang–CN
+// diffusion matrix is Thomas-factored once per run, and the hourly
+// snapshots land in one contiguous trace_storage buffer reserved up
+// front.  A steady-state time step performs zero heap allocations.
 //
 // Entry point: build a core::solve_request (params + initial data + window
-// + options) and call solve_dl(request) — or hand a whole span of requests
-// to solve_dl(span<const solve_request>), which advances compatible
-// strang_cn and implicit_newton requests (same scheme/grid/dt/window) in
-// lockstep over a structure-of-arrays dl_batch_workspace, interleaving
-// every lane's Thomas sweep.  Batched lanes are bitwise identical to the
-// scalar path (solver_batch_test), so caches, golden fits and CSV output
-// are unaffected by how requests are grouped.  docs/solver_api.md
-// describes the request fields.
+// + options) and hand a span of them to solve_dl(span<const solve_request>),
+// which advances compatible strang_cn and implicit_newton requests (same
+// scheme/grid/dt/window) in lockstep over structure-of-arrays lanes,
+// interleaving every lane's Thomas sweep; solve_dl(request) is the span
+// of one.  Batched lanes are bitwise identical to the scalar path
+// (solver_batch_test), so caches, golden fits and CSV output are
+// unaffected by how requests are grouped.  docs/solver_api.md describes
+// the request fields.
 #pragma once
 
 #include <cstddef>
@@ -54,22 +53,20 @@
 
 namespace dlm::core {
 
-struct dl_workspace;
-struct dl_batch_workspace;
-
 /// Time-stepping scheme selector.
 enum class dl_scheme { ftcs, strang_cn, implicit_newton, mol_rk4 };
 
 [[nodiscard]] std::string to_string(dl_scheme scheme);
 
-/// Solver options.
+/// Solver options.  Snapshots are recorded every whole hour after t0
+/// (plus the initial and final profiles): the paper reads density only
+/// at whole hours (§III.C).
 struct dl_solver_options {
   dl_scheme scheme = dl_scheme::strang_cn;
   /// Grid nodes per unit distance; integer distances land exactly on
   /// nodes when x_min is an integer.
   std::size_t points_per_unit = 20;
-  double dt = 0.02;        ///< time step (hours)
-  double record_dt = 1.0;  ///< interval between recorded snapshots
+  double dt = 0.02;  ///< time step (hours)
   int newton_max_iter = 16;
   double newton_tol = 1e-11;
 };
@@ -138,18 +135,6 @@ class dl_solution {
   std::size_t blocks_ = 1;
 };
 
-/// What a solved request records.
-enum class dl_output_mode {
-  /// Snapshots every options.record_dt (plus the initial and final
-  /// profiles) — the historical behaviour.
-  snapshots,
-  /// Only the initial and final profiles: a fit objective that reads one
-  /// time never pays for intermediate rows.  Equivalent to snapshots with
-  /// an infinite record_dt, which is exactly how it is implemented, so
-  /// the recorded rows are bitwise identical to the matching snapshots.
-  final_state,
-};
-
 /// One DL solve, fully described: the unified entry point of this module.
 ///
 /// Exactly one of `phi` / `phi_samples` supplies the initial data:
@@ -169,39 +154,29 @@ struct solve_request {
   double t0 = 1.0;                             ///< window start (hours)
   double t_end = 6.0;                          ///< window end
   dl_solver_options options{};                 ///< scheme / grid / dt
-  dl_output_mode output = dl_output_mode::snapshots;
-  /// Optional caller-owned scratch.  When set, this request always runs
-  /// on the scalar path with exactly these buffers (deterministic memory
-  /// accounting); when null, solve_dl borrows a thread-local workspace.
-  dl_workspace* workspace = nullptr;
 };
 
-/// Solves one request.  Scratch is the request's workspace when set, else
-/// this thread's shared one (see core/dl_workspace.h).
-[[nodiscard]] dl_solution solve_dl(const solve_request& request);
-
 /// Solves a span of requests, returning one solution per request in
-/// request order.  Requests sharing a scheme, grid, dt, record cadence
-/// and time window are grouped (index-stably, by first occurrence) and
-/// advanced in lockstep over a structure-of-arrays batch workspace — the
-/// strang_cn and implicit_newton schemes interleave their lanes' Thomas
-/// sweeps (each distinct diffusion coefficient's Crank–Nicolson
-/// factorization is shared within a group; Newton lanes iterate to their
-/// own convergence under a per-lane mask).  Everything else (ftcs,
-/// mol_rk4 and spatial-rate strang_cn, whose lanes are no faster than
-/// scalar solves; non-line domains; explicit per-request workspaces;
-/// groups of one) takes the scalar path.
-/// Per-request results are bitwise identical either way.
+/// request order.  Requests sharing a scheme, grid, dt and time window
+/// are grouped (index-stably, by first occurrence) and advanced in
+/// lockstep over structure-of-arrays lanes — the strang_cn and
+/// implicit_newton schemes interleave their lanes' Thomas sweeps (each
+/// distinct diffusion coefficient's Crank–Nicolson factorization is
+/// shared within a group; Newton lanes iterate to their own convergence
+/// under a per-lane mask).  Everything else (ftcs, mol_rk4 and
+/// spatial-rate strang_cn, whose lanes are no faster than scalar solves;
+/// non-line domains; groups of one) takes the scalar path.  Per-request
+/// results are bitwise identical either way.  Scratch is this thread's
+/// dl_batch_workspace (core/dl_batch_workspace.h).
 ///
 /// Any invalid request throws the same exception its scalar solve would;
-/// the span overload gives no partial results.
+/// the span overload gives no partial results.  A window whose step count
+/// (t_end − t0)/dt is not below 2^53 throws std::invalid_argument.
 [[nodiscard]] std::vector<dl_solution> solve_dl(
     std::span<const solve_request> requests);
 
-/// Explicit batch-workspace variant (deterministic memory accounting,
-/// custom threading layers).
-[[nodiscard]] std::vector<dl_solution> solve_dl(
-    std::span<const solve_request> requests, dl_batch_workspace& workspace);
+/// Solves one request: the span of one.
+[[nodiscard]] dl_solution solve_dl(const solve_request& request);
 
 /// Mirror-ghost Neumann Laplacian of `u` scaled by 1/dx² into `out`
 /// (exposed for tests).

@@ -5,15 +5,17 @@
 // domain solver (dl_domain_solver.cpp) must be bitwise identical to the
 // plain 1-D line at K = 1: every per-node expression — the exact logistic
 // propagator, the Crank–Nicolson matrix entries, the fused Strang–CN
-// sweep, the per-node rate evaluation, the node-count rounding — has to
-// be the same IEEE operation sequence in every translation unit.  Keeping
-// them as shared inline helpers makes that a structural property instead
-// of a copy-paste invariant.
+// sweep, the per-node rate evaluation, the node-count rounding, the time
+// loop's step times and snapshot cadence — has to be the same IEEE
+// operation sequence in every translation unit.  Keeping them as shared
+// inline helpers makes that a structural property instead of a
+// copy-paste invariant.
 //
 // Not part of the public API: include only from src/core solver sources
 // (and white-box tests).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -30,15 +32,78 @@ struct dl_workspace;
 
 namespace detail {
 
-/// Request options with the output mode folded in (final_state becomes an
-/// infinite record_dt).  Defined in dl_solver.cpp.
-[[nodiscard]] dl_solver_options effective_options(const solve_request& request);
-
-/// Solves one request on the scalar path with the given workspace —
-/// exactly what solve_dl(request) does after choosing scratch, and what
-/// the batched solver uses for its non-batchable lanes.
+/// Solves one request on the scalar path with the given workspace: what
+/// the batched solver does for every lane it does not batch.  Defined in
+/// dl_solver.cpp.
 [[nodiscard]] dl_solution solve_request_scalar(const solve_request& request,
                                                dl_workspace& ws);
+
+/// The time loop every solver steps: the step count, the step times and
+/// the hourly snapshot cadence, spelled once.  Step k starts at
+/// t0 + k·dt and lasts min(dt, t_end − t); a snapshot is recorded at t0,
+/// after each step that reaches the next whole hour after t0, and after
+/// the last step.
+class time_loop {
+ public:
+  /// Throws std::invalid_argument unless t_end > t0, dt > 0 and the step
+  /// count (t_end − t0)/dt is finite and below 2^53.
+  time_loop(double t0, double t_end, double dt)
+      : t0_(t0), t_end_(t_end), dt_(dt) {
+    if (!(t_end > t0))
+      throw std::invalid_argument("solve_dl: t_end must exceed t0");
+    if (!(dt > 0.0))
+      throw std::invalid_argument("solve_dl: dt must be positive");
+    if (!((t_end - t0) / dt < 0x1p53))
+      throw std::invalid_argument(
+          "solve_dl: step count (t_end - t0)/dt must be finite and below "
+          "2^53");
+    steps_ = static_cast<std::size_t>(std::ceil((t_end - t0) / dt - 1e-12));
+    // Snapshot rows to reserve, so steady-state stepping never
+    // reallocates the trace.
+    rows_ = steps_;
+    const double hours = t_end - t0;
+    if (hours < static_cast<double>(steps_))
+      rows_ = static_cast<std::size_t>(hours) + 1;
+    rows_ += 2;
+  }
+
+  /// Upper bound on the snapshots run() records.
+  [[nodiscard]] std::size_t max_rows() const noexcept { return rows_; }
+
+  /// Steps the window and returns the snapshot times: record() stores
+  /// the current state once at t0 and again at each snapshot after a
+  /// step(t, h) call.
+  template <class Step, class Record>
+  std::vector<double> run(Step&& step, Record&& record) const {
+    std::vector<double> times;
+    times.reserve(rows_);
+    times.push_back(t0_);
+    record();
+    double next_record = t0_ + kRecordHours;
+    for (std::size_t k = 0; k < steps_; ++k) {
+      const double t = t0_ + static_cast<double>(k) * dt_;
+      const double h = std::min(dt_, t_end_ - t);
+      if (h <= 0.0) break;
+      step(t, h);
+      const double t_new = t + h;
+      if (t_new + 1e-12 >= next_record || k + 1 == steps_) {
+        times.push_back(t_new);
+        record();
+        while (next_record <= t_new + 1e-12) next_record += kRecordHours;
+      }
+    }
+    return times;
+  }
+
+ private:
+  static constexpr double kRecordHours = 1.0;  ///< snapshot cadence
+
+  double t0_;
+  double t_end_;
+  double dt_;
+  std::size_t steps_ = 0;
+  std::size_t rows_ = 0;
+};
 
 /// The scalar stepping loop over a pre-sampled initial profile (size
 /// node_count × blocks): validates the window, dispatches non-line
@@ -102,20 +167,6 @@ inline void build_cn_matrices(std::size_t n, double lambda,
     }
   }
 }
-
-/// Marks a workspace busy for the duration of a solve, so the
-/// thread-local wrapper can detect reentrancy and fall back to a private
-/// workspace instead of clobbering live buffers.
-class workspace_guard {
- public:
-  explicit workspace_guard(bool& in_use) : in_use_(in_use) { in_use_ = true; }
-  ~workspace_guard() { in_use_ = false; }
-  workspace_guard(const workspace_guard&) = delete;
-  workspace_guard& operator=(const workspace_guard&) = delete;
-
- private:
-  bool& in_use_;
-};
 
 /// Per-node growth-rate evaluation with the separable-form hoist.  The
 /// scalar solver's time loop and the domain solvers all sample r(x_i, t)
@@ -273,12 +324,12 @@ inline void strang_cn_step(std::size_t n, double* u, double* rhs,
 /// solve_profile; both accept only dl_scheme::strang_cn.
 [[nodiscard]] dl_solution solve_dl_grid2d(const dl_parameters& params,
                                           std::span<const double> phi_samples,
-                                          double t0, double t_end,
+                                          const time_loop& loop,
                                           const dl_solver_options& options,
                                           dl_workspace& ws);
 [[nodiscard]] dl_solution solve_dl_communities(
     const dl_parameters& params, std::span<const double> phi_samples,
-    double t0, double t_end, const dl_solver_options& options,
+    const time_loop& loop, const dl_solver_options& options,
     dl_workspace& ws);
 
 /// Broadcasts a sampled x-profile across a non-line domain's blocks:

@@ -20,9 +20,4 @@ void dl_workspace::prepare(std::size_t n) {
   rk4.prepare(n);
 }
 
-dl_workspace& thread_workspace() {
-  thread_local dl_workspace workspace;
-  return workspace;
-}
-
 }  // namespace dlm::core

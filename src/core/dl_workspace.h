@@ -9,19 +9,14 @@
 // them: prepare(n) sizes everything once, and a steady-state time step of
 // any of the four schemes then performs zero heap allocations.
 //
-// Two ways to get one:
-//
-//  * do nothing — a solve_request without .workspace borrows a
-//    thread-local workspace (thread_workspace()), so every caller —
-//    including each engine pool worker running calibration probes —
-//    reuses buffers across solves automatically;
-//  * set solve_request::workspace when you want buffer lifetime under
-//    your control: deterministic memory accounting
-//    in tests/benches, or a solver embedded in a custom threading layer
-//    where thread identity is not a useful cache key.
+// There is one per thread: the `scalar` member of the thread-local
+// dl_batch_workspace (core/dl_batch_workspace.h), which every solve_dl
+// call on that thread — including each engine pool worker running
+// calibration probes — reuses automatically.
 //
 // Reuse never changes results: a workspace-reusing solve is bitwise
-// identical to a fresh-workspace solve (covered by solver_workspace_test).
+// identical to a solve on a fresh thread's workspace (covered by
+// solver_workspace_test).
 #pragma once
 
 #include <cstddef>
@@ -67,20 +62,10 @@ struct dl_workspace {
   // Method-of-lines RK4 stage buffers.
   num::rk4_scratch rk4;
 
-  /// True while a solve is running on this workspace.  The thread-local
-  /// wrapper checks it so a reentrant solve (e.g. a custom rate field
-  /// that itself solves a PDE) falls back to a private workspace instead
-  /// of corrupting the outer solve's buffers.
-  bool in_use = false;
-
   /// Sizes every per-node buffer to n.  Buffer *capacity* is kept across
   /// calls, so a workspace reused at a fixed grid size allocates nothing
   /// after its first solve.
   void prepare(std::size_t n);
 };
-
-/// This thread's shared workspace — what solve_dl(request) borrows when
-/// the request names none.
-[[nodiscard]] dl_workspace& thread_workspace();
 
 }  // namespace dlm::core

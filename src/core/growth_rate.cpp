@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "numerics/quadrature.h"
-
 namespace dlm::core {
 
 growth_rate::growth_rate(std::function<double(double)> fn,
@@ -48,19 +46,6 @@ growth_rate growth_rate::paper_hops() {
 
 growth_rate growth_rate::paper_interest() {
   return exponential_decay(1.6, 1.0, 0.1);
-}
-
-growth_rate growth_rate::custom(std::function<double(double)> fn,
-                                std::string label) {
-  if (!fn) throw std::invalid_argument("growth_rate::custom: empty callable");
-  auto copy = fn;
-  return growth_rate(
-      std::move(fn),
-      [copy](double t0, double t1) {
-        if (t1 <= t0) return 0.0;
-        return num::simpson(copy, t0, t1, 64);
-      },
-      std::move(label));
 }
 
 double growth_rate::integral(double t0, double t1) const {

@@ -3,7 +3,7 @@
 // The paper observes (Fig. 4) that density increments shrink hour over
 // hour and therefore makes r a *decreasing function of time*; its Eq. 7
 // instance is r(t) = 1.4·e^{−1.5(t−1)} + 0.25 (Fig. 6).  The model also
-// admits constant rates and arbitrary callables.  growth_rate is the
+// admits constant rates.  growth_rate is the
 // purely-temporal building block; the solver consumes the §V
 // spatio-temporal field core::rate_field (see core/rate_field.h), into
 // which a growth_rate lifts implicitly as r(x, t) = r(t).
@@ -32,16 +32,12 @@ class growth_rate {
   /// (§III.C: r(t) = 1.6·e^{−(t−1)} + 0.1).
   static growth_rate paper_interest();
 
-  /// Arbitrary callable.
-  static growth_rate custom(std::function<double(double)> fn,
-                            std::string label = "custom");
-
   [[nodiscard]] double operator()(double t) const { return fn_(t); }
   [[nodiscard]] const std::string& label() const noexcept { return label_; }
 
-  /// ∫ r(s) ds over [t0, t1], exact for the built-in families and Simpson
-  /// quadrature for custom callables.  The Strang-split solver consumes
-  /// integrated rates (the logistic substep is exact given ∫r).
+  /// ∫ r(s) ds over [t0, t1], exact for every family.  The Strang-split
+  /// solver consumes integrated rates (the logistic substep is exact
+  /// given ∫r).
   [[nodiscard]] double integral(double t0, double t1) const;
 
  private:

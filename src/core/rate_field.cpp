@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "numerics/quadrature.h"
-
 namespace dlm::core {
 namespace {
 
@@ -67,16 +65,6 @@ rate_field rate_field::per_group(std::vector<growth_rate> rates,
   return field;
 }
 
-rate_field rate_field::custom(std::function<double(double, double)> fn,
-                              std::string label) {
-  if (!fn) throw std::invalid_argument("rate_field::custom: empty callable");
-  rate_field field;
-  field.family_ = family::custom;
-  field.fn_ = std::move(fn);
-  field.label_ = std::move(label);
-  return field;
-}
-
 rate_field::blend rate_field::blend_at(double x, std::size_t count) const {
   blend b;
   const double pos = std::clamp(x - x_anchor_, 0.0,
@@ -97,8 +85,6 @@ double rate_field::operator()(double x, double t) const {
       const blend b = blend_at(x, rates_.size());
       return rates_[b.lo](t) * (1.0 - b.frac) + rates_[b.hi](t) * b.frac;
     }
-    case family::custom:
-      return fn_(x, t);
   }
   return 0.0;  // unreachable
 }
@@ -119,9 +105,6 @@ double rate_field::integral(double t0, double t1, double x) const {
       return rates_[b.lo].integral(t0, t1) * (1.0 - b.frac) +
              rates_[b.hi].integral(t0, t1) * b.frac;
     }
-    case family::custom:
-      return num::simpson([this, x](double t) { return fn_(x, t); }, t0, t1,
-                          64);
   }
   return 0.0;  // unreachable
 }
@@ -165,19 +148,14 @@ void rate_field::profile(double t, std::span<const double> xs,
       out[i] = modulation(xs[i]) * base_value;
     return;
   }
-  if (family_ == family::per_group) {
-    // One evaluation per *group*, blended per node — the per-node cost
-    // is two multiplies, not two growth_rate calls.
-    scratch.resize(rates_.size());
-    for (std::size_t g = 0; g < rates_.size(); ++g)
-      scratch[g] = rates_[g](t);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const blend b = blend_at(xs[i], scratch.size());
-      out[i] = scratch[b.lo] * (1.0 - b.frac) + scratch[b.hi] * b.frac;
-    }
-    return;
+  // Per-group: one evaluation per *group*, blended per node — the
+  // per-node cost is two multiplies, not two growth_rate calls.
+  scratch.resize(rates_.size());
+  for (std::size_t g = 0; g < rates_.size(); ++g) scratch[g] = rates_[g](t);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const blend b = blend_at(xs[i], scratch.size());
+    out[i] = scratch[b.lo] * (1.0 - b.frac) + scratch[b.hi] * b.frac;
   }
-  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = (*this)(xs[i], t);
 }
 
 void rate_field::integral_profile(double t0, double t1,
@@ -201,20 +179,15 @@ void rate_field::integral_profile(double t0, double t1,
       out[i] = modulation(xs[i]) * base_integral;
     return;
   }
-  if (family_ == family::per_group) {
-    // One exact integral per *group*, blended per node (the solver calls
-    // this once per time step over the whole grid).
-    scratch.resize(rates_.size());
-    for (std::size_t g = 0; g < rates_.size(); ++g)
-      scratch[g] = rates_[g].integral(t0, t1);
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      const blend b = blend_at(xs[i], scratch.size());
-      out[i] = scratch[b.lo] * (1.0 - b.frac) + scratch[b.hi] * b.frac;
-    }
-    return;
+  // Per-group: one exact integral per *group*, blended per node (the
+  // solver calls this once per time step over the whole grid).
+  scratch.resize(rates_.size());
+  for (std::size_t g = 0; g < rates_.size(); ++g)
+    scratch[g] = rates_[g].integral(t0, t1);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const blend b = blend_at(xs[i], scratch.size());
+    out[i] = scratch[b.lo] * (1.0 - b.frac) + scratch[b.hi] * b.frac;
   }
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    out[i] = integral(t0, t1, xs[i]);
 }
 
 }  // namespace dlm::core

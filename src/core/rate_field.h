@@ -5,7 +5,7 @@
 // anomaly, where one shared r(t) over-predicts the slow outermost
 // interest group.  This module promotes that refinement to a typed,
 // first-class field consumed by the main solver (all four schemes), the
-// engine's rate-spec grammar and the calibration family.  Four families:
+// engine's rate-spec grammar and the calibration family.  Three families:
 //
 //  * temporal   — r(x, t) = r(t): a plain growth_rate lifted into the
 //                 field (the implicit-conversion path every pre-existing
@@ -16,17 +16,14 @@
 //                 spec and the "calibrate-spatial" fit family);
 //  * per-group  — one growth_rate per distance group, values *and* exact
 //                 integrals linearly interpolated across groups (the
-//                 "per-hop:<spec>;..." spec);
-//  * custom     — an arbitrary callable r(x, t), integrated in t by
-//                 Simpson quadrature.
+//                 "per-hop:<spec>;..." spec).
 //
 // Every family carries a canonical label (folded into slice fingerprints
-// and cache keys) and an integral ∫ r(x, s) ds over [t0, t1] at fixed x —
-// exact for the first three families, quadrature for custom — because the
-// Strang-split solver's logistic substep consumes integrated rates.
+// and cache keys) and an exact integral ∫ r(x, s) ds over [t0, t1] at
+// fixed x, because the Strang-split solver's logistic substep consumes
+// integrated rates.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -58,16 +55,10 @@ class rate_field {
   static rate_field per_group(std::vector<growth_rate> rates,
                               double x_anchor = 1.0);
 
-  /// Arbitrary callable r(x, t); integral() uses Simpson quadrature in t.
-  /// Throws std::invalid_argument for an empty callable.
-  static rate_field custom(std::function<double(double, double)> fn,
-                           std::string label = "custom(x,t)");
-
   /// r(x, t).
   [[nodiscard]] double operator()(double x, double t) const;
 
-  /// ∫ r(x, s) ds over [t0, t1] at fixed x — exact for the temporal,
-  /// separable and per-group families, 64-interval Simpson for custom.
+  /// ∫ r(x, s) ds over [t0, t1] at fixed x, exact for every family.
   /// Throws std::invalid_argument when t1 < t0.
   [[nodiscard]] double integral(double t0, double t1, double x) const;
 
@@ -80,11 +71,11 @@ class rate_field {
   [[nodiscard]] bool separable_form() const noexcept;
 
   /// The temporal factor base(t) of a separable-form field.
-  /// Throws std::logic_error for the per-group and custom families.
+  /// Throws std::logic_error for the per-group family.
   [[nodiscard]] const growth_rate& base() const;
 
   /// The spatial factor m(x) of a separable-form field (1 for temporal).
-  /// Throws std::logic_error for the per-group and custom families.
+  /// Throws std::logic_error for the per-group family.
   [[nodiscard]] double modulation(double x) const;
 
   /// Canonical description: the wrapped label for temporal fields,
@@ -113,7 +104,7 @@ class rate_field {
                         std::vector<double>& scratch) const;
 
  private:
-  enum class family { temporal, separable, per_group, custom };
+  enum class family { temporal, separable, per_group };
 
   rate_field() = default;
 
@@ -128,10 +119,9 @@ class rate_field {
 
   family family_ = family::temporal;
   /// temporal/separable: exactly one entry (the base); per-group: one per
-  /// group.  Empty only for custom.
+  /// group.
   std::vector<growth_rate> rates_;
   std::vector<double> multipliers_;  ///< separable only
-  std::function<double(double, double)> fn_;  ///< custom only
   double x_anchor_ = 1.0;
   std::string label_;
 };

@@ -26,14 +26,18 @@ std::vector<model_trace> diffusion_model::solve_batch(
 
 std::vector<double> diffusion_model::evaluation_times(
     const scenario& sc, const dataset_slice& slice) {
-  const int first = static_cast<int>(std::floor(sc.t0)) + 1;
-  const int last =
-      std::min(static_cast<int>(std::floor(sc.t_end)), slice.horizon_hours);
-  std::vector<double> times;
-  for (int t = first; t <= last; ++t) times.push_back(static_cast<double>(t));
-  if (times.empty())
+  // Compared as doubles before any int cast: a t0 far outside the
+  // observed hours throws here, and a large t_end clips to the horizon.
+  const double first = std::floor(sc.t0) + 1.0;
+  const double last = std::min(std::floor(sc.t_end),
+                               static_cast<double>(slice.horizon_hours));
+  if (!(first >= 1.0 && first <= last))
     throw std::invalid_argument(
-        "diffusion_model: empty evaluation window (t0 >= t_end?)");
+        "diffusion_model: no observed hour in (t0, t_end] (t0 < 0 or "
+        "t0 >= t_end?)");
+  std::vector<double> times;
+  for (int t = static_cast<int>(first); t <= static_cast<int>(last); ++t)
+    times.push_back(static_cast<double>(t));
   return times;
 }
 

@@ -496,17 +496,15 @@ persistent_cache::persistent_cache(std::filesystem::path path,
   // outside the cache mutex (see solve_cache::set_write_observer), so
   // the auto-checkpoint below may serialize the cache safely.
   cache_journal* jrnl = journal_.get();
-  const std::uint64_t compact_bytes = journal_options_.compact_bytes;
   solve_cache* cache = &cache_;
   const std::filesystem::path snapshot = path_;
-  cache_.set_write_observer([jrnl, compact_bytes, cache, snapshot](
+  cache_.set_write_observer([jrnl, cache, snapshot](
                                 const std::string& key,
                                 const model_trace* trace,
                                 const double* value) {
     if (trace != nullptr) jrnl->append_trace(key, *trace);
     if (value != nullptr) jrnl->append_value(key, *value);
-    if (compact_bytes != 0 && jrnl->bytes() > compact_bytes &&
-        jrnl->write_error().empty()) {
+    if (jrnl->bytes() > kJournalCompactBytes && jrnl->write_error().empty()) {
       try {
         jrnl->checkpoint([cache, &snapshot] { save_cache(*cache, snapshot); });
       } catch (const std::exception& e) {

@@ -158,6 +158,11 @@ struct cache_merge_result {
 cache_merge_result merge_cache_files(
     solve_cache& into, std::span<const std::filesystem::path> paths);
 
+/// A journaling persistent_cache auto-checkpoints (snapshot save + WAL
+/// reset) once its WAL exceeds this many bytes; flush() and the
+/// destructor compact too.
+inline constexpr std::uint64_t kJournalCompactBytes = 4ull << 20;
+
 /// Journal configuration for persistent_cache (see
 /// engine/cache_journal.h and docs/robustness.md).
 struct journal_options {
@@ -166,10 +171,6 @@ struct journal_options {
   /// — a killed process loses at most the in-flight record instead of
   /// every solve since startup.
   bool enabled = false;
-  /// Auto-checkpoint (snapshot save + WAL reset) once the WAL exceeds
-  /// this many bytes; 0 disables auto-compaction (flush() and the
-  /// destructor still compact).
-  std::uint64_t compact_bytes = 4ull << 20;
   /// fsync per record (cache_journal::options::fsync_each).
   bool fsync_each = false;
   /// Fault-injection passthrough (engine/fault.h):

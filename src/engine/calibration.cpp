@@ -57,18 +57,22 @@ calibrate_spec parse_calibrate_spec(const std::string& spec, double t0,
     rest = rest.substr(sizeof("-spatial") - 1);
   }
 
-  const int first_hour = static_cast<int>(std::floor(t0)) + 1;
-  const int last_hour =
-      std::min(static_cast<int>(std::floor(t_end)), horizon_hours);
-  if (first_hour > last_hour)
+  // Compared as doubles before any int cast (see
+  // diffusion_model::evaluation_times).
+  const double first = std::floor(t0) + 1.0;
+  const double last =
+      std::min(std::floor(t_end), static_cast<double>(horizon_hours));
+  if (!(first >= 1.0 && first <= last))
     throw std::invalid_argument(
         "parse_calibrate_spec: no observed hours in (t0, t_end] for '" + spec +
         "'");
+  const int first_hour = static_cast<int>(first);
+  const int last_hour = static_cast<int>(last);
 
   if (rest.empty()) {
     // Auto split: fit on the first half of the evaluation window.
-    info.fit_end = std::clamp(
-        static_cast<int>(std::ceil((t0 + t_end) / 2.0)), first_hour, last_hour);
+    info.fit_end = static_cast<int>(
+        std::clamp(std::ceil((t0 + t_end) / 2.0), first, last));
     return info;
   }
 

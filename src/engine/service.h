@@ -112,7 +112,7 @@ struct service_options {
   /// Write-ahead journal the resident cache to "<cache_file>.wal" (see
   /// engine/cache_journal.h): a SIGKILLed service loses at most the
   /// in-flight record instead of everything since the last flush.
-  /// The journal auto-checkpoints at journal_options' default threshold.
+  /// The journal auto-checkpoints past kJournalCompactBytes.
   bool journal = false;
 };
 

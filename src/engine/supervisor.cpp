@@ -15,6 +15,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "engine/fault.h"
+
 namespace dlm::engine {
 namespace {
 
@@ -50,12 +52,7 @@ pid_t launch(const worker_command& command, std::size_t attempt) {
   // _exit (never return into the parent's stack).  The worker leads its
   // own process group, so a kill reaches every helper it forks.
   ::setpgid(0, 0);
-  for (const std::string& pair : command.env) {
-    const std::size_t eq = pair.find('=');
-    if (eq == std::string::npos) continue;
-    ::setenv(pair.substr(0, eq).c_str(), pair.c_str() + eq + 1, 1);
-  }
-  ::setenv(kSupervisorAttemptEnv, std::to_string(attempt).c_str(), 1);
+  ::setenv(kWorkerAttemptEnv, std::to_string(attempt).c_str(), 1);
 
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>(command.exe.c_str()));
@@ -225,8 +222,8 @@ supervision_report supervise(std::span<const worker_command> commands,
   signal_catcher catcher;
   for (worker_state& w : workers) start_attempt(w);
 
-  const auto poll_sleep = std::chrono::duration<double, std::milli>(
-      options.poll_interval_ms > 0 ? options.poll_interval_ms : 10.0);
+  // Reap/timeout poll granularity.
+  const auto poll_sleep = std::chrono::milliseconds(10);
   while (true) {
     if (const int interrupt = caught_signal; interrupt != 0) {
       forward_and_reap(workers, interrupt);

@@ -42,11 +42,9 @@ namespace dlm::engine {
 struct worker_command {
   /// Executable path (execv'd, not PATH-searched).
   std::string exe;
-  /// Arguments *after* argv[0] (argv[0] is `exe`).
+  /// Arguments *after* argv[0] (argv[0] is `exe`).  The child inherits
+  /// the environment, with DLM_WORKER_ATTEMPT set on top.
   std::vector<std::string> args;
-  /// Extra environment, as "KEY=VALUE" pairs, set in the child between
-  /// fork and exec.  DLM_WORKER_ATTEMPT is always set on top.
-  std::vector<std::string> env;
   /// Human-readable name used in diagnostics ("worker 1/3").
   std::string label;
 };
@@ -76,8 +74,6 @@ struct supervisor_options {
   /// running workers (their outcome reports the termination).  Off for
   /// --allow-partial, where survivors should finish and be merged.
   bool fail_fast = true;
-  /// Reap/timeout poll granularity.
-  double poll_interval_ms = 10.0;
 };
 
 /// Final state of one supervised worker.
@@ -117,11 +113,6 @@ struct supervision_report {
     return out;
   }
 };
-
-/// Environment variable carrying the 1-based attempt number to workers.
-/// (Also declared in engine/fault.h as kWorkerAttemptEnv — one name,
-/// two layers.)
-inline constexpr const char* kSupervisorAttemptEnv = "DLM_WORKER_ATTEMPT";
 
 /// Runs every command to completion (or exhausted retries / fail-fast
 /// termination) and reports per-worker outcomes.  All workers of a

@@ -30,10 +30,10 @@ struct observation_window {
 
 /// Sum of squared residuals of the DL solution for `params` against the
 /// window (solves the PDE once).  Returns +inf for invalid parameters so
-/// optimizers can probe freely.  The solve borrows the calling thread's
-/// core::dl_workspace, so a lattice scan fanned out over a pool (or a
-/// Nelder–Mead refinement on one thread) reuses scratch buffers across
-/// all of its probes instead of reallocating per solve.
+/// optimizers can probe freely.  The solve runs on the calling thread's
+/// workspace (core/dl_batch_workspace.h), so a lattice scan fanned out
+/// over a pool (or a Nelder–Mead refinement on one thread) reuses scratch
+/// buffers across all of its probes instead of reallocating per solve.
 [[nodiscard]] double dl_sse(const core::dl_parameters& params,
                             const observation_window& window,
                             const core::dl_solver_options& solver = {});

@@ -26,6 +26,13 @@
 // so it must match to 1e-10 relative; implicit_newton's error against it
 // must fall by ≥ 1.8× per dt halving (first order, measured directly
 // rather than through successive differences).
+//
+// At r = 0 the equation is the heat equation with no-flux ends, and
+// φ = A + B·cos(π(x − x_min)/L) (L = x_max − x_min) is a Neumann mode:
+// u = A + B·e^{−d(π/L)²(t − t0)}·cos(π(x − x_min)/L) exactly.  The cosine
+// is an eigenvector of the mirror-ghost Laplacian too, with an eigenvalue
+// off by O(dx²), and Crank–Nicolson adds O(dt²), so strang_cn's max error
+// against the mode must fall by ≥ 3.5× per joint dx/dt halving.
 
 #include <gtest/gtest.h>
 
@@ -45,7 +52,7 @@ const std::vector<double> observed{1.9, 0.8, 1.1, 0.6, 0.4, 0.3};
 constexpr double kT0 = 1.0;
 constexpr double kTEnd = 6.0;
 
-/// The final-time profile of the paper's s1 hop-distance setup.
+/// The paper's s1 hop-distance setup; callers read its final snapshot.
 dl_solution solve_final(const dl_solver_options& options) {
   const dl_parameters params = dl_parameters::paper_hops(6.0);
   const initial_condition phi(observed);
@@ -53,8 +60,7 @@ dl_solution solve_final(const dl_solver_options& options) {
                    .phi = &phi,
                    .t0 = kT0,
                    .t_end = kTEnd,
-                   .options = options,
-                   .output = dl_output_mode::final_state});
+                   .options = options});
 }
 
 /// e_k / e_{k+1} for the successive differences of `levels` (each level
@@ -200,6 +206,53 @@ TEST(LogisticLimit, ImplicitNewtonErrorIsFirstOrder) {
     EXPECT_GE(errors[k] / errors[k + 1], 1.8)
         << "error " << errors[k] << " -> " << errors[k + 1];
   }
+}
+
+TEST(CosineMode, StrangCnErrorIsSecondOrder) {
+  constexpr double kA = 2.0;
+  constexpr double kB = 1.5;
+  dl_parameters params = dl_parameters::paper_hops(6.0);
+  params.d = 0.5;
+  params.r = growth_rate::constant(0.0);
+  const double length = params.x_max - params.x_min;
+  const double pi = std::acos(-1.0);
+  const double decay = params.d * (pi / length) * (pi / length);
+
+  std::vector<double> errors;
+  double dt = 0.08;
+  for (const std::size_t ppu : {10u, 20u, 40u, 80u}) {
+    const std::size_t nodes =
+        static_cast<std::size_t>(length) * ppu + 1;
+    std::vector<double> phi(nodes);
+    std::vector<double> mode(nodes);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const double x = static_cast<double>(i) / static_cast<double>(ppu);
+      mode[i] = std::cos(pi * x / length);
+      phi[i] = kA + kB * mode[i];
+    }
+    dl_solver_options options;
+    options.points_per_unit = ppu;
+    options.dt = dt;
+    const dl_solution solution = solve_dl({.params = &params,
+                                           .phi_samples = phi,
+                                           .t0 = kT0,
+                                           .t_end = kTEnd,
+                                           .options = options});
+    double error = 0.0;
+    for (std::size_t s = 0; s < solution.times().size(); ++s) {
+      const double amplitude =
+          kB * std::exp(-decay * (solution.times()[s] - kT0));
+      for (std::size_t i = 0; i < nodes; ++i)
+        error = std::max(error, std::abs(solution.states()[s][i] -
+                                         (kA + amplitude * mode[i])));
+    }
+    errors.push_back(error);
+    dt /= 2.0;
+  }
+  EXPECT_LT(errors.front(), 1e-3);
+  for (std::size_t k = 0; k + 1 < errors.size(); ++k)
+    EXPECT_GE(errors[k] / errors[k + 1], 3.5)
+        << "error " << errors[k] << " -> " << errors[k + 1];
 }
 
 }  // namespace

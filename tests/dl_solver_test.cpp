@@ -191,17 +191,15 @@ TEST(DlSolver, FtcsInstabilityGuard) {
                std::invalid_argument);
 }
 
-TEST(DlSolver, RecordsSnapshotsAtRequestedCadence) {
+TEST(DlSolver, RecordsHourlySnapshots) {
   const dl_parameters params = dl_parameters::paper_hops(6.0);
   const initial_condition phi(observed);
-  dl_solver_options opts = options_for(dl_scheme::strang_cn);
-  opts.record_dt = 1.0;
-  const dl_solution sol = solve_dl({.params = &params,
-                                    .phi = &phi,
-                                    .t0 = 1.0,
-                                    .t_end = 6.0,
-                                    .options = opts});
-  ASSERT_GE(sol.times().size(), 6u);
+  const dl_solution sol =
+      solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 6.0,
+                .options = options_for(dl_scheme::strang_cn)});
+  ASSERT_EQ(sol.times().size(), 6u);
+  for (std::size_t s = 0; s < 6; ++s)
+    EXPECT_NEAR(sol.times()[s], 1.0 + static_cast<double>(s), 1e-9);
   EXPECT_DOUBLE_EQ(sol.times().front(), 1.0);
   EXPECT_DOUBLE_EQ(sol.times().back(), 6.0);
 }

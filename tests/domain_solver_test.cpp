@@ -61,7 +61,6 @@ core::dl_solution solve_reference(core::dl_scheme scheme,
   req.options.scheme = scheme;
   req.options.points_per_unit = 20;
   req.options.dt = scheme == core::dl_scheme::ftcs ? 0.002 : 0.02;
-  req.options.record_dt = 1.0;
   return core::solve_dl(req);
 }
 

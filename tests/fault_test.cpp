@@ -207,7 +207,7 @@ TEST(FaultHook, IsEmptyUnlessAFaultIsArmedForThisWorkerAndAttempt) {
 
 engine::worker_command sh(const std::string& script,
                           const std::string& label) {
-  return {"/bin/sh", {"-c", script}, {}, label};
+  return {"/bin/sh", {"-c", script}, label};
 }
 
 TEST(Supervisor, AllWorkersSucceeding) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "numerics/quadrature.h"
+
 namespace {
 
 using dlm::core::growth_rate;
@@ -51,36 +53,17 @@ TEST(GrowthRate, IntegralAdditivity) {
   EXPECT_NEAR(whole, parts, 1e-12);
 }
 
-TEST(GrowthRate, CustomCallableUsesQuadrature) {
-  const growth_rate r =
-      growth_rate::custom([](double t) { return 2.0 * t; }, "linear");
-  EXPECT_DOUBLE_EQ(r(3.0), 6.0);
-  // ∫_0^2 2t dt = 4, Simpson is exact for polynomials of low degree.
-  EXPECT_NEAR(r.integral(0.0, 2.0), 4.0, 1e-10);
-  EXPECT_EQ(r.label(), "linear");
-  EXPECT_THROW((void)growth_rate::custom(nullptr), std::invalid_argument);
-}
-
-TEST(GrowthRate, CustomCallableSimpsonMatchesAnalyticReferences) {
-  // Non-polynomial callables where Simpson is *not* exact: the quadrature
-  // must still land within its error bound of the analytic integral.
-  const growth_rate exp_rate =
-      growth_rate::custom([](double t) { return std::exp(-t); }, "exp(-t)");
-  EXPECT_NEAR(exp_rate.integral(0.0, 3.0), 1.0 - std::exp(-3.0), 1e-6);
-
-  const growth_rate sin_rate = growth_rate::custom(
-      [](double t) { return 1.0 + std::sin(t); }, "1+sin(t)");
-  // ∫_0^π (1 + sin t) dt = π + 2.
-  const double pi = std::acos(-1.0);
-  EXPECT_NEAR(sin_rate.integral(0.0, pi), pi + 2.0, 1e-6);
-
-  // The paper family evaluated through the custom/Simpson path must match
-  // the closed form used by the built-in family (its steeper decay
-  // carries a larger 4th derivative, hence the looser bound).
-  const growth_rate via_custom = growth_rate::custom(
-      [](double t) { return 1.4 * std::exp(-1.5 * (t - 1.0)) + 0.25; });
-  EXPECT_NEAR(via_custom.integral(1.0, 6.0),
-              growth_rate::paper_hops().integral(1.0, 6.0), 1e-5);
+TEST(GrowthRate, ClosedFormIntegralMatchesSimpson) {
+  // The paper family's closed-form integral against 64-interval Simpson
+  // quadrature of the same function (its steep decay carries a large
+  // 4th derivative, hence the 1e-5 bound).
+  const growth_rate r = growth_rate::paper_hops();
+  const auto paper = [](double t) {
+    return 1.4 * std::exp(-1.5 * (t - 1.0)) + 0.25;
+  };
+  EXPECT_NEAR(r.integral(1.0, 6.0), dlm::num::simpson(paper, 1.0, 6.0, 64),
+              1e-5);
+  EXPECT_NEAR(r(2.5), paper(2.5), 1e-15);
 }
 
 TEST(GrowthRate, InvalidDecayParamsThrow) {

@@ -86,23 +86,6 @@ TEST(RateField, PerGroupInterpolatesValuesAndExactIntegrals) {
   EXPECT_THROW((void)rate_field::per_group({}), std::invalid_argument);
 }
 
-TEST(RateField, CustomCallableSimpsonMatchesAnalyticIntegral) {
-  // r(x, t) = x·e^{−t}: ∫_{t0}^{t1} = x·(e^{−t0} − e^{−t1}), smooth, so
-  // 64-interval Simpson lands within quadrature error of the analytic
-  // value at every x.
-  const rate_field field = rate_field::custom(
-      [](double x, double t) { return x * std::exp(-t); }, "x*exp(-t)");
-  EXPECT_TRUE(field.spatial());
-  EXPECT_FALSE(field.separable_form());
-  EXPECT_DOUBLE_EQ(field(2.0, 0.0), 2.0);
-  for (const double x : {1.0, 2.5, 5.0}) {
-    const double expected = x * (std::exp(-1.0) - std::exp(-6.0));
-    EXPECT_NEAR(field.integral(1.0, 6.0, x), expected, 1e-6) << "x = " << x;
-  }
-  EXPECT_EQ(field.label(), "x*exp(-t)");
-  EXPECT_THROW((void)rate_field::custom(nullptr), std::invalid_argument);
-}
-
 TEST(RateField, IntegralEdgeCases) {
   const rate_field field =
       rate_field::separable(growth_rate::constant(1.0), {2.0});
@@ -113,11 +96,13 @@ TEST(RateField, IntegralEdgeCases) {
 TEST(RateField, ProfileMatchesPointwiseEvaluation) {
   const rate_field separable = rate_field::separable(
       growth_rate::exponential_decay(1.2, 1.0, 0.3), {1.4, 1.0, 0.6});
-  const rate_field custom = rate_field::custom(
-      [](double x, double t) { return 0.1 * x + 0.05 * t; });
+  const rate_field per_group = rate_field::per_group(
+      {growth_rate::constant(0.2), growth_rate::paper_hops(),
+       growth_rate::exponential_decay(0.5, 2.0, 0.1)},
+      2.0);
   const std::vector<double> xs{1.0, 1.5, 2.0, 3.5, 6.0};
   std::vector<double> out(xs.size());
-  for (const rate_field* field : {&separable, &custom}) {
+  for (const rate_field* field : {&separable, &per_group}) {
     field->profile(2.5, xs, out);
     for (std::size_t i = 0; i < xs.size(); ++i)
       EXPECT_NEAR(out[i], (*field)(xs[i], 2.5), 1e-12);

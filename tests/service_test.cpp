@@ -161,6 +161,24 @@ TEST(Service, AnswersPingAndSurvivesMalformedRequests) {
     EXPECT_EQ(client.request("predict model=dl slice=" + ts.slice + " " +
                              c.args),
               c.reply);
+  // Finite but huge window values must not reach an int or size_t cast:
+  // a step count past 2^53 and a t0 with no observed hour are errors, a
+  // huge t_end clips to the horizon.
+  const struct {
+    const char* args;
+    const char* reply_prefix;
+  } huge[] = {
+      {"dt=1e-300", "err solve_dl: step count"},
+      {"t0=1e300", "err diffusion_model: no observed hour"},
+      {"t0=-1e300", "err diffusion_model: no observed hour"},
+      {"t_end=1e300", "ok trace "},
+  };
+  for (const auto& c : huge) {
+    const std::string reply =
+        client.request("solve model=dl slice=" + ts.slice + " " + c.args);
+    EXPECT_TRUE(reply.starts_with(c.reply_prefix)) << c.args << ": " << reply;
+    EXPECT_EQ(client.request("ping"), "ok pong") << c.args;
+  }
   // A model without the calibration capability, asked to calibrate.
   for (const std::string verb : {"solve", "calibrate"})
     EXPECT_EQ(client.request(verb + " model=logistic slice=" + ts.slice +

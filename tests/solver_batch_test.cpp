@@ -8,12 +8,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <random>
 #include <vector>
 
-#include "core/dl_batch_workspace.h"
 #include "core/dl_solver.h"
-#include "core/dl_workspace.h"
 #include "engine/calibration.h"
 #include "engine/scenario_runner.h"
 #include "engine/thread_pool.h"
@@ -45,10 +44,12 @@ rate_field rate_for(int family) {
            growth_rate::exponential_decay(1.0, 1.2, 0.2),
            growth_rate::constant(0.3), growth_rate::paper_interest(),
            growth_rate::constant(0.25)});
-    default:  // arbitrary r(x, t), Simpson-integrated
-      return rate_field::custom([](double x, double t) {
-        return 0.2 + 0.05 * std::sin(x) + 0.3 / t;
-      });
+    default:  // per-group, anchored past x_min: clamped below x = 2
+      return rate_field::per_group(
+          {growth_rate::exponential_decay(0.8, 0.7, 0.2),
+           growth_rate::constant(0.35),
+           growth_rate::exponential_decay(0.5, 2.0, 0.1)},
+          2.0);
   }
 }
 
@@ -255,21 +256,12 @@ TEST(SolverBatch, ZeroPivotNewtonLaneFailsLikeTheScalarPath) {
   EXPECT_EQ(throws, 1);
 }
 
-TEST(SolverBatch, SampledPhiAndExplicitWorkspaceMatchThePlainRequest) {
+TEST(SolverBatch, SampledPhiMatchesThePlainRequest) {
   const dl_parameters params = dl_parameters::paper_hops(6.0);
   const initial_condition phi(observed);
   const dl_solver_options opts = options_for(dl_scheme::strang_cn);
   const dl_solution via_phi = solve_dl(
       {.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 6.0, .options = opts});
-
-  dl_workspace ws;
-  const dl_solution via_workspace = solve_dl({.params = &params,
-                                              .phi = &phi,
-                                              .t0 = 1.0,
-                                              .t_end = 6.0,
-                                              .options = opts,
-                                              .workspace = &ws});
-  expect_bitwise_equal(via_workspace, via_phi, "explicit workspace");
 
   const std::vector<double> samples =
       phi.sample(params.x_min, params.x_max, 101);
@@ -283,33 +275,31 @@ TEST(SolverBatch, SampledPhiAndExplicitWorkspaceMatchThePlainRequest) {
 
 TEST(SolverBatch, MixedSpanSplitsIntoCompatibleGroupsIndexStably) {
   const initial_condition phi(observed);
-  // An interleaved span: two dt groups, a newton lane and a lane pinned
-  // to its own workspace — every lane must come back in request order,
-  // bitwise equal to its scalar solve.
+  // An interleaved span: two dt groups, a newton lane and a scalar-path
+  // mol_rk4 lane — every lane must come back in request order, bitwise
+  // equal to its scalar solve.
   std::vector<dl_parameters> params;
   for (std::size_t l = 0; l < 7; ++l) params.push_back(params_for(0, l));
   dl_solver_options coarse = options_for(dl_scheme::strang_cn);
   dl_solver_options fine = coarse;
   fine.dt = 0.01;
   dl_solver_options newton = options_for(dl_scheme::implicit_newton);
-  dl_workspace pinned;
+  dl_solver_options rk4 = options_for(dl_scheme::mol_rk4);
 
   std::vector<solve_request> requests;
-  const auto add = [&](std::size_t l, const dl_solver_options& opts,
-                       dl_workspace* ws = nullptr) {
+  const auto add = [&](std::size_t l, const dl_solver_options& opts) {
     requests.push_back({.params = &params[l],
                         .phi = &phi,
                         .t0 = 1.0,
                         .t_end = 6.0,
-                        .options = opts,
-                        .workspace = ws});
+                        .options = opts});
   };
   add(0, coarse);
   add(1, fine);
   add(2, coarse);
   add(3, newton);
   add(4, fine);
-  add(5, coarse, &pinned);
+  add(5, rk4);
   add(6, coarse);
 
   const std::vector<dl_solution> batched = solve_dl(requests);
@@ -321,40 +311,7 @@ TEST(SolverBatch, MixedSpanSplitsIntoCompatibleGroupsIndexStably) {
   }
 }
 
-TEST(SolverBatch, FinalStateOutputRecordsOnlyEndpointsBitwiseEqual) {
-  const initial_condition phi(observed);
-  std::vector<dl_parameters> params;
-  for (std::size_t l = 0; l < 3; ++l) params.push_back(params_for(0, l));
-  std::vector<solve_request> requests;
-  for (std::size_t l = 0; l < 3; ++l)
-    requests.push_back({.params = &params[l],
-                        .phi = &phi,
-                        .t0 = 1.0,
-                        .t_end = 6.0,
-                        .options = options_for(dl_scheme::strang_cn),
-                        .output = dl_output_mode::final_state});
-
-  const std::vector<dl_solution> batched = solve_dl(requests);
-  for (std::size_t l = 0; l < 3; ++l) {
-    ASSERT_EQ(batched[l].times().size(), 2u);
-    EXPECT_EQ(batched[l].times().front(), 1.0);
-    EXPECT_EQ(batched[l].times().back(), 6.0);
-    // Endpoint rows are bitwise the snapshot-mode rows: the stepping is
-    // identical, final_state only skips intermediate records.
-    solve_request snap = requests[l];
-    snap.output = dl_output_mode::snapshots;
-    const dl_solution full = solve_dl(snap);
-    const std::span<const double> got = batched[l].states().back();
-    const std::span<const double> want = full.states().back();
-    ASSERT_EQ(got.size(), want.size());
-    ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                          got.size() * sizeof(double)),
-              0)
-        << "final_state lane " << l;
-  }
-}
-
-TEST(SolverBatch, ExplicitAndThreadLocalWorkspaceReuseIsDeterministic) {
+TEST(SolverBatch, ThreadLocalWorkspaceReuseIsDeterministic) {
   const initial_condition phi(observed);
   std::vector<dl_parameters> params;
   for (std::size_t l = 0; l < 5; ++l) params.push_back(params_for(1, l));
@@ -366,20 +323,21 @@ TEST(SolverBatch, ExplicitAndThreadLocalWorkspaceReuseIsDeterministic) {
                         .t_end = 6.0,
                         .options = options_for(dl_scheme::strang_cn)});
 
-  const std::vector<dl_solution> reference = solve_dl(requests);
+  // The reference runs on a new thread, so on a fresh workspace.
+  const std::vector<dl_solution> reference =
+      std::async(std::launch::async, [&] { return solve_dl(requests); }).get();
 
-  // Reusing one explicit batch workspace across repeated solves — and
-  // across a differently-shaped group in between — never changes bits.
-  dl_batch_workspace ws;
-  const std::vector<dl_solution> first = solve_dl(requests, ws);
+  // Reusing this thread's workspace across repeated solves — and across
+  // a differently-shaped group in between — never changes bits.
+  const std::vector<dl_solution> first = solve_dl(requests);
   std::vector<solve_request> narrow(requests.begin(), requests.begin() + 2);
-  (void)solve_dl(narrow, ws);
-  const std::vector<dl_solution> reused = solve_dl(requests, ws);
+  (void)solve_dl(narrow);
+  const std::vector<dl_solution> reused = solve_dl(requests);
   for (std::size_t l = 0; l < 5; ++l) {
     expect_bitwise_equal(first[l], reference[l],
-                         "explicit ws lane " + std::to_string(l));
+                         "first lane " + std::to_string(l));
     expect_bitwise_equal(reused[l], reference[l],
-                         "reused ws lane " + std::to_string(l));
+                         "reused lane " + std::to_string(l));
   }
 
   // Thread-local batch workspaces under the pool: every worker reuses its

@@ -1,20 +1,21 @@
 // Workspace-reuse determinism for the allocation-free solver hot path.
 //
-// The contract dl_workspace sells is "reuse never changes results": a
-// solve that borrows a dirty, previously-used workspace must produce a
-// trace bitwise identical to a solve on a fresh one.  These tests pin
-// that across all four schemes and the temporal/spatial rate families,
-// plus mixed-size reuse (buffers shrink/grow between solves) and the
-// trace_storage / prefactored-solve plumbing underneath.
+// The contract the thread-local workspace sells is "reuse never changes
+// results": a solve on this thread's dirty, previously-used workspace
+// must produce a trace bitwise identical to a solve on a fresh one — a
+// solve on a new std::thread, whose workspace starts empty.  These tests
+// pin that across all four schemes and the temporal/spatial rate
+// families, plus mixed-size reuse (buffers shrink/grow between solves)
+// and the trace_storage plumbing underneath.
 
 #include "core/dl_solver.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
 #include <vector>
 
-#include "core/dl_workspace.h"
 #include "core/rate_field.h"
 #include "core/trace_storage.h"
 
@@ -57,6 +58,13 @@ void expect_bitwise_equal(const core::dl_solution& a,
   }
 }
 
+/// The reference solve: on a new thread, so on a fresh workspace.
+core::dl_solution solve_fresh(const core::solve_request& request) {
+  return std::async(std::launch::async, [&] {
+           return core::solve_dl(request);
+         }).get();
+}
+
 class WorkspaceReuse : public ::testing::TestWithParam<dl_scheme> {};
 
 TEST_P(WorkspaceReuse, BackToBackSolvesMatchFreshWorkspace) {
@@ -69,22 +77,17 @@ TEST_P(WorkspaceReuse, BackToBackSolvesMatchFreshWorkspace) {
         spatial ? spatial_params() : core::dl_parameters::paper_hops(6.0);
     const char* what = spatial ? "spatial rate" : "temporal rate";
 
-    core::dl_workspace fresh1;
-    const core::dl_solution ref =
-        core::solve_dl({.params = &params, .phi = &phi, .t0 = 1.0,
-                        .t_end = 6.0, .options = opts, .workspace = &fresh1});
+    const core::solve_request request{.params = &params,
+                                      .phi = &phi,
+                                      .t0 = 1.0,
+                                      .t_end = 6.0,
+                                      .options = opts};
+    const core::dl_solution ref = solve_fresh(request);
 
-    // Same workspace, twice in a row: the second solve starts from dirty
-    // buffers and must not care.
-    core::dl_workspace reused;
-    const core::solve_request on_reused{.params = &params,
-                                        .phi = &phi,
-                                        .t0 = 1.0,
-                                        .t_end = 6.0,
-                                        .options = opts,
-                                        .workspace = &reused};
-    const core::dl_solution first = core::solve_dl(on_reused);
-    const core::dl_solution second = core::solve_dl(on_reused);
+    // This thread's workspace, twice in a row: the second solve starts
+    // from dirty buffers and must not care.
+    const core::dl_solution first = core::solve_dl(request);
+    const core::dl_solution second = core::solve_dl(request);
     expect_bitwise_equal(first, ref, what);
     expect_bitwise_equal(second, ref, what);
   }
@@ -94,22 +97,20 @@ TEST_P(WorkspaceReuse, ReuseAcrossGridSizesAndRateFamilies) {
   const dl_scheme scheme = GetParam();
   const core::initial_condition phi(observed);
 
-  // One workspace dragged through different grid sizes and rate families
-  // (buffers shrink and grow); each solve must equal its fresh twin.
-  core::dl_workspace reused;
+  // This thread's workspace dragged through different grid sizes and
+  // rate families (buffers shrink and grow); each solve must equal its
+  // fresh twin.
   for (const std::size_t ppu : {10u, 20u, 10u}) {
     for (const bool spatial : {false, true}) {
       const core::dl_parameters params =
           spatial ? spatial_params() : core::dl_parameters::paper_hops(6.0);
-      const core::dl_solver_options opts = options_for(scheme, ppu);
-      core::dl_workspace fresh;
-      const core::dl_solution a =
-          core::solve_dl({.params = &params, .phi = &phi, .t0 = 1.0,
-                          .t_end = 4.0, .options = opts, .workspace = &fresh});
-      const core::dl_solution b =
-          core::solve_dl({.params = &params, .phi = &phi, .t0 = 1.0,
-                          .t_end = 4.0, .options = opts, .workspace = &reused});
-      expect_bitwise_equal(a, b, spatial ? "spatial" : "temporal");
+      const core::solve_request request{.params = &params,
+                                        .phi = &phi,
+                                        .t0 = 1.0,
+                                        .t_end = 4.0,
+                                        .options = options_for(scheme, ppu)};
+      expect_bitwise_equal(solve_fresh(request), core::solve_dl(request),
+                           spatial ? "spatial" : "temporal");
     }
   }
 }
@@ -126,28 +127,6 @@ INSTANTIATE_TEST_SUITE_P(AllSchemes, WorkspaceReuse,
                            return name;
                          });
 
-TEST(WorkspaceReuse, ThreadLocalWrapperMatchesExplicitWorkspace) {
-  const core::initial_condition phi(observed);
-  const core::dl_parameters params = core::dl_parameters::paper_hops(6.0);
-  const core::dl_solver_options opts = options_for(dl_scheme::strang_cn);
-
-  core::dl_workspace explicit_ws;
-  core::solve_request request{.params = &params,
-                              .phi = &phi,
-                              .t0 = 1.0,
-                              .t_end = 6.0,
-                              .options = opts,
-                              .workspace = &explicit_ws};
-  const core::dl_solution a = core::solve_dl(request);
-  // Without .workspace the solve borrows the thread-local workspace; run
-  // it twice so the second call exercises thread-local reuse.
-  request.workspace = nullptr;
-  const core::dl_solution b = core::solve_dl(request);
-  const core::dl_solution c = core::solve_dl(request);
-  expect_bitwise_equal(b, a, "thread-local (cold)");
-  expect_bitwise_equal(c, a, "thread-local (warm)");
-}
-
 TEST(WorkspaceReuse, TrailingShortStepRefactorsCleanly) {
   // t_end not a multiple of dt: the CN matrices are rebuilt and
   // refactored mid-run; reuse must still be bitwise stable.
@@ -156,16 +135,15 @@ TEST(WorkspaceReuse, TrailingShortStepRefactorsCleanly) {
   core::dl_solver_options opts = options_for(dl_scheme::strang_cn);
   opts.dt = 0.03;
 
-  core::dl_workspace ws;
   const core::solve_request request{.params = &params,
                                     .phi = &phi,
                                     .t0 = 1.0,
                                     .t_end = 5.75,
-                                    .options = opts,
-                                    .workspace = &ws};
+                                    .options = opts};
   const core::dl_solution a = core::solve_dl(request);
   const core::dl_solution b = core::solve_dl(request);
   expect_bitwise_equal(b, a, "trailing step");
+  expect_bitwise_equal(solve_fresh(request), a, "trailing step, fresh");
 }
 
 TEST(TraceStorage, RowsViewTheContiguousBuffer) {

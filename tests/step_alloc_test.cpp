@@ -5,7 +5,8 @@
 // each case differences two warm solves over the same window and record
 // grid, one with half the step size: the trace, the times and the
 // solution objects are the same size in both, so any allocation made per
-// step shows up as a nonzero difference.  Covered: the four scalar
+// step shows up as a nonzero difference.  Every solve runs on this
+// thread's workspace, the only scratch solve_dl has.  Covered: the four scalar
 // schemes on the line, the 2-D ADI sheet, coupled communities, and the
 // batched Strang–CN and implicit-Newton lanes at width 4.
 
@@ -18,9 +19,7 @@
 #include <vector>
 
 #include "../bench/alloc_counter.h"
-#include "core/dl_batch_workspace.h"
 #include "core/dl_solver.h"
-#include "core/dl_workspace.h"
 
 namespace {
 
@@ -32,7 +31,7 @@ const std::vector<double> observed{1.9, 0.8, 1.1, 0.6, 0.4, 0.3};
 /// Runs one solve (or one batched call) at step `dt`.
 using solve_fn = std::function<void(double dt)>;
 
-/// Heap allocations of one warm call: the first call sizes the
+/// Heap allocations of one warm call: the first call sizes this thread's
 /// workspace for this shape, the second is counted.
 std::int64_t warm_allocations(const solve_fn& solve, double dt) {
   solve(dt);
@@ -82,20 +81,13 @@ TEST_P(StepAllocations, AddedStepsAllocateNothing) {
     params.back().k *= 1.0 - 0.05 * static_cast<double>(l);
   }
 
-  core::dl_workspace ws;
-  core::dl_batch_workspace batch_ws;
   const solve_fn solve = [&](double step) {
     std::vector<core::solve_request> requests;
     for (const core::dl_parameters& p : params) {
       requests.push_back({.params = &p, .phi = &phi, .options = opts});
       requests.back().options.dt = step;
-      if (c.lanes == 0) requests.back().workspace = &ws;
     }
-    if (c.lanes == 0) {
-      (void)core::solve_dl(requests.front());
-    } else {
-      (void)core::solve_dl(requests, batch_ws);
-    }
+    (void)core::solve_dl(requests);
   };
 
   const std::int64_t base = warm_allocations(solve, dt);
