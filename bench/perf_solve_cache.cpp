@@ -12,7 +12,8 @@
 // the file size (cache_file_bytes) and the bare save/load costs
 // reported alongside.  The journal bench prices the WAL tax of the
 // crash-safety PR: journal_ns_per_entry and wal_bytes per appended
-// trace record.
+// trace record.  The cold sweep also reports the cache's heap bytes per
+// entry (heap_bytes_per_entry).
 
 #include <benchmark/benchmark.h>
 
@@ -77,15 +78,24 @@ engine::sweep_spec make_spec() {
 }
 
 void BM_calibration_sweep_cold(benchmark::State& state) {
+  // heap_bytes_per_entry: the live heap the filled cache holds once the
+  // sweep's own buffers are freed, over its entry count — the cache's
+  // memory per entry, keys, map nodes, buckets and payloads together.
   const engine::scenario_context ctx = make_context();
   const engine::sweep_spec spec = make_spec();
+  double bytes_per_entry = 0.0;
   const alloc_scope allocs(state);
   for (auto _ : state) {
+    const std::int64_t before = bench::live_heap_bytes();
     engine::solve_cache cache;  // fresh: every solve runs
     engine::runner_options options;
     options.cache = &cache;
     benchmark::DoNotOptimize(engine::run_sweep(ctx, spec, options));
+    bytes_per_entry =
+        static_cast<double>(bench::live_heap_bytes() - before) /
+        static_cast<double>(cache.size());
   }
+  state.counters["heap_bytes_per_entry"] = benchmark::Counter(bytes_per_entry);
 }
 BENCHMARK(BM_calibration_sweep_cold)->Unit(benchmark::kMillisecond);
 

@@ -441,7 +441,7 @@ void solve_group(std::span<const solve_request> requests,
       }
     }
   };
-  if (key.scheme == dl_scheme::strang_cn) build_cn(key.dt);
+  if (key.scheme == dl_scheme::strang_cn) build_cn(loop.first_step());
 
   // Per-step lane values are computed for the real lanes only; the pad
   // lane of an odd chunk reads its source lane's.
@@ -454,9 +454,9 @@ void solve_group(std::span<const solve_request> requests,
       bws.growth1[lanes] = bws.growth1[lanes - 1];
       bws.growth2[lanes] = bws.growth2[lanes - 1];
     }
-    // Coefficients were scattered for key.dt; rebuild for a short
+    // Coefficients were scattered for the first step; rebuild for a short
     // trailing step (the scalar path does the same).
-    if (h != key.dt) build_cn(h);
+    if (h != loop.first_step()) build_cn(h);
     kStrangKernels[packs - 1](bws, n);
   };
 

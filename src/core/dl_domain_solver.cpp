@@ -112,7 +112,7 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
     build_cn_matrices(ny, params.d * h / (dy * dy), ws.cn_lhs_y, ws.cn_rhs_y);
     ws.cn_factor_y.factor(ws.cn_lhs_y);
   };
-  build_operators(options.dt);
+  build_operators(loop.first_step());
 
   const double kk = params.k;
   /// Exact-logistic reaction half-step over the whole grid; `rates[i]` is
@@ -134,7 +134,7 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
   const num::tridiagonal_matrix& ax = ws.cn_rhs;    // I + (λx/2)Ax
   const num::tridiagonal_matrix& ay = ws.cn_rhs_y;  // I + (λy/2)Ay
   const auto step = [&](double t, double h) {
-    if (h != options.dt) build_operators(h);
+    if (h != loop.first_step()) build_operators(h);
 
     sampler.integrals_over(t, t + 0.5 * h, r_int);
     sampler.integrals_over(t + 0.5 * h, t + h, rt);
@@ -213,7 +213,7 @@ dl_solution solve_dl_communities(const dl_parameters& params,
     build_cn_matrices(nx, params.d * h / (dx * dx), ws.cn_lhs, ws.cn_rhs);
     ws.cn_factor.factor(ws.cn_lhs);
   };
-  build_operators(options.dt);
+  build_operators(loop.first_step());
 
   // The mixing substep is skipped when it cannot change anything — this
   // is what makes a K = 1 run bitwise identical to the plain 1-D line.
@@ -223,7 +223,7 @@ dl_solution solve_dl_communities(const dl_parameters& params,
   trace_storage trace(n);
   trace.reserve(loop.max_rows());
   const auto step = [&](double t, double h) {
-    if (h != options.dt) build_operators(h);
+    if (h != loop.first_step()) build_operators(h);
 
     sampler.integrals_over(t, t + 0.5 * h, r_int);
     sampler.integrals_over(t + 0.5 * h, t + h, rt);

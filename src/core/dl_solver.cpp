@@ -207,7 +207,7 @@ dl_solution detail::solve_profile(const dl_parameters& params,
   // of being redone every step.
   num::tridiagonal_matrix& cn_rhs_m = ws.cn_rhs;
   if (options.scheme == dl_scheme::strang_cn) {
-    const double lambda = params.d * options.dt / (dx * dx);
+    const double lambda = params.d * loop.first_step() / (dx * dx);
     build_cn_matrices(n, lambda, ws.cn_lhs, cn_rhs_m);
     ws.cn_factor.factor(ws.cn_lhs);
   }
@@ -246,9 +246,9 @@ dl_solution detail::solve_profile(const dl_parameters& params,
         // pair that is bitwise identical to the unfused substeps.
         sampler.integrals_over(t, t + 0.5 * h, r_int);
         sampler.integrals_over(t + 0.5 * h, t + h, rt);  // second half
-        // Matrices were built and factored for options.dt; rebuild for a
-        // short trailing step.
-        if (h != options.dt) {
+        // Matrices were built and factored for the first step; rebuild for
+        // a short trailing step.
+        if (h != loop.first_step()) {
           const double lambda = params.d * h / (dx * dx);
           build_cn_matrices(n, lambda, ws.cn_lhs, cn_rhs_m);
           ws.cn_factor.factor(ws.cn_lhs);

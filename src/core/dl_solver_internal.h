@@ -42,7 +42,8 @@ namespace detail {
 /// the hourly snapshot cadence, spelled once.  Step k starts at
 /// t0 + k·dt and lasts min(dt, t_end − t); a snapshot is recorded at t0,
 /// after each step that reaches the next whole hour after t0, and after
-/// the last step.
+/// the last step.  There is always at least one step: a dt at or beyond
+/// the window takes one step of the whole window.
 class time_loop {
  public:
   /// Throws std::invalid_argument unless t_end > t0, dt > 0 and the step
@@ -57,7 +58,8 @@ class time_loop {
       throw std::invalid_argument(
           "solve_dl: step count (t_end - t0)/dt must be finite and below "
           "2^53");
-    steps_ = static_cast<std::size_t>(std::ceil((t_end - t0) / dt - 1e-12));
+    steps_ = std::max<std::size_t>(
+        1, static_cast<std::size_t>(std::ceil((t_end - t0) / dt - 1e-12)));
     // Snapshot rows to reserve, so steady-state stepping never
     // reallocates the trace.
     rows_ = steps_;
@@ -69,6 +71,12 @@ class time_loop {
 
   /// Upper bound on the snapshots run() records.
   [[nodiscard]] std::size_t max_rows() const noexcept { return rows_; }
+
+  /// The length of the first step, min(dt, t_end − t0): what a scheme
+  /// with per-step matrices (Crank–Nicolson) builds them for up front.
+  [[nodiscard]] double first_step() const noexcept {
+    return std::min(dt_, t_end_ - t0_);
+  }
 
   /// Steps the window and returns the snapshot times: record() stores
   /// the current state once at t0 and again at each snapshot after a

@@ -351,10 +351,10 @@ cache_load_result deserialize_cache(solve_cache& cache,
   result.traces = parsed.traces.size();
   result.values = parsed.values.size();
   for (auto& [key, trace] : parsed.traces)
-    cache.import_trace(key,
+    cache.import_trace(std::move(key),
                        std::make_shared<const model_trace>(std::move(trace)));
-  for (const auto& [key, value] : parsed.values)
-    cache.import_value(key, value);
+  for (auto& [key, value] : parsed.values)
+    cache.import_value(std::move(key), value);
   return result;
 }
 
@@ -438,14 +438,14 @@ cache_merge_result merge_cache_files(
 
   for (const std::unique_ptr<solve_cache>& cache : scratch) {
     for (solve_cache::trace_export& entry : cache->export_traces()) {
-      switch (into.merge_trace(entry.key, std::move(entry.trace))) {
+      switch (into.merge_trace(std::move(entry.key), std::move(entry.trace))) {
         case solve_cache::merge_outcome::inserted: ++result.merged_traces; break;
         case solve_cache::merge_outcome::duplicate: ++result.duplicates; break;
         case solve_cache::merge_outcome::conflict: ++result.conflicts; break;
       }
     }
-    for (const solve_cache::value_export& entry : cache->export_values()) {
-      switch (into.merge_value(entry.key, entry.value)) {
+    for (solve_cache::value_export& entry : cache->export_values()) {
+      switch (into.merge_value(std::move(entry.key), entry.value)) {
         case solve_cache::merge_outcome::inserted: ++result.merged_values; break;
         case solve_cache::merge_outcome::duplicate: ++result.duplicates; break;
         case solve_cache::merge_outcome::conflict: ++result.conflicts; break;

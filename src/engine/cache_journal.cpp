@@ -218,9 +218,9 @@ journal_replay_result replay_journal(solve_cache& cache,
   result.traces = traces.size();
   result.values = values.size();
   for (auto& [key, trace] : traces)
-    cache.import_trace(key,
+    cache.import_trace(std::move(key),
                        std::make_shared<const model_trace>(std::move(trace)));
-  for (const auto& [key, value] : values) cache.import_value(key, value);
+  for (auto& [key, value] : values) cache.import_value(std::move(key), value);
   return result;
 }
 

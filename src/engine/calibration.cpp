@@ -170,12 +170,17 @@ calibration_setup setup_calibration(const scenario& sc,
       const core::domain dom = make_domain(sc.domain);
       if (!dom.is_line()) prefix += "|domain=" + dom.label();
     }
-    options.cache_find = [cache, prefix](std::span<const double> v) {
-      return cache->find_value(prefix + vector_suffix(v));
+    options.cache_find = [cache, prefix](std::span<const double> v,
+                                         std::string& key) {
+      // Built to its exact size: a missed probe's key moves into the
+      // cache, so spare capacity would stay resident with the entry.
+      const std::string suffix = vector_suffix(v);
+      key.reserve(prefix.size() + suffix.size());
+      key.append(prefix).append(suffix);
+      return cache->find_value(key);
     };
-    options.cache_store = [cache, prefix](std::span<const double> v,
-                                          double value) {
-      cache->store_value(prefix + vector_suffix(v), value);
+    options.cache_store = [cache](std::string key, double value) {
+      cache->store_value(std::move(key), value);
     };
   }
   if (pool != nullptr) {

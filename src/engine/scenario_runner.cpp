@@ -428,7 +428,7 @@ sweep_result run_sweep(const scenario_context& context,
           std::vector<model_trace> fresh = model->solve_batch(solved, *slices[m]);
           for (std::size_t b = 0; b < batch.size(); ++b) {
             if (options.cache != nullptr)
-              options.cache->store_trace(keys[batch[b]], fresh[b]);
+              options.cache->store_trace(std::move(keys[batch[b]]), fresh[b]);
             traces[batch[b]] = std::move(fresh[b]);
           }
         }

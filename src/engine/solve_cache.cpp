@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <type_traits>
 
 #include "engine/format.h"
 
@@ -33,20 +34,89 @@ bool traces_bitwise_equal(const model_trace& a, const model_trace& b) {
   return true;
 }
 
+/// Payload comparison and observer call per entry kind, for the one
+/// insert template below.
+bool same_payload(const std::shared_ptr<const model_trace>& a,
+                  const std::shared_ptr<const model_trace>& b) {
+  return traces_bitwise_equal(*a, *b);
+}
+bool same_payload(double a, double b) { return bits_equal(a, b); }
+
+void notify(const solve_cache::write_observer& observer,
+            const std::string& key,
+            const std::shared_ptr<const model_trace>& trace) {
+  observer(key, trace.get(), nullptr);
+}
+void notify(const solve_cache::write_observer& observer,
+            const std::string& key, double value) {
+  observer(key, nullptr, &value);
+}
+
 }  // namespace
+
+void solve_cache::link_front(lru_links& e) {
+  e.prev = &head_;
+  e.next = head_.next;
+  head_.next->prev = &e;
+  head_.next = &e;
+}
+
+void solve_cache::unlink(lru_links& e) {
+  e.prev->next = e.next;
+  e.next->prev = e.prev;
+}
 
 void solve_cache::evict_overflow() {
   if (max_entries_ == 0) return;
-  while (traces_.size() + values_.size() > max_entries_ && !lru_.empty()) {
-    const auto& [kind, key] = lru_.back();
-    if (kind == entry_kind::trace) {
-      traces_.erase(key);
+  while (traces_.size() + values_.size() > max_entries_ &&
+         head_.prev != &head_) {
+    lru_links& victim = *head_.prev;
+    unlink(victim);
+    // Erase by node: the lookup reads the victim's own key, the erase
+    // takes the iterator and never that reference.
+    if (victim.kind == entry_kind::trace) {
+      traces_.erase(traces_.find(*victim.key));
     } else {
-      values_.erase(key);
+      values_.erase(values_.find(*victim.key));
     }
-    lru_.pop_back();
     ++stats_.evictions;
   }
+}
+
+template <class Map, class Payload>
+solve_cache::merge_outcome solve_cache::insert(Map& map, std::string key,
+                                               Payload payload,
+                                               bool merging) {
+  std::shared_ptr<const write_observer> observer;
+  std::string observed_key;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    // try_emplace moves the key only when the node is created: a present
+    // key keeps the first insert (first insert wins).
+    const auto [it, fresh] = map.try_emplace(std::move(key));
+    if (!fresh) {
+      if (!merging || same_payload(it->second.payload, payload))
+        return merge_outcome::duplicate;
+      ++stats_.merge_conflicts;
+      return merge_outcome::conflict;
+    }
+    it->second.payload = payload;
+    it->second.key = &it->first;
+    it->second.kind = std::is_same_v<Payload, double> ? entry_kind::value
+                                                      : entry_kind::trace;
+    link_front(it->second);
+    if (merging) ++stats_.merged_entries;
+    observer = observer_;
+    // The observer runs after unlocking, when another thread may already
+    // have evicted this node: it gets its own copy of the key.
+    if (observer != nullptr) observed_key = it->first;
+    evict_overflow();
+  }
+  // Outside the lock (see set_write_observer): even an entry the LRU cap
+  // evicted immediately is still observed — journaling it is harmless,
+  // replay re-applies the cap.
+  if (observer != nullptr) notify(*observer, observed_key, payload);
+  return merge_outcome::inserted;
 }
 
 std::shared_ptr<const model_trace> solve_cache::find_trace(
@@ -58,30 +128,19 @@ std::shared_ptr<const model_trace> solve_cache::find_trace(
     return nullptr;
   }
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.second);  // refresh recency
-  return it->second.first;
+  unlink(it->second);  // refresh recency
+  link_front(it->second);
+  return it->second.payload;
 }
 
-void solve_cache::store_trace(const std::string& key, model_trace trace) {
-  import_trace(key, std::make_shared<const model_trace>(std::move(trace)));
+void solve_cache::store_trace(std::string key, model_trace trace) {
+  import_trace(std::move(key),
+               std::make_shared<const model_trace>(std::move(trace)));
 }
 
-void solve_cache::import_trace(const std::string& key,
+void solve_cache::import_trace(std::string key,
                                std::shared_ptr<const model_trace> trace) {
-  std::shared_ptr<const model_trace> inserted = std::move(trace);
-  std::shared_ptr<const write_observer> observer;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (traces_.contains(key)) return;  // first insert wins
-    lru_.emplace_front(entry_kind::trace, key);
-    traces_.emplace(key, std::make_pair(inserted, lru_.begin()));
-    evict_overflow();
-    observer = observer_;
-  }
-  // Outside the lock (see set_write_observer): even an entry the LRU cap
-  // evicted immediately is still observed — journaling it is harmless,
-  // replay re-applies the cap.
-  if (observer != nullptr) (*observer)(key, inserted.get(), nullptr);
+  (void)insert(traces_, std::move(key), std::move(trace), false);
 }
 
 std::optional<double> solve_cache::find_value(const std::string& key) {
@@ -92,25 +151,17 @@ std::optional<double> solve_cache::find_value(const std::string& key) {
     return std::nullopt;
   }
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.second);  // refresh recency
-  return it->second.first;
+  unlink(it->second);  // refresh recency
+  link_front(it->second);
+  return it->second.payload;
 }
 
-void solve_cache::store_value(const std::string& key, double value) {
-  import_value(key, value);
+void solve_cache::store_value(std::string key, double value) {
+  import_value(std::move(key), value);
 }
 
-void solve_cache::import_value(const std::string& key, double value) {
-  std::shared_ptr<const write_observer> observer;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (values_.contains(key)) return;  // first insert wins
-    lru_.emplace_front(entry_kind::value, key);
-    values_.emplace(key, std::make_pair(value, lru_.begin()));
-    evict_overflow();
-    observer = observer_;
-  }
-  if (observer != nullptr) (*observer)(key, nullptr, &value);
+void solve_cache::import_value(std::string key, double value) {
+  (void)insert(values_, std::move(key), value, false);
 }
 
 std::vector<solve_cache::trace_export> solve_cache::export_traces() const {
@@ -119,7 +170,7 @@ std::vector<solve_cache::trace_export> solve_cache::export_traces() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     out.reserve(traces_.size());
     for (const auto& [key, entry] : traces_)
-      out.push_back({key, entry.first});
+      out.push_back({key, entry.payload});
   }
   std::sort(out.begin(), out.end(),
             [](const trace_export& a, const trace_export& b) {
@@ -134,7 +185,7 @@ std::vector<solve_cache::value_export> solve_cache::export_values() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     out.reserve(values_.size());
     for (const auto& [key, entry] : values_)
-      out.push_back({key, entry.first});
+      out.push_back({key, entry.payload});
   }
   std::sort(out.begin(), out.end(),
             [](const value_export& a, const value_export& b) {
@@ -144,47 +195,13 @@ std::vector<solve_cache::value_export> solve_cache::export_values() const {
 }
 
 solve_cache::merge_outcome solve_cache::merge_trace(
-    const std::string& key, std::shared_ptr<const model_trace> trace) {
-  std::shared_ptr<const model_trace> inserted = std::move(trace);
-  std::shared_ptr<const write_observer> observer;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = traces_.find(key);
-    if (it != traces_.end()) {
-      if (traces_bitwise_equal(*it->second.first, *inserted))
-        return merge_outcome::duplicate;
-      ++stats_.merge_conflicts;
-      return merge_outcome::conflict;
-    }
-    lru_.emplace_front(entry_kind::trace, key);
-    traces_.emplace(key, std::make_pair(inserted, lru_.begin()));
-    ++stats_.merged_entries;
-    evict_overflow();
-    observer = observer_;
-  }
-  if (observer != nullptr) (*observer)(key, inserted.get(), nullptr);
-  return merge_outcome::inserted;
+    std::string key, std::shared_ptr<const model_trace> trace) {
+  return insert(traces_, std::move(key), std::move(trace), true);
 }
 
-solve_cache::merge_outcome solve_cache::merge_value(const std::string& key,
+solve_cache::merge_outcome solve_cache::merge_value(std::string key,
                                                     double value) {
-  std::shared_ptr<const write_observer> observer;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = values_.find(key);
-    if (it != values_.end()) {
-      if (bits_equal(it->second.first, value)) return merge_outcome::duplicate;
-      ++stats_.merge_conflicts;
-      return merge_outcome::conflict;
-    }
-    lru_.emplace_front(entry_kind::value, key);
-    values_.emplace(key, std::make_pair(value, lru_.begin()));
-    ++stats_.merged_entries;
-    evict_overflow();
-    observer = observer_;
-  }
-  if (observer != nullptr) (*observer)(key, nullptr, &value);
-  return merge_outcome::inserted;
+  return insert(values_, std::move(key), value, true);
 }
 
 void solve_cache::set_write_observer(write_observer observer) {
@@ -214,7 +231,7 @@ void solve_cache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
   traces_.clear();
   values_.clear();
-  lru_.clear();
+  head_.prev = head_.next = &head_;
   stats_ = cache_stats{};
 }
 

@@ -21,11 +21,16 @@
 // is unbounded by default; constructing it with `max_entries > 0` caps
 // the combined trace + value count with least-recently-used eviction
 // (finds refresh recency, evictions are counted in the stats).
+//
+// Entry layout: each key is stored once, in its hash-map node.  The
+// recency list is threaded through the entries themselves (prev/next
+// links plus a pointer to the node's key), so an insert allocates the map
+// node and nothing else; the inserting methods take the key by value and
+// move it into the node.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -78,13 +83,13 @@ class solve_cache {
   /// Stores a trace under `key`.  A concurrent duplicate insert is benign:
   /// the first stored trace wins and later ones are dropped (both were
   /// computed from identical inputs).
-  void store_trace(const std::string& key, model_trace trace);
+  void store_trace(std::string key, model_trace trace);
 
   /// Returns the cached scalar or nullopt (counting a hit/miss).
   [[nodiscard]] std::optional<double> find_value(const std::string& key);
 
   /// Stores a scalar under `key` (first insert wins, as for traces).
-  void store_value(const std::string& key, double value);
+  void store_value(std::string key, double value);
 
   [[nodiscard]] cache_stats stats() const;
   [[nodiscard]] std::size_t size() const;
@@ -114,9 +119,8 @@ class solve_cache {
   /// methods (first insert wins, the LRU cap applies) but takes the
   /// shared trace directly — loading a file is not a hit or a miss, so
   /// no lookup statistic moves.
-  void import_trace(const std::string& key,
-                    std::shared_ptr<const model_trace> trace);
-  void import_value(const std::string& key, double value);
+  void import_trace(std::string key, std::shared_ptr<const model_trace> trace);
+  void import_value(std::string key, double value);
 
   /// Counts one rejected load attempt (see cache_stats::load_rejected);
   /// called by the cache_io loader, never by the cache itself.
@@ -136,9 +140,9 @@ class solve_cache {
   /// contract) from a conflict (same key, different bits), and counts
   /// merged_entries / merge_conflicts accordingly.  The LRU cap applies
   /// to inserted entries as usual.
-  merge_outcome merge_trace(const std::string& key,
+  merge_outcome merge_trace(std::string key,
                             std::shared_ptr<const model_trace> trace);
-  merge_outcome merge_value(const std::string& key, double value);
+  merge_outcome merge_value(std::string key, double value);
 
   /// Write observation hook — the wiring the cache journal
   /// (engine/cache_journal.h) uses to append every winning insert as it
@@ -155,24 +159,43 @@ class solve_cache {
   void set_write_observer(write_observer observer);
 
  private:
-  /// Recency list: most recently used at the front.  Each node remembers
-  /// which map owns its key so eviction can erase the right entry.
   enum class entry_kind { trace, value };
-  using lru_list = std::list<std::pair<entry_kind, std::string>>;
+  /// The recency-list node embedded in every entry: most recently used
+  /// at head_.next.  `key` points at the owning map node's key, so
+  /// eviction finds that node without a second copy of the key.
+  struct lru_links {
+    lru_links* prev = nullptr;
+    lru_links* next = nullptr;
+    const std::string* key = nullptr;
+    entry_kind kind = entry_kind::value;
+  };
+  template <class Payload>
+  struct entry : lru_links {
+    Payload payload{};
+  };
+  using trace_map =
+      std::unordered_map<std::string,
+                         entry<std::shared_ptr<const model_trace>>>;
+  using value_map = std::unordered_map<std::string, entry<double>>;
 
+  /// The one insert behind store/import (merging = false: a present key
+  /// is a silent duplicate) and merge (merging = true: a present key is
+  /// compared bitwise and counted).
+  template <class Map, class Payload>
+  merge_outcome insert(Map& map, std::string key, Payload payload,
+                       bool merging);
+  /// Recency-list edits.  Caller must hold the mutex.
+  void link_front(lru_links& e);
+  static void unlink(lru_links& e);
   /// Drops least-recently-used entries until the cap holds.  Caller must
   /// hold the mutex.
   void evict_overflow();
 
   mutable std::mutex mutex_;
   std::size_t max_entries_ = 0;
-  lru_list lru_;
-  std::unordered_map<std::string,
-                     std::pair<std::shared_ptr<const model_trace>,
-                               lru_list::iterator>>
-      traces_;
-  std::unordered_map<std::string, std::pair<double, lru_list::iterator>>
-      values_;
+  lru_links head_{&head_, &head_};  ///< circular list sentinel
+  trace_map traces_;
+  value_map values_;
   cache_stats stats_;
   /// Swapped atomically under the mutex, invoked outside it: an insert
   /// snapshots the shared_ptr while locked and calls through it after

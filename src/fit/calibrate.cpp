@@ -1,8 +1,11 @@
 #include "fit/calibrate.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "numerics/optimize/grid_search.h"
@@ -51,12 +54,28 @@ core::dl_solver_options probe_solver(const calibration_options& options,
   return solver;
 }
 
+/// Throws for a lane whose whole coarse lattice scored +inf, naming why
+/// its first lattice point did: there is no finite start to refine from,
+/// so the search stops instead of running Nelder–Mead on +inf.
+[[noreturn]] void throw_lane_failure(const calibration_problem& problem,
+                                     std::span<const double> point) {
+  const core::dl_parameters params =
+      params_from_vector(problem.start, point, problem.options);
+  const std::string reason = dl_sse_failure(
+      {&params, problem.window, probe_solver(problem.options, params)});
+  throw std::runtime_error(
+      "calibrate_dl: every coarse-lattice probe failed; the first: " +
+      (reason.empty() ? std::string("its residuals are not finite")
+                      : reason));
+}
+
 /// One problem's search: the whole coarse lattice in one round, then
 /// bounded Nelder–Mead from the best lattice point, one point a round.
 class lane_search {
  public:
-  explicit lane_search(const calibration_options& options)
-      : options_(options) {
+  explicit lane_search(const calibration_problem& problem)
+      : problem_(problem), options_(problem.options) {
+    const calibration_options& options = problem.options;
     // The lattice in grid_lattice_points' scan order; tell() keeps the
     // lowest index on ties, so the argmin is the serial scan's.  Spatial
     // multiplier axes are pinned at the neutral 1.0 — a lattice over them
@@ -100,6 +119,8 @@ class lane_search {
         best = i;
       }
     }
+    if (!std::isfinite(best_value))
+      throw_lane_failure(problem_, lattice_.front());
     std::vector<double> lower{options_.d_min, options_.k_min};
     std::vector<double> upper{options_.d_max, options_.k_max};
     if (options_.fit_rate) {
@@ -124,6 +145,7 @@ class lane_search {
   }
 
  private:
+  const calibration_problem& problem_;
   const calibration_options& options_;
   std::vector<std::vector<double>> lattice_;
   std::optional<num::nelder_mead> refine_;
@@ -146,7 +168,7 @@ std::vector<calibration_result> calibrate_dl(
   std::vector<lane_search> lanes;
   lanes.reserve(problems.size());
   for (const calibration_problem& problem : problems)
-    lanes.emplace_back(problem.options);
+    lanes.emplace_back(problem);
   std::vector<std::size_t> pde_solves(problems.size(), 0);
   std::vector<std::size_t> cache_hits(problems.size(), 0);
   width = std::max<std::size_t>(width, 1);
@@ -157,6 +179,7 @@ std::vector<calibration_result> calibrate_dl(
   std::vector<std::span<const double>> points;
   std::vector<double> values;
   std::vector<std::size_t> misses;
+  std::vector<std::string> miss_keys;  // index-aligned with misses
   for (;;) {
     lane_of.clear();
     points.clear();
@@ -169,16 +192,20 @@ std::vector<calibration_result> calibrate_dl(
 
     values.assign(points.size(), 0.0);
     misses.clear();
+    miss_keys.clear();
     for (std::size_t p = 0; p < points.size(); ++p) {
       const calibration_options& options = problems[lane_of[p]].options;
+      std::string key;
       if (options.cache_find) {
-        if (const std::optional<double> cached = options.cache_find(points[p])) {
+        if (const std::optional<double> cached =
+                options.cache_find(points[p], key)) {
           ++cache_hits[lane_of[p]];
           values[p] = *cached;
           continue;
         }
       }
       misses.push_back(p);
+      miss_keys.push_back(std::move(key));
     }
 
     // The misses, in solve calls of at most `width` lanes.
@@ -209,10 +236,12 @@ std::vector<calibration_result> calibrate_dl(
         });
       run_batch(std::move(tasks));
     }
-    for (const std::size_t p : misses) {
+    for (std::size_t m = 0; m < misses.size(); ++m) {
+      const std::size_t p = misses[m];
       ++pde_solves[lane_of[p]];
       const calibration_options& options = problems[lane_of[p]].options;
-      if (options.cache_store) options.cache_store(points[p], values[p]);
+      if (options.cache_store)
+        options.cache_store(std::move(miss_keys[m]), values[p]);
     }
 
     // Tell every lane its values; a lane's probes are contiguous.

@@ -21,6 +21,7 @@
 #include <functional>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/dl_parameters.h"
@@ -51,15 +52,19 @@ struct calibration_options {
   std::size_t refine_iterations = 600;  ///< Nelder–Mead iteration cap
   core::dl_solver_options solver{};
 
-  /// Optional memoization hooks.  `cache_find(v)` returns the objective
-  /// value previously stored for parameter vector `v` (or nullopt);
-  /// `cache_store(v, f)` records a freshly solved value.  When set, every
-  /// lookup is counted in calibration_result::cache_hits / pde_solves so
-  /// the reported "PDE solves spent" stays truthful instead of silently
-  /// shrinking as the cache warms up.  Hooks run only on the thread that
-  /// called calibrate_dl, in probe order.
-  std::function<std::optional<double>(std::span<const double>)> cache_find;
-  std::function<void(std::span<const double>, double)> cache_store;
+  /// Optional memoization hooks, set both or neither.
+  /// `cache_find(v, key)` writes parameter vector `v`'s name into `key`
+  /// and returns the objective value previously stored under it (or
+  /// nullopt); on a miss that same name is moved into `cache_store(key,
+  /// f)`, which records the freshly solved value, so each probe's name is
+  /// built once.  When set, every lookup is counted in
+  /// calibration_result::cache_hits / pde_solves so the reported "PDE
+  /// solves spent" stays truthful instead of silently shrinking as the
+  /// cache warms up.  Hooks run only on the thread that called
+  /// calibrate_dl, in probe order.
+  std::function<std::optional<double>(std::span<const double>, std::string&)>
+      cache_find;
+  std::function<void(std::string, double)> cache_store;
 
   /// Optional batch executor for rounds that need more than one solve
   /// call (the coarse lattice): receives one task per call and must run
@@ -87,7 +92,11 @@ struct calibration_result {
 
 /// Calibrates DL parameters against `window`, starting from `start`
 /// (which also fixes x_min/x_max and, when !fit_rate, the rate function).
-/// The one-lane case of the lockstep overload below.
+/// The one-lane case of the lockstep overload below.  Throws
+/// std::runtime_error when every coarse-lattice probe scores +inf — no
+/// parameter vector in the box solves — naming the first probe's
+/// failure (fit::dl_sse_failure); a fit whose lattice has a finite best
+/// succeeds, however many of its probes failed.
 [[nodiscard]] calibration_result calibrate_dl(
     const observation_window& window, const core::dl_parameters& start,
     const calibration_options& options = {});
@@ -111,7 +120,8 @@ struct calibration_problem {
 /// the fresh values in order and tells each search its values.  Problems
 /// must not share cache keys — a key two lanes probe in the same round
 /// would be solved by both — which the engine guarantees by never
-/// putting one slice in two lanes.  Throws like the single overload.
+/// putting one slice in two lanes.  Throws like the single overload; a
+/// failed lane throws as soon as its lattice round is told.
 [[nodiscard]] std::vector<calibration_result> calibrate_dl(
     std::span<const calibration_problem> problems, std::size_t width);
 

@@ -62,6 +62,16 @@ double score(const core::dl_solution& solution,
   }
 }
 
+/// The solve request of one probe over its window, from `phi`.
+core::solve_request probe_request(const sse_probe& probe,
+                                  const core::initial_condition& phi) {
+  return {.params = probe.params,
+          .phi = &phi,
+          .t0 = probe.window->t0,
+          .t_end = probe.window->times.back(),
+          .options = probe.solver};
+}
+
 }  // namespace
 
 double dl_sse(const core::dl_parameters& params,
@@ -89,11 +99,7 @@ std::vector<double> dl_sse(std::span<const sse_probe> probes) {
       probe.params->validate();
       phis.push_back(
           core::dl_model::build_initial(*probe.params, probe.window->initial));
-      requests.push_back({.params = probe.params,
-                          .phi = &phis.back(),
-                          .t0 = probe.window->t0,
-                          .t_end = probe.window->times.back(),
-                          .options = probe.solver});
+      requests.push_back(probe_request(probe, phis.back()));
       owner.push_back(p);
     } catch (const std::exception&) {
     }
@@ -115,6 +121,18 @@ std::vector<double> dl_sse(std::span<const sse_probe> probes) {
     }
   }
   return out;
+}
+
+std::string dl_sse_failure(const sse_probe& probe) {
+  try {
+    probe.params->validate();
+    const core::initial_condition phi =
+        core::dl_model::build_initial(*probe.params, probe.window->initial);
+    (void)core::solve_dl(probe_request(probe, phi));
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return {};
 }
 
 }  // namespace dlm::fit

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/dl_parameters.h"
@@ -55,5 +56,11 @@ struct sse_probe {
 /// std::invalid_argument for an inconsistent window, like the scalar
 /// overload.
 [[nodiscard]] std::vector<double> dl_sse(std::span<const sse_probe> probes);
+
+/// The message of the error that makes dl_sse score `probe` +inf — its
+/// parameter validation or its solve — or empty when both succeed (its
+/// residuals are then what is not finite).  Solves the probe again,
+/// alone.
+[[nodiscard]] std::string dl_sse_failure(const sse_probe& probe);
 
 }  // namespace dlm::fit

@@ -406,6 +406,31 @@ TEST(BatchSweep, CalibrateChunksNeverMixIncompatibleKeys) {
   }
 }
 
+TEST(CalibrationSweep, FitWithNoSolvableProbeFailsItsRow) {
+  // Two calibrations, the second of which cannot solve at all (dt =
+  // 1e-300 overflows every probe's step count): the sweep fails with
+  // that scenario's identity and the solve failure, not a fit.
+  const scenario_context ctx =
+      surface_from_truth(core::dl_parameters::paper_hops(6.0), 6);
+  scenario good;
+  good.model = "dl";
+  good.rate = "calibrate-fixed:3";
+  good.t_end = 6.0;
+  scenario bad = good;
+  bad.dt = 1e-300;
+  const std::vector<scenario> scenarios{good, bad};
+  try {
+    (void)run_sweep(ctx, scenarios, {});
+    FAIL() << "a fit with no solvable probe must fail its row";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "run_sweep: scenario #1 (model 'dl', slice 'truth') failed: "
+              "calibrate_dl: every coarse-lattice probe failed; the first: "
+              "solve_dl: step count (t_end - t0)/dt must be finite and "
+              "below 2^53");
+  }
+}
+
 TEST(CalibrationSweep, CalibrateScenarioRejectsUnsupportedModels) {
   const scenario_context ctx =
       surface_from_truth(core::dl_parameters::paper_hops(6.0), 6);

@@ -204,6 +204,59 @@ TEST(DlSolver, RecordsHourlySnapshots) {
   EXPECT_DOUBLE_EQ(sol.times().back(), 6.0);
 }
 
+TEST(DlSolver, StepPastTheWindowTakesOneWholeWindowStep) {
+  // A dt at or past the window t_end − t0 — even one making
+  // (t_end − t0)/dt far below 1e-12 — takes exactly one step of the whole
+  // window, with the Crank–Nicolson operator built for that step: the
+  // same solution as dt = t_end − t0.
+  const dl_parameters params = dl_parameters::paper_hops(6.0);
+  const initial_condition phi(observed);
+  for (const dl_scheme scheme : {dl_scheme::strang_cn,
+                                 dl_scheme::implicit_newton,
+                                 dl_scheme::mol_rk4}) {
+    dl_solver_options opts = options_for(scheme);
+    opts.dt = 5.0;
+    const dl_solution whole =
+        solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 6.0,
+                  .options = opts});
+    ASSERT_EQ(whole.times(), (std::vector<double>{1.0, 6.0}));
+    for (const double dt : {1e13, 1e300}) {
+      opts.dt = dt;
+      const dl_solution sol =
+          solve_dl({.params = &params, .phi = &phi, .t0 = 1.0, .t_end = 6.0,
+                    .options = opts});
+      EXPECT_EQ(sol.times(), whole.times()) << to_string(scheme) << " " << dt;
+      EXPECT_EQ(sol.states().data(), whole.states().data())
+          << to_string(scheme) << " " << dt;
+    }
+  }
+}
+
+TEST(DlSolver, BatchedStepPastTheWindowTakesOneWholeWindowStep) {
+  // The batched lanes' per-lane CN coefficients are built for the step
+  // actually taken too: a 2-lane strang-cn batch at dt = 1e300 matches
+  // each lane solved alone at dt = t_end − t0.
+  std::vector<dl_parameters> params(2, dl_parameters::paper_hops(6.0));
+  params[1].d *= 1.5;
+  const initial_condition phi(observed);
+  dl_solver_options opts = options_for(dl_scheme::strang_cn);
+  opts.dt = 1e300;
+  std::vector<solve_request> requests;
+  for (const dl_parameters& p : params)
+    requests.push_back(
+        {.params = &p, .phi = &phi, .t0 = 1.0, .t_end = 6.0, .options = opts});
+  const std::vector<dl_solution> batched = solve_dl(requests);
+  ASSERT_EQ(batched.size(), 2u);
+  for (std::size_t l = 0; l < 2; ++l) {
+    solve_request whole = requests[l];
+    whole.options.dt = 5.0;
+    const dl_solution alone = solve_dl(whole);
+    ASSERT_EQ(batched[l].times(), (std::vector<double>{1.0, 6.0}));
+    EXPECT_EQ(batched[l].states().data(), alone.states().data())
+        << "lane " << l;
+  }
+}
+
 TEST(DlSolution, InterpolationAndRangeChecks) {
   const dl_parameters params = dl_parameters::paper_hops(6.0);
   const initial_condition phi(observed);

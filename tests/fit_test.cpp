@@ -3,6 +3,8 @@
 #include <cmath>
 #include <map>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/dl_model.h"
@@ -124,22 +126,24 @@ TEST(CalibrateDl, MemoHooksKeepSolveCountsTruthful) {
   truth.k = 20.0;
   const fit::observation_window window = window_from_model(truth);
 
-  // A toy memo store standing in for the engine solve cache.
-  std::map<std::vector<double>, double> memo;
+  // A toy memo store standing in for the engine solve cache, keyed on
+  // the vector's bytes.
+  std::map<std::string, double> memo;
   fit::calibration_options options;
   options.fit_rate = false;
   options.coarse_steps = 3;
   options.d_max = 0.3;
   options.k_min = 5.0;
   options.k_max = 50.0;
-  options.cache_find =
-      [&memo](std::span<const double> v) -> std::optional<double> {
-    const auto it = memo.find(std::vector<double>(v.begin(), v.end()));
+  options.cache_find = [&memo](std::span<const double> v,
+                               std::string& key) -> std::optional<double> {
+    key.assign(reinterpret_cast<const char*>(v.data()), v.size_bytes());
+    const auto it = memo.find(key);
     if (it == memo.end()) return std::nullopt;
     return it->second;
   };
-  options.cache_store = [&memo](std::span<const double> v, double value) {
-    memo.emplace(std::vector<double>(v.begin(), v.end()), value);
+  options.cache_store = [&memo](std::string key, double value) {
+    memo.emplace(std::move(key), value);
   };
 
   const core::dl_parameters start = core::dl_parameters::paper_hops(6.0);
@@ -172,6 +176,58 @@ TEST(CalibrateDl, MemoHooksKeepSolveCountsTruthful) {
   EXPECT_EQ(via_batch.x, cold.x);
   EXPECT_EQ(via_batch.cache_hits, 0u);
   EXPECT_EQ(via_batch.pde_solves, via_batch.evaluations);
+}
+
+TEST(CalibrateDl, FitWhoseEveryProbeFailsThrowsNamingTheSolveFailure) {
+  const fit::observation_window window =
+      window_from_model(core::dl_parameters::paper_hops(6.0));
+  fit::calibration_options options;
+  options.fit_rate = false;
+  options.coarse_steps = 3;
+  options.solver.dt = 1e-300;  // every probe's step count overflows
+  std::size_t lookups = 0;
+  options.cache_find = [&lookups](std::span<const double>,
+                                  std::string&) -> std::optional<double> {
+    ++lookups;
+    return std::nullopt;
+  };
+  options.cache_store = [](std::string, double) {};
+  try {
+    (void)fit::calibrate_dl(window, core::dl_parameters::paper_hops(6.0),
+                            options);
+    FAIL() << "a fit with no solvable probe must not report a fit";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "calibrate_dl: every coarse-lattice probe failed; the first: "
+              "solve_dl: step count (t_end - t0)/dt must be finite and "
+              "below 2^53");
+  }
+  // The search stops after the lattice round: no Nelder–Mead on +inf.
+  EXPECT_EQ(lookups, 9u);
+}
+
+TEST(CalibrateDl, FailedProbesWithAFiniteBestKeepTheFit) {
+  // d < 0 is invalid, so the lattice's d = -0.2 column and every
+  // Nelder–Mead probe below d = 0 score +inf; the fit is unchanged by
+  // them.  The golden is the value this fit has always produced.
+  core::dl_parameters truth = core::dl_parameters::paper_hops(6.0);
+  truth.d = 0.08;
+  truth.k = 20.0;
+  const fit::observation_window window = window_from_model(truth);
+  fit::calibration_options options;
+  options.fit_rate = false;
+  options.coarse_steps = 4;
+  options.d_min = -0.2;
+  options.d_max = 0.4;
+  options.k_min = 5.0;
+  options.k_max = 50.0;
+  const fit::calibration_result result = fit::calibrate_dl(
+      window, core::dl_parameters::paper_hops(6.0), options);
+  ASSERT_EQ(result.x.size(), 2u);
+  EXPECT_EQ(result.x[0], 0x1.47ae14744e5f8p-4);  // 0.0799999999043
+  EXPECT_EQ(result.x[1], 0x1.3ffffff786995p+4);  // 19.9999999684
+  EXPECT_EQ(result.sse, 0x1.d2e4bcf940964p-56);
+  EXPECT_EQ(result.evaluations, 145u);
 }
 
 TEST(CalibrateDl, FullRateFitImprovesOnBadStart) {

@@ -169,6 +169,9 @@ TEST(Service, AnswersPingAndSurvivesMalformedRequests) {
     const char* reply_prefix;
   } huge[] = {
       {"dt=1e-300", "err solve_dl: step count"},
+      // A dt past the window is one step of the whole window.
+      {"dt=1e13", "ok trace "},
+      {"dt=1e300", "ok trace "},
       {"t0=1e300", "err diffusion_model: no observed hour"},
       {"t0=-1e300", "err diffusion_model: no observed hour"},
       {"t_end=1e300", "ok trace "},
@@ -273,6 +276,19 @@ TEST(Service, CalibrateRecoversTheGeneratingParameters) {
   EXPECT_TRUE(client.request("calibrate model=dl slice=" + ts.slice +
                              " rate=preset")
                   .starts_with("err calibrate requires"));
+}
+
+TEST(Service, CalibrateWithNoSolvableProbeAnswersAnError) {
+  // Every probe's solve fails (its step count overflows): the reply is
+  // an error naming that failure, not the box's corner as a fit.
+  test_service ts;
+  service_client client(ts.socket_path);
+  EXPECT_EQ(client.request("calibrate model=dl slice=" + ts.slice +
+                           " rate=calibrate dt=1e-300"),
+            "err calibrate_dl: every coarse-lattice probe failed; the first: "
+            "solve_dl: step count (t_end - t0)/dt must be finite and below "
+            "2^53");
+  EXPECT_EQ(client.request("ping"), "ok pong");
 }
 
 TEST(Service, ConcurrentClientsReadDeterministicReplies) {

@@ -1,4 +1,5 @@
-// The allocation-free solver hot path, counted (ctest label `perf`).
+// Heap allocations of the solver and solve-cache hot paths, counted
+// (ctest label `perf`).
 //
 // A steady-state time step must not touch the heap.  bench/alloc_counter.h
 // replaces the global operator new family with a counting wrapper, and
@@ -9,6 +10,12 @@
 // thread's workspace, the only scratch solve_dl has.  Covered: the four scalar
 // schemes on the line, the 2-D ADI sheet, coupled communities, and the
 // batched Strang–CN and implicit-Newton lanes at width 4.
+//
+// Two more counts are pinned so they cannot creep up: the allocations of
+// one warm single-request solve per scheme (the solution's trace, times
+// and grouping vectors; bench/perf_solver's allocs_per_solve), and the
+// solve cache's per-insert and per-lookup allocations — an insert with a
+// moved key allocates its map node and nothing else, a lookup nothing.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +27,7 @@
 
 #include "../bench/alloc_counter.h"
 #include "core/dl_solver.h"
+#include "engine/solve_cache.h"
 
 namespace {
 
@@ -104,5 +112,63 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<step_case>& info) {
       return info.param.name;
     });
+
+TEST(SolveAllocations, WarmSingleRequestSolveKeepsItsCount) {
+  // The counts perf_solver reports at grid 20 (allocs_per_solve).
+  const struct {
+    dl_scheme scheme;
+    std::int64_t max_allocations;
+  } budgets[] = {
+      {dl_scheme::ftcs, 8},
+      {dl_scheme::mol_rk4, 8},
+      {dl_scheme::strang_cn, 9},
+      {dl_scheme::implicit_newton, 9},
+  };
+  const core::dl_parameters params = core::dl_parameters::paper_hops(6.0);
+  const core::initial_condition phi(observed);
+  for (const auto& budget : budgets) {
+    core::dl_solver_options opts;
+    opts.scheme = budget.scheme;
+    opts.points_per_unit = 20;
+    const core::solve_request request{
+        .params = &params, .phi = &phi, .options = opts};
+    const solve_fn solve = [&](double step) {
+      core::solve_request r = request;
+      r.options.dt = step;
+      (void)core::solve_dl(r);
+    };
+    const double dt = budget.scheme == dl_scheme::ftcs ? 0.005 : 0.02;
+    EXPECT_LE(warm_allocations(solve, dt), budget.max_allocations)
+        << core::to_string(budget.scheme);
+  }
+}
+
+TEST(CacheAllocations, StoreAllocatesOnlyTheMapNodeAndFindNothing) {
+  // Calibration-probe-shaped keys: far past the short-string buffer, so
+  // every copy of a key would be a heap allocation of its own.
+  constexpr std::size_t kEntries = 1000;
+  const std::string prefix =
+      "cal|slice=bench#1234567890|model=dl|scheme=strang-cn|grid=20|"
+      "dt=0.02|rate=paper_hops|t0=1|fit_end=3|v=";
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < kEntries; ++i)
+    keys.push_back(prefix + std::to_string(i) + ",0.25");
+  const std::string probe = keys[kEntries / 2];
+
+  engine::solve_cache cache;
+  const std::uint64_t before_store = bench::allocations_now();
+  for (std::size_t i = 0; i < kEntries; ++i)
+    cache.store_value(std::move(keys[i]), static_cast<double>(i));
+  const double per_store =
+      static_cast<double>(bench::allocations_now() - before_store) /
+      static_cast<double>(kEntries);
+  EXPECT_LE(per_store, 2.0);
+  ASSERT_EQ(cache.size(), kEntries);
+
+  (void)cache.find_value(probe);
+  const std::uint64_t before_find = bench::allocations_now();
+  for (int i = 0; i < 100; ++i) EXPECT_TRUE(cache.find_value(probe).has_value());
+  EXPECT_EQ(bench::allocations_now() - before_find, 0u);
+}
 
 }  // namespace
