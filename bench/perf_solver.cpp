@@ -67,8 +67,8 @@ double allocs_per_step(const core::dl_parameters& params,
          steps_base;
 }
 
-void bm_solve_scheme(benchmark::State& state, core::dl_scheme scheme) {
-  const core::dl_parameters params = core::dl_parameters::paper_hops(6.0);
+void bm_solve(benchmark::State& state, core::dl_scheme scheme,
+              const core::dl_parameters& params) {
   const core::initial_condition phi(observed);
   const core::dl_solver_options opts =
       options_for(scheme, static_cast<std::size_t>(state.range(0)));
@@ -84,6 +84,10 @@ void bm_solve_scheme(benchmark::State& state, core::dl_scheme scheme) {
       static_cast<double>(bench::allocations_now() - before),
       benchmark::Counter::kAvgIterations);
   state.counters["allocs_per_step"] = per_step;
+}
+
+void bm_solve_scheme(benchmark::State& state, core::dl_scheme scheme) {
+  bm_solve(state, scheme, core::dl_parameters::paper_hops(6.0));
 }
 
 void bm_ftcs(benchmark::State& s) { bm_solve_scheme(s, core::dl_scheme::ftcs); }
@@ -102,12 +106,26 @@ BENCHMARK(bm_strang)->Arg(20)->Arg(80)->Arg(320);
 BENCHMARK(bm_newton)->Arg(20)->Arg(80);
 BENCHMARK(bm_rk4)->Arg(20)->Arg(80);
 
+// Strang–CN under a per-group rate (one growth_rate per distance group,
+// blended across nodes): the rate varies in x, so every step takes one
+// exp per node for each half-step instead of one per solve.
+void bm_strang_spatial(benchmark::State& s) {
+  core::dl_parameters params = core::dl_parameters::paper_hops(6.0);
+  params.r = core::rate_field::per_group(
+      {core::growth_rate::paper_hops(), core::growth_rate::constant(0.4),
+       core::growth_rate::exponential_decay(1.0, 1.2, 0.2),
+       core::growth_rate::constant(0.3), core::growth_rate::paper_interest(),
+       core::growth_rate::constant(0.25)});
+  bm_solve(s, core::dl_scheme::strang_cn, params);
+}
+BENCHMARK(bm_strang_spatial)->Arg(20)->Arg(80);
+
 // Batched lockstep Strang–CN: Args(width, points per unit) — width
 // independent scenarios (same grid/dt, per-lane d) advanced over this
 // thread's SoA batch workspace.  items_processed counts scenarios, so the
-// report's items/sec column is scenarios/sec directly — width 1 is the scalar
-// baseline (a group of one takes the scalar path inside solve_dl), width
-// 3 pads its second two-lane pack with a discarded copy, and grid 80 is
+// report's items/sec column is scenarios/sec directly — width 1 is a
+// single request (one two-lane pack whose second lane is a discarded
+// copy), width 3 pads its second pack the same way, and grid 80 is
 // the dl_shard bench sweep's shape (401 nodes, 8 lanes per chunk).
 void bm_batched_strang_cn(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
@@ -138,8 +156,9 @@ BENCHMARK(bm_batched_strang_cn)
 // Batched implicit-Newton lanes at the calibration probe shape: grid 20,
 // hours 1 → 4 (an auto fit window), per-lane d and K as a Nelder–Mead
 // round probes them.  Each lane iterates to its own convergence under a
-// mask, so width 1 (the scalar path) vs width 4/8 is the lane gain a
-// lockstep calibration round sees; width 3 runs a padded pack.
+// mask, so width 1 (a single request, one padded pack) vs width 4/8 is
+// the lane gain a lockstep calibration round sees; width 3 runs a padded
+// pack too.
 void bm_batched_newton(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
   const core::dl_solver_options opts =

@@ -1,39 +1,38 @@
 // Batched DL solver: advances a span of solve_requests in lockstep.
 //
-// Compatible requests — same scheme, grid, dt, time window and Newton
-// settings — form a group, solved in chunks of at most eight lanes.  A
-// chunk's lanes share one time loop over the structure-of-arrays
-// dl_batch_workspace (u[node*W + lane]), and its lane kernels — the
-// fused Strang–CN step and the implicit-Newton step — run on an
-// explicit two-double vector type (the SSE2 baseline register): a
-// chunk is P = 1..4 packs of two lanes, so each divide is
-// one divpd for two lanes, and the P independent Thomas chains
-// interleave (the division chain of one pack overlaps the arithmetic of
-// the others).  An odd chunk pads its last pack with a copy of its last
-// lane, whose result is discarded.
+// Compatible requests — same scheme, grid, dt, time window, Newton
+// settings and, for Strang–CN, growth shape — form a group, solved in
+// chunks of at most eight lanes.  A chunk's lanes share one time loop
+// over the structure-of-arrays dl_batch_workspace (u[node*W + lane]),
+// and its lane kernels — the fused Strang–CN step and the
+// implicit-Newton step — run on an explicit two-double vector type (the
+// SSE2 baseline register): a chunk is P = 1..4 packs of two lanes, so
+// each divide is one divpd for two lanes, and the P independent Thomas
+// chains interleave (the division chain of one pack overlaps the
+// arithmetic of the others).  An odd chunk — a single request among
+// them — pads its last pack with a copy of its last lane, whose result
+// is discarded.  These kernels are the only Strang–CN and
+// implicit-Newton implementation on the line.
 //
-// Bitwise identity with the scalar path is the load-bearing contract
+// Bitwise independence of grouping is the load-bearing contract
 // (engine::solve_cache keys, golden fits and CSV output must not depend
-// on how requests are grouped).  It holds because every per-lane
-// expression below is the scalar solver's expression with `u[i]` spelled
-// `u[i*W + l]` and each vector operator is the per-lane IEEE operation:
-// the propagator's `n <= 0 ? n : propagated` is a vector select,
+// on how requests are grouped).  It holds because every vector operator
+// is the per-lane IEEE operation and no lane reads another's values: the
+// propagator's `n <= 0 ? n : propagated` is a vector select,
 // std::max(a, b) is `a < b ? b : a`, std::abs is a sign-bit clear, each
-// lane's Crank–Nicolson coefficients come from the same
-// num::tridiagonal_factorization the scalar path solves with, each
-// Newton lane stops at its own convergence (a per-lane mask freezes its
-// iterate, so it runs exactly the scalar iteration count), and the
-// accumulation order inside every loop is kept verbatim.  The library
-// builds with -ffp-contract=off, so no -march can fuse a multiply-add
-// into an FMA in one path and not the other.  Reordering lanes, changing
-// the width, or re-running with a reused workspace cannot change a
-// single bit of any lane (solver_batch_test).
+// lane's Crank–Nicolson coefficients come from its own
+// num::tridiagonal_factorization, each Newton lane stops at its own
+// convergence (a per-lane mask freezes its iterate, so it runs exactly
+// its own iteration count), and the accumulation order inside every
+// loop is fixed.  The library builds with -ffp-contract=off, so no
+// -march can fuse a multiply-add into an FMA.  Reordering lanes,
+// changing the width, or re-running with a reused workspace cannot
+// change a single bit of any lane (solver_batch_test), and the golden
+// hashes of domain_solver_test pin the bits themselves.
 //
-// Not batched (solved per-request on the scalar path instead): lanes
-// that measured no faster than scalar solves — ftcs (0.58–0.85× across
-// grids and widths), mol_rk4 (0.68–0.96×) and strang_cn with a spatial
-// rate (about 1.0×: its per-node exps cost the same either way) — plus
-// non-line domains and chunks of one lane.
+// Not batched (solved per-request on the scalar path instead): ftcs
+// (0.58–0.85× across grids and widths), mol_rk4 (0.68–0.96×) and the
+// non-line domains, which have their own stepping loops.
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -70,6 +69,9 @@ struct group_key {
   double t_end = 0.0;
   int newton_max_iter = 0;
   double newton_tol = 0.0;
+  /// Strang–CN with a rate that varies in x: each lane carries one
+  /// integrated rate per node instead of one growth factor.
+  bool per_node = false;
 
   bool operator==(const group_key&) const = default;
 };
@@ -85,7 +87,9 @@ group_key key_of(const solve_request& request) {
           request.t0,
           request.t_end,
           options.newton_max_iter,
-          options.newton_tol};
+          options.newton_tol,
+          options.scheme == dl_scheme::strang_cn &&
+              request.params->r.spatial()};
 }
 
 /// Marks the batch workspace busy for the duration of a solve, so a
@@ -146,11 +150,22 @@ v2d logistic(v2d n, v2d growth, v2d k) {
 /// per pack and the elimination carry is a register per pack, so the P
 /// serial division chains interleave; each lane's accumulation order —
 /// dm·v_cur, += lm·v_prev, += um·v_next, the divide, the back
-/// substitution — is the scalar sequence.  Reads the per-lane CN
-/// coefficients, growth factors and K from the workspace; `rhs` holds
+/// substitution — is strang_cn_fused_step's sequence.  Reads the per-lane
+/// CN coefficients, reaction data and K from the workspace; `rhs` holds
 /// the eliminated rows between the passes.
-template <std::size_t P>
-void strang_step(dl_batch_workspace& bws, std::size_t n) {
+///
+/// The reaction half-steps take growth factors e^∫r.  An x-uniform chunk
+/// reads one per lane (held in a register per pack).  A PerNode chunk
+/// reads each lane's row of integrated rates ∫r(x_i) (lane-major, as
+/// rate_field writes them) and takes their exps here, inside the passes:
+/// out-of-order execution then overlaps them with the serial division
+/// chain, where a separate exp pass before the kernel measured about
+/// 30% slower on one lane.  When `pad` is set the chunk is odd, and the
+/// last pack's second lane copies its first lane's factor (the pad
+/// lane's row is never read), so a step takes exactly one exp per node
+/// and half-step for each real lane, as logistic_exact does.
+template <std::size_t P, bool PerNode>
+void strang_step(dl_batch_workspace& bws, std::size_t n, bool pad) {
   constexpr std::size_t W = 2 * P;
   double* const u = bws.u.data();
   double* const rhs = bws.rhs.data();
@@ -160,15 +175,34 @@ void strang_step(dl_batch_workspace& bws, std::size_t n) {
   const double* const fl = bws.cn_fl.data();
   const double* const fp = bws.cn_fp.data();
   const double* const fc = bws.cn_fc.data();
+  const double* const growth1 = bws.growth1.data();
+  const double* const growth2 = bws.growth2.data();
 
   v2d g1[P], g2[P], k[P], vc[P], vn[P], w[P];
+  // Growth factors of pack p at node i.
+  const auto exp_pack = [&](const double* rates, std::size_t i,
+                            std::size_t p) {
+    const double* row = rates + 2 * p * n + i;
+    const double e0 = std::exp(row[0]);
+    return v2d{e0, pad && p + 1 == P ? e0 : std::exp(row[n])};
+  };
+  const auto first = [&](std::size_t i, std::size_t p) {
+    if constexpr (PerNode) return exp_pack(growth1, i, p);
+    return g1[p];
+  };
+  const auto second = [&](std::size_t i, std::size_t p) {
+    if constexpr (PerNode) return exp_pack(growth2, i, p);
+    return g2[p];
+  };
   for (std::size_t p = 0; p < P; ++p) {
     const std::size_t l = 2 * p;
-    g1[p] = load(bws.growth1.data() + l);
-    g2[p] = load(bws.growth2.data() + l);
+    if constexpr (!PerNode) {
+      g1[p] = load(growth1 + l);
+      g2[p] = load(growth2 + l);
+    }
     k[p] = load(bws.lane_k.data() + l);
-    vc[p] = logistic(load(u + l), g1[p], k[p]);
-    vn[p] = logistic(load(u + W + l), g1[p], k[p]);
+    vc[p] = logistic(load(u + l), first(0, p), k[p]);
+    vn[p] = logistic(load(u + W + l), first(1, p), k[p]);
     v2d acc = load(dm + l) * vc[p];
     acc += load(um + l) * vn[p];
     w[p] = acc / load(fp + l);
@@ -179,7 +213,7 @@ void strang_step(dl_batch_workspace& bws, std::size_t n) {
       const std::size_t at = i * W + 2 * p;
       const v2d vp = vc[p];
       vc[p] = vn[p];
-      vn[p] = logistic(load(u + at + W), g1[p], k[p]);
+      vn[p] = logistic(load(u + at + W), first(i + 1, p), k[p]);
       v2d acc = load(dm + at) * vc[p];
       acc += load(lm + at - W) * vp;
       acc += load(um + at) * vn[p];
@@ -193,30 +227,32 @@ void strang_step(dl_batch_workspace& bws, std::size_t n) {
     acc += load(lm + at - W) * vc[p];
     w[p] = (acc - load(fl + at - W) * w[p]) / load(fp + at);
     // Backward pass: back substitution + second reaction half-step.
-    store(u + at, logistic(w[p], g2[p], k[p]));
+    store(u + at, logistic(w[p], second(n - 1, p), k[p]));
   }
   for (std::size_t i = n - 1; i-- > 0;) {
     for (std::size_t p = 0; p < P; ++p) {
       const std::size_t at = i * W + 2 * p;
       w[p] = load(rhs + at) - load(fc + at) * w[p];
-      store(u + at, logistic(w[p], g2[p], k[p]));
+      store(u + at, logistic(w[p], second(i, p), k[p]));
     }
   }
 }
 
 /// One implicit-Newton time step of a chunk of P packs, u → u_next:
-/// backward Euler, un − u − h·(d·A un + r·un·(1 − un/K)) = 0, with the
-/// scalar path's Newton iteration widened to P two-lane packs (`rhs`
-/// holds r(x_i, t + h) node-major).  Each iteration is two passes over
-/// the nodes.  The first computes the residual (mirror-ghost Laplacian
-/// inline), its max-norm, and the forward elimination of the Jacobian
+/// backward Euler, un − u − h·(d·A un + r·un·(1 − un/K)) = 0, solved by
+/// Newton's method on P two-lane packs (`rhs` holds r(x_i, t + h)
+/// node-major).  Each iteration is two passes over the nodes.  The first
+/// computes the residual (mirror-ghost Laplacian inline), its max-norm,
+/// and the forward elimination of the Jacobian
 /// I − h·(d·A + diag(r·(1 − 2un/K))) — solve_tridiagonal_in_place's
 /// expressions, P chains interleaved.  The second back-substitutes and
 /// applies the update.  A lane whose residual meets the tolerance drops
 /// out of the mask and keeps its iterate (its elimination, computed
-/// along, is discarded unused), so each lane runs exactly its scalar
-/// iteration count; the step ends when every lane has converged or the
-/// cap is reached (the scalar path then accepts the last iterate too).
+/// along, is discarded unused), so each lane runs exactly the iteration
+/// count it would run alone; the step ends when every lane has converged
+/// or the cap is reached, and then accepts the last iterate (the step
+/// size is small enough in practice that Newton stalls only at
+/// negligible residuals).
 template <std::size_t P>
 void newton_step(dl_batch_workspace& bws, std::size_t n, double h, double dx,
                  int max_iter, double tol) {
@@ -315,15 +351,19 @@ void newton_step(dl_batch_workspace& bws, std::size_t n, double h, double dx,
   }
 }
 
-using strang_kernel = void (*)(dl_batch_workspace&, std::size_t);
+using strang_kernel = void (*)(dl_batch_workspace&, std::size_t, bool);
 using newton_kernel = void (*)(dl_batch_workspace&, std::size_t, double,
                                double, int, double);
-constexpr strang_kernel kStrangKernels[kMaxPacks] = {
-    strang_step<1>, strang_step<2>, strang_step<3>, strang_step<4>};
+/// Indexed [per_node][packs − 1].
+constexpr strang_kernel kStrangKernels[2][kMaxPacks] = {
+    {strang_step<1, false>, strang_step<2, false>, strang_step<3, false>,
+     strang_step<4, false>},
+    {strang_step<1, true>, strang_step<2, true>, strang_step<3, true>,
+     strang_step<4, true>}};
 constexpr newton_kernel kNewtonKernels[kMaxPacks] = {
     newton_step<1>, newton_step<2>, newton_step<3>, newton_step<4>};
 
-/// Advances one chunk of 2..kMaxLanes compatible requests in lockstep
+/// Advances one chunk of 1..kMaxLanes compatible requests in lockstep
 /// and fills their slots in `solved`.  `members` lists request indices
 /// in original request order (grouping is index-stable).  The chunk
 /// runs as P = ⌈lanes/2⌉ packs; an odd chunk pads its last pack with a
@@ -345,63 +385,43 @@ void solve_group(std::span<const solve_request> requests,
   bws.prepare(n, W, key.scheme);
   for (std::size_t i = 0; i < n; ++i) bws.node_x[i] = grid.x(i);
 
-  // The scalar path's window validation (same exceptions), once for the
-  // group's shared window.
+  // Window validation, once for the group's shared window.
   const detail::time_loop loop(key.t0, key.t_end, key.dt);
 
-  // Per-lane setup: initial data scattered node-major × lane-minor, rate
-  // classification.
-  std::vector<double> samples;
+  // Lane-major rows, size W·n: rate_field writes one contiguous span per
+  // lane.
+  const auto lane_row = [&](std::vector<double>& rows, std::size_t l) {
+    return std::span<double>(rows.data() + l * n, n);
+  };
+
+  // Per-lane setup: initial data scattered node-major × lane-minor, and
+  // each real lane's rate sampler (separable-form rates hoist their
+  // spatial profile into the lane's mod row).
+  std::optional<detail::rate_sampler> samplers[kMaxLanes];
   for (std::size_t l = 0; l < W; ++l) {
     const solve_request& request = requests[member(l)];
     const dl_parameters& params = *request.params;
     if (request.phi != nullptr) {
-      samples = request.phi->sample(params.x_min, params.x_max, n);
-      // Same clip as the scalar path applies to .phi: densities are
-      // non-negative, cubic interpolants may undershoot between knots.
-      for (double& v : samples) v = std::max(v, 0.0);
+      // φ at the grid nodes, clipped at zero: densities are non-negative
+      // (paper §II.D), and a cubic interpolant may undershoot slightly
+      // between sparse knots.
+      for (std::size_t i = 0; i < n; ++i)
+        bws.u[i * W + l] = std::max((*request.phi)(bws.node_x[i]), 0.0);
     } else {
       if (request.phi_samples.empty())
         throw std::invalid_argument(
             "solve_dl: request needs phi or phi_samples");
       if (request.phi_samples.size() != n)
         throw std::invalid_argument("solve_dl: profile size mismatch");
-      samples.assign(request.phi_samples.begin(), request.phi_samples.end());
+      for (std::size_t i = 0; i < n; ++i)
+        bws.u[i * W + l] = request.phi_samples[i];
     }
-    for (std::size_t i = 0; i < n; ++i) bws.u[i * W + l] = samples[i];
-
     bws.lane_d[l] = params.d;
     bws.lane_k[l] = params.k;
-    const rate_field& rate = params.r;
-    bws.lane_factored[l] = rate.separable_form() ? 1 : 0;
-    if (bws.lane_factored[l])
-      for (std::size_t i = 0; i < n; ++i)
-        bws.mod_rows[l * n + i] = rate.modulation(bws.node_x[i]);
+    if (l < lanes)
+      samplers[l].emplace(params.r, bws.node_x, lane_row(bws.mod_rows, l),
+                          bws.rate_scratch);
   }
-
-  // Lane-major rate rows: rate_field::profile writes one contiguous span
-  // per lane, and separable-form lanes hoist the spatial profile exactly
-  // like the scalar path (one base evaluation + n multiplies).
-  const auto lane_row = [&](std::vector<double>& rows, std::size_t l) {
-    return std::span<double>(rows.data() + l * n, n);
-  };
-  const auto rates_lane = [&](std::size_t l, double t, std::span<double> out) {
-    const rate_field& rate = requests[member(l)].params->r;
-    if (bws.lane_factored[l]) {
-      const double base = rate.base()(t);
-      const double* mod = bws.mod_rows.data() + l * n;
-      for (std::size_t i = 0; i < n; ++i) out[i] = mod[i] * base;
-    } else {
-      rate.profile(t, bws.node_x, out, bws.rate_scratch);
-    }
-  };
-  // e^∫r over [from, to] of an x-uniform (strang_cn) lane: node 0's
-  // integrated rate is every node's, so the scalar path hoists this one
-  // exp per substep — the factored expression verbatim.
-  const auto growth_lane = [&](std::size_t l, double from, double to) {
-    const rate_field& rate = requests[member(l)].params->r;
-    return std::exp(bws.mod_rows[l * n] * rate.base().integral(from, to));
-  };
 
   // Per-lane Crank–Nicolson coefficients: one elimination per distinct
   // λ = d·h/dx² (lanes probing the same d share it), scattered into the
@@ -443,27 +463,37 @@ void solve_group(std::span<const solve_request> requests,
   };
   if (key.scheme == dl_scheme::strang_cn) build_cn(loop.first_step());
 
-  // Per-step lane values are computed for the real lanes only; the pad
-  // lane of an odd chunk reads its source lane's.
-  const auto step_strang = [&](double t, double h) {
+  // Reaction data of a half-step over [from, to] for strang_step.  An
+  // x-uniform lane (the temporal family, m ≡ 1) takes one exp of its
+  // hoisted integral, and the pad lane of an odd chunk reads its source
+  // lane's factor.  A per-node lane writes its row of ∫r(x_i), and the
+  // kernel takes the exps: exp(∫r) is the value logistic_exact computes
+  // per node, so both spellings of the propagator are one IEEE sequence.
+  const auto fill_reaction = [&](double from, double to,
+                                 std::vector<double>& out) {
     for (std::size_t l = 0; l < lanes; ++l) {
-      bws.growth1[l] = growth_lane(l, t, t + 0.5 * h);
-      bws.growth2[l] = growth_lane(l, t + 0.5 * h, t + h);
+      if (key.per_node) {
+        samplers[l]->integrals_over(from, to, lane_row(out, l));
+      } else {
+        const rate_field& rate = requests[member(l)].params->r;
+        out[l] = std::exp(bws.mod_rows[l * n] * rate.base().integral(from, to));
+      }
     }
-    if (W > lanes) {
-      bws.growth1[lanes] = bws.growth1[lanes - 1];
-      bws.growth2[lanes] = bws.growth2[lanes - 1];
-    }
+    if (W > lanes && !key.per_node) out[lanes] = out[lanes - 1];
+  };
+  const auto step_strang = [&](double t, double h) {
+    fill_reaction(t, t + 0.5 * h, bws.growth1);
+    fill_reaction(t + 0.5 * h, t + h, bws.growth2);
     // Coefficients were scattered for the first step; rebuild for a short
-    // trailing step (the scalar path does the same).
+    // trailing step.
     if (h != loop.first_step()) build_cn(h);
-    kStrangKernels[packs - 1](bws, n);
+    kStrangKernels[key.per_node][packs - 1](bws, n, W > lanes);
   };
 
   // Backward Euler by Newton (newton_step), on node-major rates.
   const auto step_newton = [&](double t, double h) {
     for (std::size_t l = 0; l < lanes; ++l)
-      rates_lane(l, t + h, lane_row(bws.rt_rows, l));
+      samplers[l]->rates_at(t + h, lane_row(bws.rt_rows, l));
     double* rt = bws.rhs.data();
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t l = 0; l < W; ++l)
@@ -473,10 +503,9 @@ void solve_group(std::span<const solve_request> requests,
     bws.u.swap(bws.u_next);
   };
 
-  // Shared record bookkeeping — the scalar path's time loop, once for
-  // all lanes.
-  std::vector<trace_storage> traces;
-  traces.reserve(lanes);
+  // One time loop and record cadence for all lanes.
+  std::vector<trace_storage>& traces = bws.traces;
+  traces.clear();
   for (std::size_t l = 0; l < lanes; ++l) {
     traces.emplace_back(n);
     traces.back().reserve(loop.max_rows());
@@ -487,7 +516,7 @@ void solve_group(std::span<const solve_request> requests,
       traces[l].append_row(bws.row);
     }
   };
-  const std::vector<double> times = loop.run(
+  std::vector<double> times = loop.run(
       [&](double t, double h) {
         if (key.scheme == dl_scheme::strang_cn)
           step_strang(t, h);
@@ -496,8 +525,10 @@ void solve_group(std::span<const solve_request> requests,
       },
       record);
 
-  for (std::size_t l = 0; l < lanes; ++l)
+  for (std::size_t l = 0; l + 1 < lanes; ++l)
     solved[members[l]] = dl_solution(grid, times, std::move(traces[l]));
+  solved[members[lanes - 1]] =
+      dl_solution(grid, std::move(times), std::move(traces[lanes - 1]));
 }
 
 /// solve_dl(span) on the given batch workspace.
@@ -520,12 +551,10 @@ std::vector<dl_solution> solve_on(std::span<const solve_request> requests,
     if (request.params == nullptr)
       throw std::invalid_argument("solve_dl: request has no parameters");
     const dl_scheme scheme = request.options.scheme;
-    const bool lanes_win =
-        scheme == dl_scheme::implicit_newton ||
-        (scheme == dl_scheme::strang_cn && !request.params->r.spatial());
-    if (!lanes_win || !request.params->dom.is_line()) {
-      // Non-line domains (2-D ADI, coupled communities) have their own
-      // stepping loops; they run scalar rather than in SoA lockstep.
+    if (!request.params->dom.is_line() || scheme == dl_scheme::ftcs ||
+        scheme == dl_scheme::mol_rk4) {
+      // The explicit schemes step the scalar loop; non-line domains (2-D
+      // ADI, coupled communities) have their own stepping loops.
       scalar_lanes.push_back(i);
       continue;
     }
@@ -539,19 +568,13 @@ std::vector<dl_solution> solve_on(std::span<const solve_request> requests,
       it->members.push_back(i);
   }
 
-  // Groups run in chunks of at most kMaxLanes lanes; a chunk of one (a
-  // group of one, or a group's last lane) takes the scalar path.
+  // Groups run in chunks of at most kMaxLanes lanes.
   for (const group& g : groups) {
     const std::span<const std::size_t> members(g.members);
-    for (std::size_t at = 0; at < members.size(); at += kMaxLanes) {
-      const std::span<const std::size_t> chunk =
-          members.subspan(at, std::min(kMaxLanes, members.size() - at));
-      if (chunk.size() == 1)
-        solved[chunk.front()] = detail::solve_request_scalar(
-            requests[chunk.front()], workspace.scalar);
-      else
-        solve_group(requests, g.key, chunk, workspace, solved);
-    }
+    for (std::size_t at = 0; at < members.size(); at += kMaxLanes)
+      solve_group(requests, g.key,
+                  members.subspan(at, std::min(kMaxLanes, members.size() - at)),
+                  workspace, solved);
   }
   for (const std::size_t i : scalar_lanes)
     solved[i] = detail::solve_request_scalar(requests[i], workspace.scalar);

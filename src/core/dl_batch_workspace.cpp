@@ -10,7 +10,6 @@ void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
 
   lane_d.resize(width);
   lane_k.resize(width);
-  lane_factored.resize(width);
 
   mod_rows.resize(soa);
   rt_rows.resize(soa);
@@ -26,8 +25,8 @@ void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
     cn_um.resize(off);
     cn_fl.resize(off);
     cn_fc.resize(off);
-    growth1.resize(width);
-    growth2.resize(width);
+    growth1.resize(soa);
+    growth2.resize(soa);
   }
   if (scheme == dl_scheme::implicit_newton) {
     u_next.resize(soa);

@@ -1,8 +1,9 @@
 // Structure-of-arrays scratch for the batched DL solver.
 //
 // solve_dl(std::span<const solve_request>) advances a chunk of compatible
-// strang_cn or implicit_newton scenarios (same scheme / grid / dt / time
-// window) in lockstep: one time loop steps W independent solves at once.
+// strang_cn or implicit_newton scenarios on the line (same scheme / grid
+// / dt / time window) in lockstep: one time loop steps W independent
+// solves at once.  A single request is a chunk of one.
 // The state is packed grid-node-major × scenario-minor — u[node * W +
 // lane] — with W even (an odd chunk carries a padding copy of its last
 // lane), so each node's lanes load as W/2 two-double vectors and the
@@ -13,12 +14,15 @@
 //
 //  * SoA state / rhs / Newton residual and c*: n·W, index [i*W + l];
 //  * Crank–Nicolson coefficients, scattered per lane from each lane's
-//    scalar factorization: diag-shaped n·W, off-diag-shaped (n−1)·W;
-//  * Newton rate rows: lane-major W·n, index [l*n + i] —
-//    rate_field::profile writes one contiguous per-lane span — then
-//    transposed node-major into `rhs` once per step (strang_cn lanes are
-//    x-uniform and hoist one growth factor per lane instead);
-//  * per-lane scalars (d, K, growth factors, rate classification): W.
+//    num::tridiagonal_factorization: diag-shaped n·W, off-diag-shaped
+//    (n−1)·W;
+//  * rate rows: lane-major W·n, index [l*n + i] — rate_field writes one
+//    contiguous per-lane span.  Newton rates r(x_i, t + h) are then
+//    transposed node-major into `rhs` once per step;
+//  * Strang reaction data: one growth factor e^∫r per lane (x-uniform
+//    rates, index [l]) or a lane-major row of integrated rates ∫r(x_i)
+//    per lane (index [l*n + i]);
+//  * per-lane scalars (d, K): W.
 //
 // The Crank–Nicolson cache holds one rhs-matrix + Thomas factorization
 // per *distinct* λ = d·dt/dx² in the group, so lanes probing the same
@@ -30,11 +34,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "core/dl_solver.h"
 #include "core/dl_workspace.h"
+#include "core/trace_storage.h"
 #include "numerics/tridiagonal.h"
 
 namespace dlm::core {
@@ -61,11 +65,13 @@ struct dl_batch_workspace {
   std::vector<double> newton_c;
 
   // Per-lane scalars, size W.
-  std::vector<double> lane_d;   ///< diffusion coefficient d
-  std::vector<double> lane_k;   ///< carrying capacity K
-  std::vector<double> growth1;  ///< e^∫r, first logistic half-step
-  std::vector<double> growth2;  ///< e^∫r, second logistic half-step
-  std::vector<std::uint8_t> lane_factored;  ///< separable-form rate?
+  std::vector<double> lane_d;  ///< diffusion coefficient d
+  std::vector<double> lane_k;  ///< carrying capacity K
+
+  // Strang reaction data (strang_cn only), size W·n: e^∫r per lane in
+  // the first W for x-uniform rates, else one ∫r(x_i) row per lane.
+  std::vector<double> growth1;  ///< first logistic half-step
+  std::vector<double> growth2;  ///< second logistic half-step
 
   // Lane-major rate rows, size W·n (row l is lane l's contiguous span).
   std::vector<double> mod_rows;  ///< separable spatial profile m(x_i)
@@ -86,10 +92,12 @@ struct dl_batch_workspace {
   std::vector<cn_entry> cn_cache;
   num::tridiagonal_matrix cn_lhs;  ///< build scratch for cache entries
 
-  /// Scalar workspace for the lanes the batch path hands back to the
-  /// scalar solver: ftcs, mol_rk4 and spatial-rate strang_cn requests,
-  /// non-line domains and groups of one — so solve_dl(request), the span
-  /// of one, always runs here.
+  /// One trace per real lane of the running chunk, moved out into its
+  /// solution; the vector itself keeps its capacity across chunks.
+  std::vector<trace_storage> traces;
+
+  /// Scalar workspace for the requests the lanes do not take: ftcs and
+  /// mol_rk4 on the line, and every request on a non-line domain.
   dl_workspace scalar;
 
   /// True while a solve is running on this workspace; solve_dl checks it

@@ -1,9 +1,10 @@
 // Non-line domain solvers for the Diffusive Logistic equation.
 //
-// detail::solve_profile dispatches here for the two non-line domain kinds
-// (core/domain.h); the 1-D line keeps its stepping loops in dl_solver.cpp.
-// All of them step the same detail::time_loop, so record times match
-// across domains.
+// The scalar loop (dl_solver.cpp) dispatches here for the two non-line
+// domain kinds (core/domain.h); the 1-D line steps in dl_solver.cpp
+// (ftcs, mol_rk4) and on the packed lanes of dl_batch_solver.cpp
+// (Strang–CN, implicit Newton).  All of them step the same
+// detail::time_loop, so record times match across domains.
 //
 //  * grid2d — u(x, y, t) with ∂u/∂t = d(u_xx + u_yy) + r(x, t)u(1 − u/K)
 //    and no-flux boundaries on all four edges, advanced by Strang
@@ -17,8 +18,8 @@
 //    Thomas sweeps — no 2-D solve anywhere.
 //
 //  * communities — K coupled copies of the 1-D line, each advanced by the
-//    same fused Strang–CN step as the scalar solver
-//    (detail::strang_cn_step, shared inline so a K = 1 run is *bitwise
+//    fused Strang–CN step (detail::strang_cn_step: the packed line
+//    kernel's sequence one lane at a time, so a K = 1 run is *bitwise
 //    identical* to the plain line), followed by an explicit-Euler
 //    cross-community mixing substep that is skipped entirely when K = 1
 //    or the mixing matrix is zero — which is what makes the K = 1

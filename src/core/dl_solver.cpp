@@ -7,17 +7,14 @@
 #include "core/dl_solver_internal.h"
 #include "core/dl_workspace.h"
 #include "numerics/integrate.h"
-#include "numerics/tridiagonal.h"
 
 namespace dlm::core {
 namespace {
 
-// The per-node arithmetic (logistic propagator, CN matrix entries, node
-// count, rate sampling, the fused Strang–CN sweep, the time loop) lives
-// in dl_solver_internal.h, shared verbatim with the batched SoA solver
-// and the domain solvers so every path is the same IEEE operation
+// The per-node arithmetic (node count, rate sampling, the time loop)
+// lives in dl_solver_internal.h, shared verbatim with the batched SoA
+// solver and the domain solvers so every path is the same IEEE operation
 // sequence.
-using detail::build_cn_matrices;
 using detail::node_count;
 using detail::rate_sampler;
 
@@ -150,15 +147,19 @@ double dl_solution::max_abs() const {
   return best;
 }
 
-dl_solution detail::solve_profile(const dl_parameters& params,
-                                  std::span<const double> phi_samples,
-                                  double t0, double t_end,
-                                  const dl_solver_options& options,
-                                  dl_workspace& ws) {
+namespace {
+
+/// The scalar stepping loop over a pre-sampled initial profile (size
+/// node_count × blocks): validates the window, dispatches non-line
+/// domains to their solvers, and steps the explicit schemes (ftcs,
+/// mol_rk4) on the 1-D line.  The line's implicit schemes run on the
+/// packed lanes of dl_batch_solver.cpp.
+dl_solution solve_profile(const dl_parameters& params,
+                          std::span<const double> phi_samples, double t0,
+                          double t_end, const dl_solver_options& options,
+                          dl_workspace& ws) {
   params.validate();
   const detail::time_loop loop(t0, t_end, options.dt);
-  // Non-line domains take their own stepping loops (ADI / per-community
-  // fused steps + mixing); the 1-D line continues below.
   switch (params.dom.kind) {
     case domain_kind::line:
       break;
@@ -168,6 +169,10 @@ dl_solution detail::solve_profile(const dl_parameters& params,
       return detail::solve_dl_communities(params, phi_samples, loop, options,
                                           ws);
   }
+  const bool ftcs = options.scheme == dl_scheme::ftcs;
+  if (!ftcs && options.scheme != dl_scheme::mol_rk4)
+    throw std::logic_error("solve_profile: line " + to_string(options.scheme) +
+                           " runs on the packed lanes");
   const std::size_t n = node_count(params, options);
   if (phi_samples.size() != n)
     throw std::invalid_argument("solve_dl: profile size mismatch");
@@ -175,7 +180,7 @@ dl_solution detail::solve_profile(const dl_parameters& params,
   const num::uniform_grid grid(params.x_min, params.x_max, n);
   const double dx = grid.spacing();
 
-  if (options.scheme == dl_scheme::ftcs && params.d > 0.0) {
+  if (ftcs && params.d > 0.0) {
     const double dt_max = dx * dx / (2.0 * params.d);
     if (options.dt > dt_max)
       throw std::invalid_argument(
@@ -185,128 +190,47 @@ dl_solution detail::solve_profile(const dl_parameters& params,
 
   ws.prepare(n);
   std::vector<double>& u = ws.u;
-  std::vector<double>& u_next = ws.u_next;
-  std::vector<double>& lap = ws.lap;
-  std::vector<double>& rhs = ws.rhs;
-  std::vector<double>& scratch = ws.scratch;
   u.assign(phi_samples.begin(), phi_samples.end());
 
   // Per-node growth rates.  For separable-form fields — every r(t)-only
   // run and the "spatial:<base>|m,..." family — the rate_sampler hoists
-  // the spatial profile out of the time loop: one base evaluation (or
-  // base integral) plus n multiplies per step, so the pre-r(x,t) fast
-  // path is preserved.
-  std::vector<double>& node_x = ws.node_x;
-  for (std::size_t i = 0; i < n; ++i) node_x[i] = grid.x(i);
-  const rate_sampler sampler(params.r, node_x, ws.mod, ws.rate_scratch);
-  std::vector<double>& rt = ws.rt;
-  std::vector<double>& r_int = ws.r_int;
-
-  // Pre-built CN matrices for the Strang scheme; the LHS is constant for
-  // the whole run, so its Thomas elimination is cached once here instead
-  // of being redone every step.
-  num::tridiagonal_matrix& cn_rhs_m = ws.cn_rhs;
-  if (options.scheme == dl_scheme::strang_cn) {
-    const double lambda = params.d * loop.first_step() / (dx * dx);
-    build_cn_matrices(n, lambda, ws.cn_lhs, cn_rhs_m);
-    ws.cn_factor.factor(ws.cn_lhs);
-  }
+  // the spatial profile out of the time loop: one base evaluation plus n
+  // multiplies per step.
+  for (std::size_t i = 0; i < n; ++i) ws.node_x[i] = grid.x(i);
+  const rate_sampler sampler(params.r, ws.node_x, ws.mod, ws.rate_scratch);
 
   // Recorded snapshots: one contiguous buffer, reserved up front.
   trace_storage trace(n);
   trace.reserve(loop.max_rows());
 
-  std::vector<double>& rt_react = ws.rt_react;
   // Hoisted into a std::function once — handing the lambda to rk4_step
   // directly would rebuild (and heap-allocate) the ode_rhs every step.
   const num::ode_rhs reaction = [&](double t, std::span<const double> y,
                                     std::span<double> dydt) {
     neumann_laplacian(y, dx, dydt);
-    sampler.rates_at(t, rt_react);
+    sampler.rates_at(t, ws.rt_react);
     for (std::size_t i = 0; i < y.size(); ++i)
-      dydt[i] =
-          params.d * dydt[i] + rt_react[i] * y[i] * (1.0 - y[i] / params.k);
+      dydt[i] = params.d * dydt[i] +
+                ws.rt_react[i] * y[i] * (1.0 - y[i] / params.k);
   };
 
   const auto step = [&](double t, double h) {
-    switch (options.scheme) {
-      case dl_scheme::ftcs: {
-        neumann_laplacian(u, dx, lap);
-        sampler.rates_at(t, rt);
-        for (std::size_t i = 0; i < n; ++i)
-          u[i] += h * (params.d * lap[i] +
-                       rt[i] * u[i] * (1.0 - u[i] / params.k));
-        break;
-      }
-      case dl_scheme::strang_cn: {
-        // One fused Strang step (detail::strang_cn_step): exact-logistic
-        // reaction half-step with the per-node integrated rate, cached
-        // Crank–Nicolson diffusion solve, second reaction half-step —
-        // fused into a forward elimination + backward substitution pass
-        // pair that is bitwise identical to the unfused substeps.
-        sampler.integrals_over(t, t + 0.5 * h, r_int);
-        sampler.integrals_over(t + 0.5 * h, t + h, rt);  // second half
-        // Matrices were built and factored for the first step; rebuild for
-        // a short trailing step.
-        if (h != loop.first_step()) {
-          const double lambda = params.d * h / (dx * dx);
-          build_cn_matrices(n, lambda, ws.cn_lhs, cn_rhs_m);
-          ws.cn_factor.factor(ws.cn_lhs);
-        }
-        detail::strang_cn_step(n, u.data(), rhs.data(), cn_rhs_m,
-                               ws.cn_factor, sampler.uniform(), r_int.data(),
-                               rt.data(), params.k);
-        break;
-      }
-      case dl_scheme::implicit_newton: {
-        // Backward Euler: solve u_next - u - h*(d*A u_next + f(u_next)) = 0.
-        const double t_next = t + h;
-        sampler.rates_at(t_next, rt);
-        u_next = u;  // warm start
-        num::tridiagonal_matrix& jac = ws.jac;
-        std::vector<double>& g = ws.newton_g;
-        bool converged = false;
-        for (int it = 0; it < options.newton_max_iter; ++it) {
-          neumann_laplacian(u_next, dx, lap);
-          double g_norm = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            g[i] = u_next[i] - u[i] -
-                   h * (params.d * lap[i] +
-                        rt[i] * u_next[i] * (1.0 - u_next[i] / params.k));
-            g_norm = std::max(g_norm, std::abs(g[i]));
-          }
-          if (g_norm <= options.newton_tol) {
-            converged = true;
-            break;
-          }
-          // Jacobian: I − h·(d·A + diag(r·(1 − 2u/K))).
-          const double mu = h * params.d / (dx * dx);
-          for (std::size_t i = 0; i < n; ++i) {
-            jac.diag[i] = 1.0 + 2.0 * mu -
-                          h * rt[i] * (1.0 - 2.0 * u_next[i] / params.k);
-            if (i + 1 < n) jac.upper[i] = -mu * (i == 0 ? 2.0 : 1.0);
-            if (i > 0) jac.lower[i - 1] = -mu * (i + 1 == n ? 2.0 : 1.0);
-          }
-          num::solve_tridiagonal_in_place(jac, g, scratch);
-          for (std::size_t i = 0; i < n; ++i) u_next[i] -= g[i];
-        }
-        if (!converged) {
-          // Accept the last iterate; the step size is small enough in
-          // practice that Newton stalls only at negligible residuals.
-        }
-        u.swap(u_next);
-        break;
-      }
-      case dl_scheme::mol_rk4: {
-        num::rk4_step(reaction, t, u, h, u_next, ws.rk4);
-        u.swap(u_next);
-        break;
-      }
+    if (ftcs) {
+      neumann_laplacian(u, dx, ws.lap);
+      sampler.rates_at(t, ws.rt);
+      for (std::size_t i = 0; i < n; ++i)
+        u[i] += h * (params.d * ws.lap[i] +
+                     ws.rt[i] * u[i] * (1.0 - u[i] / params.k));
+    } else {
+      num::rk4_step(reaction, t, u, h, ws.u_next, ws.rk4);
+      u.swap(ws.u_next);
     }
   };
   std::vector<double> times = loop.run(step, [&] { trace.append_row(u); });
   return dl_solution(grid, std::move(times), std::move(trace));
 }
+
+}  // namespace
 
 dl_solution detail::solve_request_scalar(const solve_request& request,
                                          dl_workspace& ws) {

@@ -36,7 +36,7 @@
 // which advances compatible strang_cn and implicit_newton requests (same
 // scheme/grid/dt/window) in lockstep over structure-of-arrays lanes,
 // interleaving every lane's Thomas sweep; solve_dl(request) is the span
-// of one.  Batched lanes are bitwise identical to the scalar path
+// of one.  Batched lanes are bitwise identical to single-request solves
 // (solver_batch_test), so caches, golden fits and CSV output are
 // unaffected by how requests are grouped.  docs/solver_api.md describes
 // the request fields.
@@ -157,20 +157,21 @@ struct solve_request {
 };
 
 /// Solves a span of requests, returning one solution per request in
-/// request order.  Requests sharing a scheme, grid, dt and time window
-/// are grouped (index-stably, by first occurrence) and advanced in
-/// lockstep over structure-of-arrays lanes — the strang_cn and
-/// implicit_newton schemes interleave their lanes' Thomas sweeps (each
-/// distinct diffusion coefficient's Crank–Nicolson factorization is
-/// shared within a group; Newton lanes iterate to their own convergence
-/// under a per-lane mask).  Everything else (ftcs, mol_rk4 and
-/// spatial-rate strang_cn, whose lanes are no faster than scalar solves;
-/// non-line domains; groups of one) takes the scalar path.  Per-request
-/// results are bitwise identical either way.  Scratch is this thread's
-/// dl_batch_workspace (core/dl_batch_workspace.h).
+/// request order.  Line strang_cn and implicit_newton requests sharing a
+/// scheme, grid, dt and time window (and, for strang_cn, whether the
+/// rate varies in x) are grouped (index-stably, by first occurrence) and
+/// advanced in lockstep over structure-of-arrays lanes that interleave
+/// their Thomas sweeps (each distinct diffusion coefficient's
+/// Crank–Nicolson factorization is shared within a group; Newton lanes
+/// iterate to their own convergence under a per-lane mask); a group of
+/// one is one padded pack of the same kernels.  Everything else (ftcs
+/// and mol_rk4, whose lanes are no faster than scalar solves; non-line
+/// domains) steps the scalar loop.  Per-request results do not depend
+/// on the grouping.  Scratch is this thread's dl_batch_workspace
+/// (core/dl_batch_workspace.h).
 ///
-/// Any invalid request throws the same exception its scalar solve would;
-/// the span overload gives no partial results.  A window whose step count
+/// Any invalid request throws the same exception its single solve
+/// would; the span overload gives no partial results.  A window whose step count
 /// (t_end − t0)/dt is not below 2^53 throws std::invalid_argument.
 [[nodiscard]] std::vector<dl_solution> solve_dl(
     std::span<const solve_request> requests);

@@ -1,14 +1,13 @@
-// Shared internals of the scalar, batched and domain DL solvers.
+// Shared internals of the packed line, scalar and domain DL solvers.
 //
-// The batched SoA solver (dl_batch_solver.cpp) must be *bitwise identical*
-// per lane to the scalar path (dl_solver.cpp), and the coupled-community
-// domain solver (dl_domain_solver.cpp) must be bitwise identical to the
-// plain 1-D line at K = 1: every per-node expression — the exact logistic
-// propagator, the Crank–Nicolson matrix entries, the fused Strang–CN
-// sweep, the per-node rate evaluation, the node-count rounding, the time
-// loop's step times and snapshot cadence — has to be the same IEEE
-// operation sequence in every translation unit.  Keeping them as shared
-// inline helpers makes that a structural property instead of a
+// The coupled-community domain solver (dl_domain_solver.cpp) must be
+// *bitwise identical* at K = 1 to the plain 1-D line, which runs on the
+// packed lanes (dl_batch_solver.cpp): every per-node expression — the
+// exact logistic propagator, the Crank–Nicolson matrix entries, the fused
+// Strang–CN sweep, the per-node rate evaluation, the node-count rounding,
+// the time loop's step times and snapshot cadence — has to be the same
+// IEEE operation sequence in every translation unit.  Keeping them as
+// shared inline helpers makes that a structural property instead of a
 // copy-paste invariant.
 //
 // Not part of the public API: include only from src/core solver sources
@@ -33,8 +32,8 @@ struct dl_workspace;
 namespace detail {
 
 /// Solves one request on the scalar path with the given workspace: what
-/// the batched solver does for every lane it does not batch.  Defined in
-/// dl_solver.cpp.
+/// the batched solver does for every request its lanes do not take (ftcs
+/// and mol_rk4 on the line, non-line domains).  Defined in dl_solver.cpp.
 [[nodiscard]] dl_solution solve_request_scalar(const solve_request& request,
                                                dl_workspace& ws);
 
@@ -113,16 +112,6 @@ class time_loop {
   std::size_t rows_ = 0;
 };
 
-/// The scalar stepping loop over a pre-sampled initial profile (size
-/// node_count × blocks): validates the window, dispatches non-line
-/// domains to their solvers below, and steps the 1-D line itself.
-/// Defined in dl_solver.cpp.
-[[nodiscard]] dl_solution solve_profile(const dl_parameters& params,
-                                        std::span<const double> phi_samples,
-                                        double t0, double t_end,
-                                        const dl_solver_options& options,
-                                        dl_workspace& ws);
-
 /// Exact logistic propagator: N ← K·N·e^R / (K + N·(e^R − 1)) where R is
 /// the integrated rate over the step.  Maps [0, K] into [0, K] for R ≥ 0.
 inline double logistic_exact(double n, double integrated_rate, double k) {
@@ -133,9 +122,11 @@ inline double logistic_exact(double n, double integrated_rate, double k) {
 
 /// Same propagator with e^R precomputed — for fields constant in x, every
 /// node shares one integrated rate, so the exp is hoisted out of the node
-/// loop (bitwise identical: exp of the same value is the same value).
-/// Spelled as a select rather than an early return, like the batched
-/// solver's two-lane `logistic` (dl_batch_solver.cpp); for n ≤ 0 the
+/// loop (bitwise identical: exp of the same value is the same value; for
+/// fields that vary in x the packed lanes take it per node in their
+/// passes).
+/// Spelled as a select rather than an early return, like the packed
+/// lanes' two-lane `logistic` (dl_batch_solver.cpp); for n ≤ 0 the
 /// speculative IEEE division is well-defined and discarded, and the n > 0
 /// expression is the same operation sequence either way.
 inline double logistic_exact_with_growth(double n, double growth, double k) {
@@ -177,9 +168,10 @@ inline void build_cn_matrices(std::size_t n, double lambda,
 }
 
 /// Per-node growth-rate evaluation with the separable-form hoist.  The
-/// scalar solver's time loop and the domain solvers all sample r(x_i, t)
-/// and ∫ r(x_i, s) ds through this one struct, so a K = 1 community run
-/// evaluates exactly the operation sequence of the plain 1-D path.
+/// packed lanes (one sampler per lane), the scalar loop and the domain
+/// solvers all sample r(x_i, t) and ∫ r(x_i, s) ds through this one
+/// struct, so a K = 1 community run evaluates exactly the operation
+/// sequence of the plain 1-D path.
 class rate_sampler {
  public:
   /// `node_x` are the x coordinates to sample at; `mod` is caller scratch
@@ -299,7 +291,10 @@ inline void strang_cn_fused_step(std::size_t n, double* u, double* rhs,
 /// The fused step with the reaction flavour chosen from the rate shape:
 /// one shared exp per substep when the rate is uniform in x, the per-node
 /// exact logistic otherwise.  `r_int` / `rt` are the integrated rates of
-/// the first / second half-step over the n nodes.
+/// the first / second half-step over the n nodes.  The coupled-community
+/// solver steps each community with it; the packed line kernel
+/// (strang_step) is the same sequence two lanes at a time, which
+/// domain_solver_test's K = 1 identity cross-checks.
 inline void strang_cn_step(std::size_t n, double* u, double* rhs,
                            const num::tridiagonal_matrix& rhs_m,
                            const num::tridiagonal_factorization& factor,
@@ -328,8 +323,8 @@ inline void strang_cn_step(std::size_t n, double* u, double* rhs,
 
 /// Non-line domain solvers (dl_domain_solver.cpp): Peaceman–Rachford ADI
 /// on the 2-D grid, fused Strang–CN per community plus the explicit
-/// mixing substep on coupled communities.  Dispatched to by
-/// solve_profile; both accept only dl_scheme::strang_cn.
+/// mixing substep on coupled communities.  Dispatched to by the scalar
+/// loop in dl_solver.cpp; both accept only dl_scheme::strang_cn.
 [[nodiscard]] dl_solution solve_dl_grid2d(const dl_parameters& params,
                                           std::span<const double> phi_samples,
                                           const time_loop& loop,

@@ -13,10 +13,6 @@ void dl_workspace::prepare(std::size_t n) {
   rt.resize(n);
   r_int.resize(n);
   rt_react.resize(n);
-  jac.resize(n);
-  newton_g.resize(n);
-  cn_lhs.resize(n);
-  cn_rhs.resize(n);
   rk4.prepare(n);
 }
 

@@ -759,8 +759,13 @@ std::string dl_service::handle_request(const std::string& payload,
         scenario_cache_key(prepared.solved, slice, *model);
     std::shared_ptr<const model_trace> trace = cache.find_trace(key);
     if (trace == nullptr) {
-      cache.store_trace(key, model->solve(prepared.solved, slice));
+      std::shared_ptr<const model_trace> stored =
+          cache.store_trace(key, model->solve(prepared.solved, slice));
+      // The re-find keeps the hit count the stats verb reports today.
+      // Under an LRU cap a concurrent insert may already have evicted
+      // the entry; the trace stored above answers then.
       trace = cache.find_trace(key);
+      if (trace == nullptr) trace = std::move(stored);
     }
 
     if (verb == "solve") return format_trace(*trace);

@@ -85,8 +85,8 @@ void solve_cache::evict_overflow() {
 
 template <class Map, class Payload>
 solve_cache::merge_outcome solve_cache::insert(Map& map, std::string key,
-                                               Payload payload,
-                                               bool merging) {
+                                               Payload payload, bool merging,
+                                               Payload* held) {
   std::shared_ptr<const write_observer> observer;
   std::string observed_key;
   {
@@ -94,6 +94,7 @@ solve_cache::merge_outcome solve_cache::insert(Map& map, std::string key,
     // try_emplace moves the key only when the node is created: a present
     // key keeps the first insert (first insert wins).
     const auto [it, fresh] = map.try_emplace(std::move(key));
+    if (held != nullptr) *held = fresh ? payload : it->second.payload;
     if (!fresh) {
       if (!merging || same_payload(it->second.payload, payload))
         return merge_outcome::duplicate;
@@ -133,9 +134,11 @@ std::shared_ptr<const model_trace> solve_cache::find_trace(
   return it->second.payload;
 }
 
-void solve_cache::store_trace(std::string key, model_trace trace) {
-  import_trace(std::move(key),
-               std::make_shared<const model_trace>(std::move(trace)));
+std::shared_ptr<const model_trace> solve_cache::store_trace(
+    std::string key, model_trace trace) {
+  auto held = std::make_shared<const model_trace>(std::move(trace));
+  (void)insert(traces_, std::move(key), held, false, &held);
+  return held;
 }
 
 void solve_cache::import_trace(std::string key,

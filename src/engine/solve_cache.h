@@ -82,8 +82,11 @@ class solve_cache {
 
   /// Stores a trace under `key`.  A concurrent duplicate insert is benign:
   /// the first stored trace wins and later ones are dropped (both were
-  /// computed from identical inputs).
-  void store_trace(std::string key, model_trace trace);
+  /// computed from identical inputs).  Returns the trace the key held
+  /// once this insert ran — this one, or the first — even when the LRU
+  /// cap has already evicted it again.
+  std::shared_ptr<const model_trace> store_trace(std::string key,
+                                                 model_trace trace);
 
   /// Returns the cached scalar or nullopt (counting a hit/miss).
   [[nodiscard]] std::optional<double> find_value(const std::string& key);
@@ -180,10 +183,11 @@ class solve_cache {
 
   /// The one insert behind store/import (merging = false: a present key
   /// is a silent duplicate) and merge (merging = true: a present key is
-  /// compared bitwise and counted).
+  /// compared bitwise and counted).  A non-null `held` receives the
+  /// payload the key holds after the insert (first insert wins).
   template <class Map, class Payload>
   merge_outcome insert(Map& map, std::string key, Payload payload,
-                       bool merging);
+                       bool merging, Payload* held = nullptr);
   /// Recency-list edits.  Caller must hold the mutex.
   void link_front(lru_links& e);
   static void unlink(lru_links& e);

@@ -16,7 +16,10 @@
 //     of the successive differences);
 //   * strang_cn in time ≥ 3.5 (second-order Strang splitting with an
 //     exact reaction substep and Crank–Nicolson diffusion);
-//   * implicit_newton in time ≥ 1.7 (first-order backward Euler).
+//   * implicit_newton and ftcs in time ≥ 1.7 (first-order backward and
+//     forward Euler; ftcs reads 1.97/1.98 from dt = 0.08);
+//   * mol_rk4 in time ≥ 14 (classical fourth-order Runge–Kutta on the
+//     semi-discrete system: reads 15.86/15.97 from dt = 0.08).
 //
 // The d = 0 limit is checked against the closed form: without diffusion
 // every node follows the scalar logistic ODE from its own initial value,
@@ -137,6 +140,19 @@ TEST(ObservedOrder, ImplicitNewtonIsFirstOrderInTime) {
       time_ratios(dl_scheme::implicit_newton, 0.08);
   ASSERT_EQ(ratios.size(), 2u);
   for (const double ratio : ratios) EXPECT_GE(ratio, 1.7);
+}
+
+TEST(ObservedOrder, FtcsIsFirstOrderInTime) {
+  // dt 0.08 → 0.01 stays inside FTCS's stability bound dx²/(2d) = 0.125.
+  const std::vector<double> ratios = time_ratios(dl_scheme::ftcs, 0.08);
+  ASSERT_EQ(ratios.size(), 2u);
+  for (const double ratio : ratios) EXPECT_GE(ratio, 1.7);
+}
+
+TEST(ObservedOrder, MolRk4IsFourthOrderInTime) {
+  const std::vector<double> ratios = time_ratios(dl_scheme::mol_rk4, 0.08);
+  ASSERT_EQ(ratios.size(), 2u);
+  for (const double ratio : ratios) EXPECT_GE(ratio, 14.0);
 }
 
 constexpr double kLimitRate = 0.6;

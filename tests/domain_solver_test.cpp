@@ -21,6 +21,7 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -47,10 +48,13 @@ const std::vector<double>& observed() {
 
 /// The reference 1-D solve every golden hash below was captured from:
 /// paper hop parameters, 20 points per unit, hourly records over [1, 6].
-core::dl_solution solve_reference(core::dl_scheme scheme,
-                                  const core::domain& dom = {}) {
+/// `rate` replaces the paper's r(t) when given.
+core::dl_solution solve_reference(
+    core::dl_scheme scheme, const core::domain& dom = {},
+    const std::optional<core::rate_field>& rate = std::nullopt) {
   core::dl_parameters p = core::dl_parameters::paper_hops(6.0);
   p.dom = dom;
+  if (rate) p.r = *rate;
   const core::initial_condition phi =
       core::dl_model::build_initial(p, observed());
   core::solve_request req;
@@ -122,6 +126,43 @@ TEST(DomainLine, AllFourSchemesMatchPreRefactorGoldenHashes) {
   EXPECT_EQ(sol.at(5.0, 6.0), 3.1269208373731376);
   EXPECT_EQ(sol.states().size(), 6u);
   EXPECT_EQ(sol.states().cols(), 101u);
+
+  // The implicit schemes under every rate family solver_batch_test
+  // batches (temporal, separable, per-group, per-group anchored past
+  // x_min), captured from the scalar Strang–CN / implicit-Newton loops
+  // before the packed lanes became the only line implementation.
+  const core::rate_field families[] = {
+      core::growth_rate::paper_hops(),
+      core::rate_field::separable(core::growth_rate::paper_hops(),
+                                  {1.0, 0.9, 0.8, 0.7, 0.5, 0.4}),
+      core::rate_field::per_group(
+          {core::growth_rate::paper_hops(), core::growth_rate::constant(0.4),
+           core::growth_rate::exponential_decay(1.0, 1.2, 0.2),
+           core::growth_rate::constant(0.3),
+           core::growth_rate::paper_interest(),
+           core::growth_rate::constant(0.25)}),
+      core::rate_field::per_group(
+          {core::growth_rate::exponential_decay(0.8, 0.7, 0.2),
+           core::growth_rate::constant(0.35),
+           core::growth_rate::exponential_decay(0.5, 2.0, 0.1)},
+          2.0),
+  };
+  const struct {
+    core::dl_scheme scheme;
+    std::uint64_t hashes[4];  ///< one per entry of `families`
+  } implicit_goldens[] = {
+      {core::dl_scheme::strang_cn,
+       {12594215034540148056ULL, 6356994963473792530ULL,
+        9605994866880897921ULL, 14192600285610169882ULL}},
+      {core::dl_scheme::implicit_newton,
+       {11316498957585979020ULL, 14638427052065694229ULL,
+        1374740488350499599ULL, 4072573255695815261ULL}},
+  };
+  for (const auto& golden : implicit_goldens)
+    for (std::size_t f = 0; f < 4; ++f)
+      EXPECT_EQ(hash_solution(solve_reference(golden.scheme, {}, families[f])),
+                golden.hashes[f])
+          << core::to_string(golden.scheme) << " family " << f;
 }
 
 TEST(DomainSolver, NonLineDomainsMatchTheirGoldenHashes) {

@@ -332,6 +332,33 @@ TEST(Service, ConcurrentClientsReadDeterministicReplies) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+TEST(Service, FreshSolvesUnderAOneEntryCacheAllAnswerTheirTrace) {
+  // With room for one entry, every fresh solve's insert evicts the last
+  // one, so a concurrent insert can evict a fresh trace before its own
+  // request reads it back.  The request must still answer its trace.
+  service_options options;
+  options.cache_max_entries = 1;
+  test_service ts(options);
+  constexpr int kClients = 8;
+  constexpr int kRequests = 16;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      service_client client(ts.socket_path);
+      for (int i = 0; i < kRequests; ++i) {
+        const std::string rate =
+            "constant:0." + std::to_string(100 + c * kRequests + i);
+        const std::string reply = client.request(
+            "solve model=dl slice=" + ts.slice + " grid=10 rate=" + rate);
+        if (!reply.starts_with("ok trace ")) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+}
+
 TEST(Service, OversizedRequestGetsAnErrorFrameAndTheConnectionSurvives) {
   service_options options;
   options.max_frame_bytes = 1024;

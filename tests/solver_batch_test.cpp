@@ -1,8 +1,11 @@
 // Batched SoA solver: the load-bearing contract is bitwise identity with
-// the scalar path — for every scheme, rate family, batch width and lane
-// order, solve_dl(span<const solve_request>) must produce exactly the
-// trace solve_dl(request) produces, so cache keys, golden fits and CSV
-// output cannot depend on how scenarios were grouped.
+// the single-request solve — for every scheme, rate family, batch width
+// and lane order, solve_dl(span<const solve_request>) must produce
+// exactly the trace solve_dl(request) produces, so cache keys, golden
+// fits and CSV output cannot depend on how scenarios were grouped.  A
+// single line Strang–CN or implicit-Newton request is itself one padded
+// pack of the same kernels; domain_solver_test's golden hashes pin the
+// bits of those.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -80,9 +83,10 @@ void expect_bitwise_equal(const dl_solution& a, const dl_solution& b,
 TEST(SolverBatch, BitwiseEqualAcrossSchemesFamiliesAndWidths) {
   const initial_condition phi(observed);
   // Widths covering the two-lane packs and eight-lane chunks: the
-  // singleton (scalar path), one pack, padded odd packs, the largest
-  // chunk, and groups that split into chunks (9 = 8 + a scalar lane,
-  // 12 = 8 + 4).
+  // singleton (one padded pack, as a single request runs), one pack,
+  // padded odd packs, the largest chunk, and groups that split into
+  // chunks (9 = 8 + a padded chunk of one, 12 = 8 + 4).  ftcs and
+  // mol_rk4 step the scalar loop at every width.
   for (std::size_t width : {1, 2, 3, 4, 5, 7, 8, 9, 12}) {
     for (dl_scheme scheme : {dl_scheme::ftcs, dl_scheme::strang_cn,
                              dl_scheme::implicit_newton, dl_scheme::mol_rk4}) {
@@ -103,9 +107,9 @@ TEST(SolverBatch, BitwiseEqualAcrossSchemesFamiliesAndWidths) {
         const std::vector<dl_solution> batched = solve_dl(requests);
         ASSERT_EQ(batched.size(), width);
         for (std::size_t l = 0; l < width; ++l) {
-          const dl_solution scalar = solve_dl(requests[l]);
+          const dl_solution single = solve_dl(requests[l]);
           expect_bitwise_equal(
-              batched[l], scalar,
+              batched[l], single,
               to_string(scheme) + " family=" + std::to_string(family) +
                   " width=" + std::to_string(width) +
                   " lane=" + std::to_string(l));
@@ -119,7 +123,7 @@ TEST(SolverBatch, NewtonLanesIterateToTheirOwnConvergence) {
   // Lanes whose Newton solves need different iteration counts in the
   // same step: a lane at rest (d = 0, r = 0: the warm start is already
   // the root), the paper preset, and stiff lanes (large d and r).  Each
-  // lane must stop exactly where its scalar solve stops — a mask that
+  // lane must stop exactly where its single solve stops — a mask that
   // kept iterating a converged lane, or stopped a slow one early, moves
   // bits.
   const initial_condition phi(observed);
@@ -197,9 +201,9 @@ TEST(SolverBatch, ShardBenchShapeIsBitwiseEqual) {
   }
 }
 
-TEST(SolverBatch, ZeroPivotNewtonLaneFailsLikeTheScalarPath) {
+TEST(SolverBatch, ZeroPivotNewtonLaneFailsLikeItsSingleSolve) {
   // d = 0, r·h = 1 and a node at zero density make the Jacobian's first
-  // pivot exactly 0: 1 + 2·0 − 1·(1 − 0).  The scalar solve throws
+  // pivot exactly 0: 1 + 2·0 − 1·(1 − 0).  The single solve throws
   // domain_error there; the batch must throw the same, not hand back
   // the healthy lane.
   std::vector<double> samples(101, 0.5);
@@ -244,7 +248,7 @@ TEST(SolverBatch, ZeroPivotNewtonLaneFailsLikeTheScalarPath) {
 
   // An odd chunk pads its last pack with a copy of its last lane.  When
   // that lane is the failing one, the copy fails with it: one throw, the
-  // scalar message, never a second error or a swallowed one.
+  // single solve's message, never a second error or a swallowed one.
   const std::vector<solve_request> odd{good, good, bad};
   int throws = 0;
   try {
@@ -277,7 +281,7 @@ TEST(SolverBatch, MixedSpanSplitsIntoCompatibleGroupsIndexStably) {
   const initial_condition phi(observed);
   // An interleaved span: two dt groups, a newton lane and a scalar-path
   // mol_rk4 lane — every lane must come back in request order, bitwise
-  // equal to its scalar solve.
+  // equal to its single solve.
   std::vector<dl_parameters> params;
   for (std::size_t l = 0; l < 7; ++l) params.push_back(params_for(0, l));
   dl_solver_options coarse = options_for(dl_scheme::strang_cn);
@@ -305,8 +309,8 @@ TEST(SolverBatch, MixedSpanSplitsIntoCompatibleGroupsIndexStably) {
   const std::vector<dl_solution> batched = solve_dl(requests);
   ASSERT_EQ(batched.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const dl_solution scalar = solve_dl(requests[i]);
-    expect_bitwise_equal(batched[i], scalar,
+    const dl_solution single = solve_dl(requests[i]);
+    expect_bitwise_equal(batched[i], single,
                          "mixed span lane " + std::to_string(i));
   }
 }

@@ -7,9 +7,11 @@
 // grid, one with half the step size: the trace, the times and the
 // solution objects are the same size in both, so any allocation made per
 // step shows up as a nonzero difference.  Every solve runs on this
-// thread's workspace, the only scratch solve_dl has.  Covered: the four scalar
-// schemes on the line, the 2-D ADI sheet, coupled communities, and the
-// batched Strang–CN and implicit-Newton lanes at width 4.
+// thread's workspace, the only scratch solve_dl has.  Covered: a single
+// request of each of the four schemes on the line (ftcs and mol_rk4 on
+// the scalar loop, strang_cn and implicit_newton as one padded pack), the
+// 2-D ADI sheet, coupled communities, and the batched Strang–CN and
+// implicit-Newton lanes at width 4.
 //
 // Two more counts are pinned so they cannot creep up: the allocations of
 // one warm single-request solve per scheme (the solution's trace, times
@@ -53,7 +55,7 @@ struct step_case {
   dl_scheme scheme = dl_scheme::strang_cn;
   core::domain dom{};
   std::size_t points_per_unit = 20;
-  std::size_t lanes = 0;  ///< 0: one scalar solve; else batched lanes
+  std::size_t lanes = 0;  ///< 0: one single-request solve; else lanes
 };
 
 void PrintTo(const step_case& c, std::ostream* os) { *os << c.name; }
