@@ -6,13 +6,15 @@
 #include <iostream>
 
 #include "eval/ablations.h"
+#include "eval/experiments.h"
 
 int main() {
-  const dlm::eval::experiment_context ctx =
-      dlm::eval::experiment_context::make();
-  const dlm::eval::diffusion_ablation_result result =
-      dlm::eval::run_diffusion_ablation(
-          ctx, 0, dlm::social::distance_metric::friendship_hops, 6);
-  dlm::eval::print_diffusion_ablation(std::cout, result);
+  using namespace dlm;
+  const eval::paper_sweeps paper =
+      eval::make_paper_sweeps(digg::make_dataset(digg::scenario_config{}));
+  eval::print_diffusion_ablation(
+      std::cout, paper.context,
+      engine::run_sweep(paper.context, paper.diffusion_ablation,
+                        paper.options));
   return 0;
 }

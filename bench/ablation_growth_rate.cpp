@@ -7,11 +7,15 @@
 #include <iostream>
 
 #include "eval/ablations.h"
+#include "eval/experiments.h"
 
 int main() {
-  const dlm::eval::experiment_context ctx =
-      dlm::eval::experiment_context::make();
-  dlm::eval::print_growth_ablation(std::cout,
-                                   dlm::eval::run_growth_ablation(ctx, 0));
+  using namespace dlm;
+  const eval::paper_sweeps paper =
+      eval::make_paper_sweeps(digg::make_dataset(digg::scenario_config{}));
+  eval::print_growth_ablation(
+      std::cout,
+      engine::run_sweep(paper.context, paper.growth_ablation, paper.options)
+          .table);
   return 0;
 }

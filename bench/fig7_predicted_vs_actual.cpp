@@ -11,17 +11,16 @@
 #include "eval/experiments.h"
 
 int main() {
-  using namespace dlm::eval;
-  const experiment_context ctx = experiment_context::make();
-
-  const prediction_experiment hops = run_prediction(
-      ctx, 0, dlm::social::distance_metric::friendship_hops, 6);
-  std::cout << "--- Figure 7(a)\n";
-  print_fig7(std::cout, hops);
-
-  const prediction_experiment interests = run_prediction(
-      ctx, 0, dlm::social::distance_metric::shared_interests, 5);
-  std::cout << "--- Figure 7(b)\n";
-  print_fig7(std::cout, interests);
+  using namespace dlm;
+  const eval::paper_sweeps paper =
+      eval::make_paper_sweeps(digg::make_dataset(digg::scenario_config{}));
+  const engine::sweep_result result =
+      engine::run_sweep(paper.context, paper.prediction, paper.options);
+  // Row 0 is s1/hops (Fig. 7(a)), row 1 s1/interests (Fig. 7(b)).
+  for (std::size_t i = 0; i < result.table.size(); ++i) {
+    std::cout << "--- Figure 7(" << (i == 0 ? 'a' : 'b') << ")\n";
+    eval::print_fig7(std::cout, result.traces[i],
+                     paper.context.slice(result.table.row(i).slice));
+  }
   return 0;
 }

@@ -11,16 +11,22 @@
 #include "eval/table.h"
 
 int main() {
+  using namespace dlm;
   using namespace dlm::eval;
-  const experiment_context ctx = experiment_context::make();
-  const prediction_experiment result = run_prediction(
-      ctx, 0, dlm::social::distance_metric::friendship_hops, 6);
-  print_accuracy_table(std::cout, result, paper_table1(),
+  const paper_sweeps paper =
+      make_paper_sweeps(digg::make_dataset(digg::scenario_config{}));
+  const engine::sweep_result result =
+      engine::run_sweep(paper.context, paper.prediction, paper.options);
+  const engine::dataset_slice& hops =
+      paper.context.slice(result.table.row(0).slice);
+  const core::accuracy_table accuracy =
+      trace_accuracy(result.traces[0], hops);
+  print_accuracy_table(std::cout, hops, accuracy, paper_table1(),
                        "Table I (paper overall: 92.81%)");
 
   // The abstract's headline claim.
   std::cout << "abstract claim: average accuracy over all distances during "
                "the first 6 hours\n  paper: 92.08%   measured: "
-            << text_table::pct(result.accuracy.overall_average(), 2) << "\n";
+            << text_table::pct(accuracy.overall_average(), 2) << "\n";
   return 0;
 }

@@ -5,19 +5,27 @@
 // of the most-distant interest group grows anomalously slowly), declining
 // monotonically from 66% at t=2 to 26% at t=6.
 
+#include <algorithm>
 #include <iostream>
 
 #include "eval/experiments.h"
 #include "eval/table.h"
 
 int main() {
+  using namespace dlm;
   using namespace dlm::eval;
-  const experiment_context ctx = experiment_context::make();
-  const prediction_experiment result = run_prediction(
-      ctx, 0, dlm::social::distance_metric::shared_interests, 5);
-  print_accuracy_table(std::cout, result, paper_table2(), "Table II");
+  const paper_sweeps paper =
+      make_paper_sweeps(digg::make_dataset(digg::scenario_config{}));
+  const engine::sweep_result result =
+      engine::run_sweep(paper.context, paper.prediction, paper.options);
+  const engine::dataset_slice& interests =
+      paper.context.slice(result.table.row(1).slice);
+  const core::accuracy_table accuracy =
+      trace_accuracy(result.traces[1], interests);
+  print_accuracy_table(std::cout, interests, accuracy, paper_table2(),
+                       "Table II");
 
-  const std::vector<double> rows = result.accuracy.row_averages();
+  const std::vector<double> rows = accuracy.row_averages();
   std::cout << "distance-5 anomaly check (paper: worst row by far, 39.84%):\n"
             << "  measured distance-5 average: "
             << text_table::pct(rows.back(), 2) << ", best other row: "

@@ -55,16 +55,21 @@ int main() {
   eval::print_density_series(std::cout, s1_hops,
                              "Density series (story s1, hops)");
 
-  // DL validation, both metrics (paper Fig. 7 + Tables I/II).
-  const eval::prediction_experiment hops_pred = eval::run_prediction(
-      ctx, 0, social::distance_metric::friendship_hops, /*max_distance=*/6);
-  eval::print_fig7(std::cout, hops_pred);
-  eval::print_accuracy_table(std::cout, hops_pred, eval::paper_table1(),
-                             "Table I reproduction");
-
-  const eval::prediction_experiment int_pred = eval::run_prediction(
-      ctx, 0, social::distance_metric::shared_interests, /*max_distance=*/5);
-  eval::print_accuracy_table(std::cout, int_pred, eval::paper_table2(),
-                             "Table II reproduction");
+  // DL validation, both metrics (paper Fig. 7 + Tables I/II): the paper's
+  // prediction sweep over the same dataset.
+  const eval::paper_sweeps paper = eval::make_paper_sweeps(ctx.data);
+  const engine::sweep_result result =
+      engine::run_sweep(paper.context, paper.prediction, paper.options);
+  const engine::dataset_slice& hops =
+      paper.context.slice(result.table.row(0).slice);
+  const engine::dataset_slice& interests =
+      paper.context.slice(result.table.row(1).slice);
+  eval::print_fig7(std::cout, result.traces[0], hops);
+  eval::print_accuracy_table(std::cout, hops,
+                             eval::trace_accuracy(result.traces[0], hops),
+                             eval::paper_table1(), "Table I reproduction");
+  eval::print_accuracy_table(
+      std::cout, interests, eval::trace_accuracy(result.traces[1], interests),
+      eval::paper_table2(), "Table II reproduction");
   return 0;
 }

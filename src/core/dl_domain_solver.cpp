@@ -51,22 +51,18 @@ void require_strang(const dl_parameters& params,
 
 }  // namespace
 
-std::vector<double> broadcast_profile(const dl_parameters& params,
-                                      std::span<const double> x_profile,
-                                      const dl_solver_options& options) {
+void broadcast_profile(const dl_parameters& params, std::size_t nx,
+                       std::span<double> full) {
   const domain& dom = params.dom;
-  const std::size_t nx = x_profile.size();
-  const std::size_t blocks = dom.blocks(options.points_per_unit);
-  std::vector<double> full(nx * blocks);
-  for (std::size_t blk = 0; blk < blocks; ++blk) {
+  // Last block first, so block 0 — the source — is scaled last.
+  for (std::size_t blk = full.size() / nx; blk-- > 0;) {
     const double scale = (dom.kind == domain_kind::communities &&
                           !dom.scales.empty())
                              ? dom.scales[blk]
                              : 1.0;
     for (std::size_t i = 0; i < nx; ++i)
-      full[blk * nx + i] = x_profile[i] * scale;
+      full[blk * nx + i] = full[i] * scale;
   }
-  return full;
 }
 
 dl_solution solve_dl_grid2d(const dl_parameters& params,

@@ -244,19 +244,18 @@ dl_solution detail::solve_request_scalar(const solve_request& request,
   }
   params.validate();
   const std::size_t n = node_count(params, options);
-  std::vector<double> samples =
-      request.phi->sample(params.x_min, params.x_max, n);
-  // Densities are non-negative (paper §II.D); a cubic interpolant may
-  // undershoot slightly between sparse knots, so clip at zero.
-  for (double& v : samples) v = std::max(v, 0.0);
-  if (!params.dom.is_line()) {
-    // φ describes the x axis; stack it across the domain's blocks
-    // (replicated per grid2d row, scaled per community).
-    const std::vector<double> full =
-        detail::broadcast_profile(params, samples, options);
-    return solve_profile(params, full, request.t0, request.t_end, options, ws);
-  }
-  return solve_profile(params, samples, request.t0, request.t_end, options,
+  // φ at the grid nodes, sampled into the workspace as the packed lanes
+  // do, so a warm solve allocates nothing for it.  Densities are
+  // non-negative (paper §II.D); a cubic interpolant may undershoot
+  // slightly between sparse knots, so clip at zero.
+  const num::uniform_grid grid(params.x_min, params.x_max, n);
+  ws.phi.resize(n * params.dom.blocks(options.points_per_unit));
+  for (std::size_t i = 0; i < n; ++i)
+    ws.phi[i] = std::max((*request.phi)(grid.x(i)), 0.0);
+  // φ describes the x axis; stack it across a non-line domain's blocks
+  // (replicated per grid2d row, scaled per community).
+  if (!params.dom.is_line()) detail::broadcast_profile(params, n, ws.phi);
+  return solve_profile(params, ws.phi, request.t0, request.t_end, options,
                        ws);
 }
 

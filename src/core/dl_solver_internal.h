@@ -335,11 +335,11 @@ inline void strang_cn_step(std::size_t n, double* u, double* rhs,
     const time_loop& loop, const dl_solver_options& options,
     dl_workspace& ws);
 
-/// Broadcasts a sampled x-profile across a non-line domain's blocks:
-/// replicated per grid2d row, scaled per community (clipped at zero).
-[[nodiscard]] std::vector<double> broadcast_profile(
-    const dl_parameters& params, std::span<const double> x_profile,
-    const dl_solver_options& options);
+/// Broadcasts the sampled x-profile held in the first `nx` entries of
+/// `full` across a non-line domain's blocks, in place: replicated per
+/// grid2d row, scaled per community.  `full` holds nx × blocks entries.
+void broadcast_profile(const dl_parameters& params, std::size_t nx,
+                       std::span<double> full);
 
 }  // namespace detail
 }  // namespace dlm::core

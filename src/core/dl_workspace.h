@@ -46,6 +46,10 @@ struct dl_workspace {
   std::vector<double> rt_react;      ///< rates inside the MOL reaction term
   std::vector<double> rate_scratch;  ///< per-group family's group table
 
+  /// φ sampled at the nodes (every block of a non-line domain); sized by
+  /// the request, not by prepare().
+  std::vector<double> phi;
+
   // Crank–Nicolson x-axis matrices of the non-line domains, built once
   // per run with the LHS factored once; and the 2-D ADI's second-axis
   // pair.  Sized by the domain solvers themselves (nx, ny), not by

@@ -5,7 +5,7 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "core/dl_model.h"
+#include "core/growth_rate.h"
 #include "eval/series.h"
 #include "eval/table.h"
 
@@ -189,81 +189,74 @@ void print_fig6(std::ostream& out, const fig6_result& result) {
 
 // ------------------------------------------- Fig. 7 / Table I / Table II
 
-prediction_experiment run_prediction(const experiment_context& ctx,
-                                     std::size_t story_index,
-                                     social::distance_metric metric,
-                                     int max_distance, int t_max) {
-  const social::density_field field = ctx.density(story_index, metric);
-  const int upper = std::min(max_distance, field.max_distance());
-  if (upper < 2)
-    throw std::runtime_error("run_prediction: need at least 2 distances");
+paper_sweeps make_paper_sweeps(digg::digg_dataset data, int max_hops) {
+  paper_sweeps sweeps;
+  sweeps.context =
+      engine::scenario_context::from_dataset(std::move(data), max_hops);
+  const std::size_t hops = 0;
+  const std::size_t interests = 1;
 
-  prediction_experiment result;
-  result.story_name = ctx.data.config.stories[story_index].name;
-  result.metric = metric;
-  result.params = metric == social::distance_metric::friendship_hops
-                      ? core::dl_parameters::paper_hops(upper)
-                      : core::dl_parameters::paper_interest(upper);
+  sweeps.prediction.models = {"dl"};
+  sweeps.prediction.slices = {hops, interests};
 
-  for (int x = 1; x <= upper; ++x) result.distances.push_back(x);
-  for (int t = 1; t <= t_max; ++t)
-    result.times.push_back(static_cast<double>(t));
+  sweeps.diffusion_ablation.models = {"dl", "heat", "per_distance_logistic"};
+  sweeps.diffusion_ablation.slices = {hops};
 
-  // Actual surface.
-  result.actual.resize(result.distances.size());
-  for (std::size_t i = 0; i < result.distances.size(); ++i) {
-    for (int t = 1; t <= t_max; ++t)
-      result.actual[i].push_back(field.at(result.distances[i], t));
-  }
+  // The calibrate specs fit on the t <= 4 window and are evaluated on
+  // t = 2..6 like every other row; the spatial rows evaluate the paper's
+  // §V r(x, t) conjecture on the same slice.
+  sweeps.growth_ablation.models = {"dl"};
+  sweeps.growth_ablation.slices = {hops};
+  sweeps.growth_ablation.rates = {
+      "preset",        "constant:0.25",
+      "constant:0.5",  "constant:0.8",
+      "spatial:preset|1.25,1,0.85,0.7,0.6,0.5",
+      "calibrate:4",   "calibrate-spatial:4"};
 
-  // DL model from the hour-1 profile.
-  std::vector<double> initial;
-  initial.reserve(result.distances.size());
-  for (std::size_t i = 0; i < result.distances.size(); ++i)
-    initial.push_back(result.actual[i][0]);
-  const core::dl_model model(result.params, initial, /*t0=*/1.0,
-                             /*t_max=*/static_cast<double>(t_max));
-
-  result.predicted.resize(result.distances.size());
-  for (std::size_t i = 0; i < result.distances.size(); ++i) {
-    result.predicted[i].push_back(initial[i]);  // t = 1 is the input
-  }
-  for (int t = 2; t <= t_max; ++t) {
-    const std::vector<double> profile =
-        model.predict_profile(static_cast<double>(t));
-    for (std::size_t i = 0; i < result.distances.size(); ++i)
-      result.predicted[i].push_back(profile[i]);
-  }
-
-  // Accuracy over t = 2..t_max.
-  std::vector<double> eval_times(result.times.begin() + 1, result.times.end());
-  std::vector<std::vector<double>> pred_eval(result.distances.size());
-  std::vector<std::vector<double>> act_eval(result.distances.size());
-  for (std::size_t i = 0; i < result.distances.size(); ++i) {
-    pred_eval[i].assign(result.predicted[i].begin() + 1,
-                        result.predicted[i].end());
-    act_eval[i].assign(result.actual[i].begin() + 1, result.actual[i].end());
-  }
-  result.accuracy = core::make_accuracy_table(result.distances, eval_times,
-                                              pred_eval, act_eval);
-  return result;
+  sweeps.options.keep_traces = true;
+  sweeps.options.calibration.a_max = 3.0;
+  sweeps.options.calibration.b_min = 0.5;
+  sweeps.options.calibration.c_max = 0.6;
+  return sweeps;
 }
 
-void print_fig7(std::ostream& out, const prediction_experiment& r) {
-  out << "Figure 7 — predicted vs actual density, story " << r.story_name
-      << ", metric: " << social::to_string(r.metric) << "\n"
-      << "model: " << r.params.describe() << "\n\n";
+core::accuracy_table trace_accuracy(const engine::model_trace& trace,
+                                    const engine::dataset_slice& slice) {
+  std::vector<std::vector<double>> actual(trace.distances.size());
+  for (std::size_t i = 0; i < trace.distances.size(); ++i) {
+    for (const double t : trace.times)
+      actual[i].push_back(
+          slice.actual_at(trace.distances[i], static_cast<int>(t)));
+  }
+  return core::make_accuracy_table(trace.distances, trace.times,
+                                   trace.predicted, actual);
+}
+
+void print_fig7(std::ostream& out, const engine::model_trace& trace,
+                const engine::dataset_slice& slice) {
+  out << "Figure 7 — predicted vs actual density, story " << slice.story
+      << ", metric: " << social::to_string(slice.metric) << "\n"
+      << "model: " << slice.base_params.describe() << "\n\n";
   std::vector<std::string> headers{"t"};
-  for (int x : r.distances) {
+  for (int x : trace.distances) {
     headers.push_back("actual d=" + std::to_string(x));
     headers.push_back("pred d=" + std::to_string(x));
   }
   text_table table(std::move(headers));
-  for (std::size_t j = 0; j < r.times.size(); ++j) {
-    std::vector<std::string> row{text_table::num(r.times[j], 0)};
-    for (std::size_t i = 0; i < r.distances.size(); ++i) {
-      row.push_back(text_table::num(r.actual[i][j], 2));
-      row.push_back(text_table::num(r.predicted[i][j], 2));
+  // t = 1 is the model's input: predicted equals actual there.
+  std::vector<std::string> first{"1"};
+  for (const double v : slice.profile_at(1)) {
+    first.push_back(text_table::num(v, 2));
+    first.push_back(text_table::num(v, 2));
+  }
+  table.add_row(std::move(first));
+  for (std::size_t j = 0; j < trace.times.size(); ++j) {
+    std::vector<std::string> row{text_table::num(trace.times[j], 0)};
+    for (std::size_t i = 0; i < trace.distances.size(); ++i) {
+      row.push_back(text_table::num(
+          slice.actual_at(trace.distances[i], static_cast<int>(trace.times[j])),
+          2));
+      row.push_back(text_table::num(trace.predicted[i][j], 2));
     }
     table.add_row(std::move(row));
   }
@@ -293,35 +286,37 @@ const std::vector<paper_accuracy_row>& paper_table2() {
   return rows;
 }
 
-void print_accuracy_table(std::ostream& out, const prediction_experiment& r,
+void print_accuracy_table(std::ostream& out,
+                          const engine::dataset_slice& slice,
+                          const core::accuracy_table& accuracy,
                           const std::vector<paper_accuracy_row>& reference,
                           const std::string& table_name) {
-  out << table_name << " — prediction accuracy, story " << r.story_name
-      << ", metric: " << social::to_string(r.metric) << "\n"
+  out << table_name << " — prediction accuracy, story " << slice.story
+      << ", metric: " << social::to_string(slice.metric) << "\n"
       << "(measured on the synthetic dataset; paper values in "
          "parentheses)\n\n";
 
   text_table table({"distance", "average", "t=2", "t=3", "t=4", "t=5", "t=6"});
-  const std::vector<double> row_avg = r.accuracy.row_averages();
-  for (std::size_t i = 0; i < r.accuracy.distances.size(); ++i) {
+  const std::vector<double> row_avg = accuracy.row_averages();
+  for (std::size_t i = 0; i < accuracy.distances.size(); ++i) {
     const paper_accuracy_row* paper = nullptr;
     for (const auto& row : reference) {
-      if (static_cast<int>(row[0]) == r.accuracy.distances[i]) paper = &row;
+      if (static_cast<int>(row[0]) == accuracy.distances[i]) paper = &row;
     }
     std::vector<std::string> cells;
-    cells.push_back(std::to_string(r.accuracy.distances[i]));
+    cells.push_back(std::to_string(accuracy.distances[i]));
     const auto fmt = [&](double measured, double paper_pct) {
       return text_table::pct(measured, 2) + " (" +
              text_table::num(paper_pct, 2) + "%)";
     };
     cells.push_back(fmt(row_avg[i], paper ? (*paper)[1] : 0.0));
-    for (std::size_t j = 0; j < r.accuracy.times.size() && j < 5; ++j)
-      cells.push_back(fmt(r.accuracy.cells[i][j], paper ? (*paper)[j + 2] : 0.0));
+    for (std::size_t j = 0; j < accuracy.times.size() && j < 5; ++j)
+      cells.push_back(fmt(accuracy.cells[i][j], paper ? (*paper)[j + 2] : 0.0));
     table.add_row(std::move(cells));
   }
   out << table;
   out << "\n  overall average accuracy: "
-      << text_table::pct(r.accuracy.overall_average(), 2) << "\n\n";
+      << text_table::pct(accuracy.overall_average(), 2) << "\n\n";
 }
 
 }  // namespace dlm::eval

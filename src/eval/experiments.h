@@ -1,9 +1,13 @@
-// Experiment runners: one per paper figure/table (DESIGN.md §2).
+// Experiment runners and printers: one per paper figure/table (DESIGN.md
+// §2).
 //
-// Bench binaries stay thin — they build an `experiment_context` (the
-// synthetic June-2009 dataset) and call the matching run_/print_ pair.
-// Paper reference values are embedded so each bench prints paper-vs-
-// measured side by side, which EXPERIMENTS.md records.
+// Figs. 2–6 solve no model: they read the synthetic June-2009 dataset
+// through an `experiment_context` and have a run_/print_ pair each.
+// Fig. 7 and Tables I/II solve the DL model: they are the `prediction`
+// sweep of `paper_sweeps`, run by engine::run_sweep, and their printers
+// read its kept traces.  Bench binaries stay thin either way.  Paper
+// reference values are embedded so each bench prints paper-vs-measured
+// side by side, which EXPERIMENTS.md records.
 #pragma once
 
 #include <array>
@@ -13,8 +17,8 @@
 #include <vector>
 
 #include "core/accuracy.h"
-#include "core/dl_parameters.h"
 #include "digg/simulator.h"
+#include "engine/scenario_runner.h"
 #include "social/density.h"
 #include "social/distance.h"
 
@@ -85,24 +89,45 @@ struct fig6_result {
 void print_fig6(std::ostream& out, const fig6_result& result);
 
 // ------------------------------------------- Fig. 7 / Table I / Table II
-/// Full prediction experiment: DL model built from the hour-1 profile,
-/// evaluated against the actual surface at t = 2..6.
-struct prediction_experiment {
-  std::string story_name;
-  social::distance_metric metric = social::distance_metric::friendship_hops;
-  core::dl_parameters params;
-  std::vector<int> distances;
-  std::vector<double> times;  ///< includes t = 1 (the initial profile)
-  /// actual/predicted[i][j]: density at distances[i], times[j].
-  std::vector<std::vector<double>> actual;
-  std::vector<std::vector<double>> predicted;
-  /// Accuracy over times[1..] (t = 2..6), paper Eq. 8 convention.
-  core::accuracy_table accuracy;
+/// The paper's model-solving experiments as engine sweeps over one
+/// dataset, defined once (like make_comparison_sweep): the benches, the
+/// example and the tests run these specs through engine::run_sweep and
+/// print or check the rows and kept traces.
+struct paper_sweeps {
+  /// One hop and one interest slice per flagship story (from_dataset);
+  /// story s1's are slices 0 (hops) and 1 (interests).
+  engine::scenario_context context;
+  /// Fig. 7 and Tables I/II: DL (strang-cn, grid 20, dt 0.02, the
+  /// metric's paper rate) solved from s1's hour-1 profile and scored at
+  /// t = 2..6; row 0 is s1/hops, row 1 s1/interests.
+  engine::sweep_spec prediction;
+  /// Diffusion-term ablation on s1/hops: one row each for dl, heat
+  /// (r = 0, diffusion only) and per_distance_logistic (d = 0, growth
+  /// only), all from the same hour-1 profile.
+  engine::sweep_spec diffusion_ablation;
+  /// Growth-rate ablation on s1/hops: DL under the paper rate, three
+  /// constants, a fixed spatial r(x, t) and rates calibrated on t <= 4,
+  /// temporal and per-hop (paper §V).
+  engine::sweep_spec growth_ablation;
+  /// Options for every run: traces kept (the printers score them per
+  /// distance) and the growth ablation's calibration box.
+  engine::runner_options options;
 };
-[[nodiscard]] prediction_experiment run_prediction(
-    const experiment_context& ctx, std::size_t story_index,
-    social::distance_metric metric, int max_distance, int t_max = 6);
-void print_fig7(std::ostream& out, const prediction_experiment& result);
+
+/// Builds the paper sweeps over `data`, hop slices truncated at
+/// `max_hops`.  Takes ownership of the dataset.
+[[nodiscard]] paper_sweeps make_paper_sweeps(digg::digg_dataset data,
+                                             int max_hops = 6);
+
+/// Accuracy of a kept sweep trace against its slice's observed surface,
+/// one row per distance and one column per evaluated hour (paper Eq. 8).
+[[nodiscard]] core::accuracy_table trace_accuracy(
+    const engine::model_trace& trace, const engine::dataset_slice& slice);
+
+/// Prints predicted vs actual density at t = 1 and every evaluated hour;
+/// the t = 1 row is the slice's hour-1 profile, the model's input.
+void print_fig7(std::ostream& out, const engine::model_trace& trace,
+                const engine::dataset_slice& slice);
 
 /// Paper Table I (hops) and Table II (interests) reference accuracies for
 /// story s1, laid out as {distance, average, t2, t3, t4, t5, t6} percent.
@@ -110,8 +135,11 @@ using paper_accuracy_row = std::array<double, 7>;
 [[nodiscard]] const std::vector<paper_accuracy_row>& paper_table1();
 [[nodiscard]] const std::vector<paper_accuracy_row>& paper_table2();
 
-/// Prints measured accuracy beside the paper's reference rows.
-void print_accuracy_table(std::ostream& out, const prediction_experiment& r,
+/// Prints `accuracy` (measured on `slice`) beside the paper's reference
+/// rows.
+void print_accuracy_table(std::ostream& out,
+                          const engine::dataset_slice& slice,
+                          const core::accuracy_table& accuracy,
                           const std::vector<paper_accuracy_row>& reference,
                           const std::string& table_name);
 
