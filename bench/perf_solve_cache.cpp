@@ -3,7 +3,9 @@
 // The cache is keyed on canonical scenario identity (see
 // engine/solve_cache.h): a cold sweep pays every PDE solve — dominated by
 // the calibration lattice + Nelder–Mead probes — while a warm repeat of
-// the identical sweep must serve everything from the cache.  The spread
+// the identical sweep must serve everything from the cache: each trace
+// from its entry, each fit from its one small record (the probes are not
+// cached).  The spread
 // between the two is the headline number of the caching PR.  The spatial
 // pair repeats the measurement on the r(x, t) axis (a concrete separable
 // field + the "calibrate-spatial" per-hop-multiplier fit).  The
@@ -114,8 +116,8 @@ BENCHMARK(BM_calibration_sweep_warm)->Unit(benchmark::kMillisecond);
 
 engine::sweep_spec make_spatial_spec() {
   // The §V spatial-rate axis: a concrete separable field plus the
-  // per-hop-multiplier fit family ("calibrate-spatial" probes carry 6
-  // extra optimizer dimensions, so its cache pressure is the worst case).
+  // per-hop-multiplier fit family ("calibrate-spatial" fits carry 6 extra
+  // optimizer dimensions, so theirs is the longest fit record).
   engine::sweep_spec spec;
   spec.models = {"dl"};
   spec.rates = {"spatial:preset|1.3,1,0.75,0.6,0.5,0.45",

@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
 
   // Same sweep again through a shared solve cache: the cold pass fills
   // it, the warm pass must hit for every trace and every calibration
-  // probe — zero additional PDE solves — and still reproduce the CSV
+  // record — zero additional PDE solves — and still reproduce the CSV
   // byte for byte.  With --cache-file the cache outlives the process:
   // loaded here, saved when `persist` goes out of scope, so a rerun's
   // cold pass hits instead of solving.

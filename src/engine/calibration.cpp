@@ -15,17 +15,6 @@ namespace {
 
 constexpr std::string_view kCalibrate = "calibrate";
 
-/// "v=<d>,<K>[,<a>,<b>,<c>]" at full precision — the per-probe part of a
-/// value-cache key.
-std::string vector_suffix(std::span<const double> v) {
-  std::string out = "|v=";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ',';
-    out += format_full_precision(v[i]);
-  }
-  return out;
-}
-
 }  // namespace
 
 bool is_calibrate_spec(const std::string& spec) {
@@ -96,7 +85,7 @@ namespace {
 
 /// One scenario's fit, set up: the parsed spec, the early observation
 /// window and the fit options (bounds from `base`, solver configuration
-/// and cache hooks from the scenario).
+/// from the scenario).
 struct calibration_setup {
   calibrate_spec info;
   fit::observation_window window;
@@ -106,7 +95,7 @@ struct calibration_setup {
 calibration_setup setup_calibration(const scenario& sc,
                                     const dataset_slice& slice,
                                     const fit::calibration_options& base,
-                                    solve_cache* cache, thread_pool* pool) {
+                                    thread_pool* pool) {
   calibration_setup setup;
   setup.info =
       parse_calibrate_spec(sc.rate, sc.t0, sc.t_end, slice.horizon_hours);
@@ -141,48 +130,6 @@ calibration_setup setup_calibration(const scenario& sc,
   options.solver.points_per_unit = sc.points_per_unit;
   options.solver.dt = sc.dt;
 
-  if (cache != nullptr) {
-    // Objective values depend on the slice, the solver configuration and
-    // the fit window — everything below — plus the probed vector, which
-    // each hook appends.
-    std::string prefix = "cal|slice=" + slice.name + '#' +
-                         std::to_string(slice.fingerprint) +
-                         "|model=" + sc.model;
-    prefix += "|scheme=" + core::to_string(sc.scheme);
-    prefix += "|grid=" + std::to_string(sc.points_per_unit);
-    prefix += "|dt=" + format_full_precision(options.solver.dt);
-    // Distinguish the three fit families: their probe vectors have
-    // different layouts (and, for -fixed vs -spatial, different models
-    // behind equal-length (d, K) lattice prefixes).
-    if (info.fit_rate) {
-      prefix += "|rate=fit";
-    } else if (info.fit_spatial) {
-      prefix += "|rate=fit-m:" + resolve_rate_spec("preset", slice.metric);
-    } else {
-      prefix += "|rate=" + resolve_rate_spec("preset", slice.metric);
-    }
-    prefix += "|t0=" + format_full_precision(sc.t0);
-    prefix += "|fit_end=" + std::to_string(info.fit_end);
-    // Same convention as scenario_cache_key: non-line domains suffix
-    // their canonical label, line keys stay byte-identical to before the
-    // domain axis existed.
-    {
-      const core::domain dom = make_domain(sc.domain);
-      if (!dom.is_line()) prefix += "|domain=" + dom.label();
-    }
-    options.cache_find = [cache, prefix](std::span<const double> v,
-                                         std::string& key) {
-      // Built to its exact size: a missed probe's key moves into the
-      // cache, so spare capacity would stay resident with the entry.
-      const std::string suffix = vector_suffix(v);
-      key.reserve(prefix.size() + suffix.size());
-      key.append(prefix).append(suffix);
-      return cache->find_value(key);
-    };
-    options.cache_store = [cache](std::string key, double value) {
-      cache->store_value(std::move(key), value);
-    };
-  }
   if (pool != nullptr) {
     options.run_batch = [pool](std::vector<std::function<void()>> tasks) {
       pool->run_batch(std::move(tasks));
@@ -198,6 +145,91 @@ calibration_setup setup_calibration(const scenario& sc,
   if (!info.fit_rate) start.r = make_rate("preset", slice.metric);
   start.dom = make_domain(sc.domain);
   return setup;
+}
+
+/// The solve-cache name of one fit: everything its outcome depends on —
+/// the slice, the solver configuration, the fit family and window, the
+/// domain — and the search settings (box bounds, lattice resolution,
+/// refinement cap).  The fit's record lives under "<key>|<i>".
+std::string fit_key(const scenario& sc, const dataset_slice& slice,
+                    const calibration_setup& setup) {
+  const calibrate_spec& info = setup.info;
+  const fit::calibration_options& options = setup.problem.options;
+  std::string key = "fit|slice=" + slice.name + '#' +
+                    std::to_string(slice.fingerprint) + "|model=" + sc.model;
+  key += "|scheme=" + core::to_string(sc.scheme);
+  key += "|grid=" + std::to_string(sc.points_per_unit);
+  key += "|dt=" + format_full_precision(options.solver.dt);
+  // Distinguish the three fit families: their vectors have different
+  // layouts (and, for -fixed vs -spatial, different models behind equal
+  // (d, K) lattices).
+  if (info.fit_rate) {
+    key += "|rate=fit";
+  } else if (info.fit_spatial) {
+    key += "|rate=fit-m:" + resolve_rate_spec("preset", slice.metric);
+  } else {
+    key += "|rate=" + resolve_rate_spec("preset", slice.metric);
+  }
+  key += "|t0=" + format_full_precision(sc.t0);
+  key += "|fit_end=" + std::to_string(info.fit_end);
+  // Same convention as scenario_cache_key: non-line domains suffix their
+  // canonical label.
+  const core::domain& dom = setup.problem.start.dom;
+  if (!dom.is_line()) key += "|domain=" + dom.label();
+  key += "|box=" + join_full_precision({options.d_min, options.d_max,
+                                        options.k_min, options.k_max,
+                                        options.a_min, options.a_max,
+                                        options.b_min, options.b_max,
+                                        options.c_min, options.c_max,
+                                        options.m_min, options.m_max});
+  key += "|lattice=" + std::to_string(options.coarse_steps);
+  key += "|refine=" + std::to_string(options.refine_iterations);
+  return key;
+}
+
+/// A fit's record is n + 2 value entries: the n fitted coordinates x,
+/// then sse, then evaluations.
+std::string record_key(const std::string& key, std::size_t i) {
+  return key + '|' + std::to_string(i);
+}
+
+/// The fit recorded under `key`, or nullopt.  Any missing number — an
+/// LRU cap may have evicted part of the record — is a miss: the fit
+/// reruns and stores the same bits again.
+std::optional<fit::calibration_result> find_fit(
+    solve_cache& cache, const std::string& key,
+    const fit::calibration_problem& problem) {
+  const fit::calibration_options& options = problem.options;
+  const std::size_t n =
+      2 + (options.fit_rate ? 3 : 0) + options.spatial_groups;
+  std::vector<double> numbers;
+  numbers.reserve(n + 2);
+  for (std::size_t i = 0; i < n + 2; ++i) {
+    const std::optional<double> value = cache.find_value(record_key(key, i));
+    if (!value) return std::nullopt;
+    numbers.push_back(*value);
+  }
+  // A count no build writes (a crafted cache file) is a miss too, never
+  // a float-to-int cast out of range.
+  const double evaluations = numbers[n + 1];
+  if (!(evaluations >= 0.0 && evaluations < 0x1p53)) return std::nullopt;
+  fit::calibration_result fit;
+  fit.evaluations = static_cast<std::size_t>(evaluations);
+  fit.sse = numbers[n];
+  numbers.resize(n);
+  fit.x = std::move(numbers);
+  fit.params = fit::params_from_vector(problem.start, fit.x, options);
+  return fit;
+}
+
+void store_fit(solve_cache& cache, const std::string& key,
+               const fit::calibration_result& fit) {
+  const std::size_t n = fit.x.size();
+  for (std::size_t i = 0; i < n; ++i)
+    cache.store_value(record_key(key, i), fit.x[i]);
+  cache.store_value(record_key(key, n), fit.sse);
+  cache.store_value(record_key(key, n + 1),
+                    static_cast<double>(fit.evaluations));
 }
 
 scenario_calibration to_calibration(fit::calibration_result fit,
@@ -240,21 +272,35 @@ std::vector<scenario_calibration> calibrate_scenarios(
   std::vector<calibration_setup> setups;
   setups.reserve(scenarios.size());
   for (std::size_t i = 0; i < scenarios.size(); ++i)
-    setups.push_back(
-        setup_calibration(scenarios[i], *slices[i], base, cache, pool));
+    setups.push_back(setup_calibration(scenarios[i], *slices[i], base, pool));
+  // Recorded fits are read back; only the rest are searched, in lockstep.
+  std::vector<std::optional<fit::calibration_result>> fits(setups.size());
+  std::vector<std::string> keys(setups.size());
+  std::vector<std::size_t> missed;
   std::vector<fit::calibration_problem> problems;
-  problems.reserve(setups.size());
-  for (calibration_setup& setup : setups) {
+  for (std::size_t i = 0; i < setups.size(); ++i) {
+    calibration_setup& setup = setups[i];
     setup.problem.window = &setup.window;
+    if (cache != nullptr) {
+      keys[i] = fit_key(scenarios[i], *slices[i], setup);
+      fits[i] = find_fit(*cache, keys[i], setup.problem);
+      if (fits[i]) continue;
+    }
+    missed.push_back(i);
     problems.push_back(std::move(setup.problem));
   }
-  std::vector<fit::calibration_result> fits =
+  std::vector<fit::calibration_result> searched =
       fit::calibrate_dl(problems, width);
+  for (std::size_t m = 0; m < missed.size(); ++m) {
+    const std::size_t i = missed[m];
+    if (cache != nullptr) store_fit(*cache, keys[i], searched[m]);
+    fits[i] = std::move(searched[m]);
+  }
   std::vector<scenario_calibration> results;
   results.reserve(fits.size());
   for (std::size_t i = 0; i < fits.size(); ++i)
     results.push_back(
-        to_calibration(std::move(fits[i]), setups[i].info, *slices[i]));
+        to_calibration(std::move(*fits[i]), setups[i].info, *slices[i]));
   return results;
 }
 

@@ -18,11 +18,9 @@
 // solves.  The fitted parameters are applied as (d, K) overrides plus a
 // concrete resolved rate spec ("decay:<a>,<b>,<c>" or the preset name),
 // compatible fits run in lockstep (calibrate_scenarios), the coarse
-// calibration lattice fans out over the engine thread pool,
-// and every objective evaluation is memoized in the solve cache so
-// repeated probes of the same parameter vector — dozens per Nelder–Mead
-// refinement, and everything on a warm repeat of the sweep — skip the
-// PDE solve entirely.
+// calibration lattice fans out over the engine thread pool, and each
+// finished fit is memoized in the solve cache as one small record, so a
+// warm repeat of the fit is a lookup and no PDE solve.
 #pragma once
 
 #include <cstddef>
@@ -65,7 +63,7 @@ struct calibrate_spec {
 
 /// Outcome of calibrating one scenario.
 struct scenario_calibration {
-  fit::calibration_result fit;  ///< fitted params + SSE + solve counts
+  fit::calibration_result fit;  ///< fitted params + SSE + evaluations
   /// The concrete rate spec the fitted model uses: "decay:<a>,<b>,<c>"
   /// (full %.17g precision, so it re-parses exactly) for "calibrate",
   /// the canonical preset name for "calibrate-fixed", and
@@ -82,14 +80,17 @@ struct scenario_calibration {
 /// rounds solve their probes in core::solve_dl calls of at most `width`
 /// lanes.  `base` carries the box bounds / lattice resolution /
 /// refinement cap; its solver options and fit_rate flag are overwritten
-/// from each scenario and its spec.  `cache` (nullable) memoizes
-/// objective values keyed on the scenario identity + probed parameter
-/// vector; `pool` (nullable) runs rounds that need several solve calls
-/// (the coarse lattice) as one batch.  Every result — fit, counters,
-/// cache entries — is bitwise what calibrating that scenario alone
-/// gives, provided no two scenarios share a slice and a calibration key
-/// (engine::batch_sweep never groups such a pair).  Throws
-/// std::invalid_argument for a malformed spec before any probe runs.
+/// from each scenario and its spec.  `cache` (nullable) memoizes whole
+/// fits: each is one record of n + 2 value entries — the n fitted
+/// coordinates, the SSE and the evaluation count — named by the
+/// scenario's fit identity plus the search settings.  A scenario whose
+/// record is whole in the cache is read back and not searched; the rest
+/// run in one fit::calibrate_dl and store their records.  `pool`
+/// (nullable) runs rounds that need several solve calls (the coarse
+/// lattice) as one batch.  Every result — fit, evaluation count, cache
+/// entries — is bitwise what calibrating that scenario alone gives,
+/// warm or cold.  Throws std::invalid_argument for a malformed spec
+/// before any probe runs.
 [[nodiscard]] std::vector<scenario_calibration> calibrate_scenarios(
     std::span<const scenario> scenarios,
     std::span<const dataset_slice* const> slices,

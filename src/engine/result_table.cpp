@@ -20,7 +20,6 @@ const std::vector<std::string>& base_columns() {
   return columns;
 }
 
-constexpr std::string_view kCacheColumns[] = {"fit_solves", "fit_hits"};
 constexpr std::string_view kTimingColumn = "wall_ms";
 /// Emitted right after the base columns, but only when some row solved a
 /// non-line domain — line-only sweeps keep their historical byte-exact
@@ -175,12 +174,6 @@ std::string result_table::to_csv(const csv_options& options) const {
     out += ',';
     out += kDomainColumn;
   }
-  if (options.include_cache_stats) {
-    for (const std::string_view column : kCacheColumns) {
-      out += ',';
-      out += column;
-    }
-  }
   if (options.include_timing) {
     out += ',';
     out += kTimingColumn;
@@ -208,10 +201,6 @@ std::string result_table::to_csv(const csv_options& options) const {
     out += ',' + format_full_precision(r.fit_sse);
     out += ',' + std::to_string(r.fit_evals);
     if (with_domain) out += ',' + csv_field(r.domain);
-    if (options.include_cache_stats) {
-      out += ',' + std::to_string(r.fit_solves);
-      out += ',' + std::to_string(r.fit_hits);
-    }
     if (options.include_timing) out += ',' + format_full_precision(r.wall_ms);
     out += '\n';
   }
@@ -223,8 +212,8 @@ result_table result_table::from_csv(std::string_view csv) {
   if (records.empty())
     throw std::invalid_argument("result_table: empty CSV");
 
-  // Header: the base columns, optionally followed by the cache-stat pair
-  // and/or the timing column.
+  // Header: the base columns, optionally followed by the domain and/or
+  // the timing column.
   const std::vector<std::string>& base = base_columns();
   const std::vector<std::string>& header = records.front();
   const auto bad_header = [&] {
@@ -239,12 +228,6 @@ result_table result_table::from_csv(std::string_view csv) {
   if (at < header.size() && header[at] == kDomainColumn) {
     with_domain = true;
     ++at;
-  }
-  bool with_cache = false;
-  if (at + 1 < header.size() && header[at] == kCacheColumns[0] &&
-      header[at + 1] == kCacheColumns[1]) {
-    with_cache = true;
-    at += 2;
   }
   bool with_timing = false;
   if (at < header.size() && header[at] == kTimingColumn) {
@@ -285,11 +268,6 @@ result_table result_table::from_csv(std::string_view csv) {
     r.fit_evals = parse_csv_size(f[21]);
     std::size_t next = 22;
     if (with_domain) r.domain = f[next++];
-    if (with_cache) {
-      r.fit_solves = parse_csv_size(f[next]);
-      r.fit_hits = parse_csv_size(f[next + 1]);
-      next += 2;
-    }
     if (with_timing) r.wall_ms = parse_csv_double(f[next]);
     rows.push_back(std::move(r));
   }

@@ -3,13 +3,13 @@
 // Rows carry the full scenario description (so a CSV line alone
 // reproduces the run), the accuracy score, the calibration outcome when
 // the scenario's rate spec was a "calibrate" form, and the wall time.
-// CSV export omits timing and the cache hit/miss split by default: two
-// runs of the same sweep — at any thread count, against a cold or a warm
-// solve cache — must produce byte-identical CSV, and those are the
-// nondeterministic columns.  String fields are quoted RFC-4180 style
-// (comma / quote / CR / LF trigger quoting, embedded quotes double), so
-// comma-bearing rate specs like "decay:1.4,1.5,0.25" — the exact form
-// calibration emits — round-trip exactly.
+// CSV export omits timing by default: two runs of the same sweep — at
+// any thread count, against a cold or a warm solve cache — must produce
+// byte-identical CSV, and timing is the nondeterministic column.  String
+// fields are quoted RFC-4180 style (comma / quote / CR / LF trigger
+// quoting, embedded quotes double), so comma-bearing rate specs like
+// "decay:1.4,1.5,0.25" — the exact form calibration emits — round-trip
+// exactly.
 #pragma once
 
 #include <cstddef>
@@ -58,24 +58,18 @@ struct result_row {
   std::vector<double> fit_m;
   double fit_sse = 0.0;       ///< objective at the optimum
   std::size_t fit_evals = 0;  ///< objective evaluations (deterministic)
-  /// How fit_evals split between real PDE solves and solve-cache hits.
-  /// Depends on cache warmth and scheduling — excluded from same_result
-  /// and from CSV unless csv_options::include_cache_stats.
-  std::size_t fit_solves = 0;
-  std::size_t fit_hits = 0;
   /// Wall time of the scenario: solve + scoring, plus the whole
   /// calibration fit for calibrate rows (which dominates it there).
   double wall_ms = 0.0;
 
-  /// Equality over everything except wall_ms and the fit_solves/fit_hits
-  /// split (the nondeterministic fields).
+  /// Equality over everything except wall_ms (the nondeterministic
+  /// field).
   [[nodiscard]] bool same_result(const result_row& other) const;
 };
 
 /// Controls CSV rendering.
 struct csv_options {
-  bool include_timing = false;       ///< append the wall_ms column
-  bool include_cache_stats = false;  ///< append fit_solves/fit_hits
+  bool include_timing = false;  ///< append the wall_ms column
 };
 
 class result_table {

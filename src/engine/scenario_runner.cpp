@@ -36,7 +36,7 @@ struct batch_key {
   /// Solve groups: the slice every lane solves on.  Calibrate groups:
   /// how many earlier scenarios of the group's key used the same slice,
   /// so a chunk never holds one slice twice and no two lanes of a
-  /// lockstep round probe the same calibration key.
+  /// lockstep calibration search the same fit.
   std::size_t slice = 0;
   std::string calibrate;  ///< the calibrate spec; empty for solve groups
   core::dl_scheme scheme = core::dl_scheme::strang_cn;
@@ -368,8 +368,6 @@ sweep_result run_sweep(const scenario_context& context,
         row.fit_m = cal->multipliers;
         row.fit_sse = cal->fit.sse;
         row.fit_evals = cal->fit.evaluations;
-        row.fit_solves = cal->fit.pde_solves;
-        row.fit_hits = cal->fit.cache_hits;
       }
       if (options.keep_traces) result.traces[local[i]] = std::move(trace);
     };

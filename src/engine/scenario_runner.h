@@ -118,9 +118,9 @@ struct sweep_result {
 /// they share model, scheme, grid, dt, window, domain and the exact
 /// calibrate spec, the model can fit that spec, and they lie on
 /// different slices (a repeat of a slice starts a group of its own, so
-/// no two lanes of a lockstep round probe one cache key); such a group
-/// is dealt round-robin into chunks.  Everything else becomes a chunk of
-/// one.  `batch_width` as in runner_options (0 → auto).
+/// no two lanes of a lockstep calibration search the same fit); such a
+/// group is dealt round-robin into chunks.  Everything else becomes a
+/// chunk of one.  `batch_width` as in runner_options (0 → auto).
 [[nodiscard]] std::vector<std::vector<std::size_t>> batch_sweep(
     std::span<const scenario> scenarios,
     const model_registry& registry = default_registry(),

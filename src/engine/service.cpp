@@ -269,8 +269,7 @@ model_trace parse_trace_reply(const std::string& reply) {
 }
 
 /// The "calibrate" reply ("ok fit d=... k=... a=... b=... c=... m=...
-/// sse=... evals=... rate=...") as the calibration it reports.  The
-/// server's pde_solves / cache_hits are not on the wire and stay 0.
+/// sse=... evals=... rate=...") as the calibration it reports.
 scenario_calibration parse_fit_reply(const std::string& reply) {
   const std::vector<std::string> tokens = tokenize(reply);
   if (tokens.size() < 2 || tokens[0] != "ok" || tokens[1] != "fit")
@@ -731,7 +730,7 @@ std::string dl_service::handle_request(const std::string& payload,
     const std::unique_ptr<diffusion_model> model = registry.make(args.sc.model);
 
     // Calibrate specs resolve exactly as in run_sweep: fit on the early
-    // window (lattice fanned out over the resident pool, every probe
+    // window (lattice fanned out over the resident pool, the fit's record
     // memoized in the resident cache), then solve the rewritten scenario.
     solve_cache& cache = this->cache();
     const prepared_solve prepared = prepare_solve(

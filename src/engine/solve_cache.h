@@ -2,9 +2,9 @@
 //
 // A sweep frequently re-solves identical work: the same scenario repeated
 // across sweeps, the reference scenario of an ablation, and — dominating
-// everything — the dozens to hundreds of PDE solves a calibration run
-// spends probing the same parameter vectors.  The cache stores both kinds
-// of payload under one canonical string key:
+// everything — the hundreds of PDE solves one calibration fit spends on
+// its lattice and Nelder–Mead probes.  The cache stores both kinds of
+// payload under one canonical string key:
 //
 //  * traces  — the model_trace of a full scenario solve, keyed by
 //              `scenario_cache_key` (slice name + content fingerprint +
@@ -13,14 +13,18 @@
 //              records, so cache identity == CSV identity, plus the
 //              fingerprint guarding against name collisions when one
 //              cache is shared across contexts);
-//  * values  — scalar objective values (calibration SSE), keyed by the
-//              scenario key extended with the probed parameter vector.
+//  * values  — the numbers of calibration fit records: one fit is n + 2
+//              values (its n fitted coordinates, its SSE and its
+//              evaluation count) under "<fit key>|0" .. "|n+1", where the
+//              fit key names the slice, solver configuration, fit family
+//              and window, and the search settings
+//              (engine::calibrate_scenarios).  Probes are not memoized.
 //
-// Lookups are thread-safe; hit/miss counts are tracked so calibration can
-// report how many PDE solves were real vs served from cache.  The cache
-// is unbounded by default; constructing it with `max_entries > 0` caps
-// the combined trace + value count with least-recently-used eviction
-// (finds refresh recency, evictions are counted in the stats).
+// Lookups are thread-safe; hit/miss counts are tracked for the stats a
+// sweep or the service reports.  The cache is unbounded by default;
+// constructing it with `max_entries > 0` caps the combined trace + value
+// count with least-recently-used eviction (finds refresh recency,
+// evictions are counted in the stats).
 //
 // Entry layout: each key is stored once, in its hash-map node.  The
 // recency list is threaded through the entries themselves (prev/next

@@ -12,7 +12,6 @@
 #include "numerics/optimize/nelder_mead.h"
 
 namespace dlm::fit {
-namespace {
 
 core::dl_parameters params_from_vector(const core::dl_parameters& base,
                                        std::span<const double> v,
@@ -38,6 +37,8 @@ core::dl_parameters params_from_vector(const core::dl_parameters& base,
   }
   return p;
 }
+
+namespace {
 
 /// The solver configuration of one probe: the problem's, with the
 /// engine adapter's FTCS stability clamp (dt <= dx²/(2d)) mirrored per
@@ -169,8 +170,7 @@ std::vector<calibration_result> calibrate_dl(
   lanes.reserve(problems.size());
   for (const calibration_problem& problem : problems)
     lanes.emplace_back(problem);
-  std::vector<std::size_t> pde_solves(problems.size(), 0);
-  std::vector<std::size_t> cache_hits(problems.size(), 0);
+  std::vector<std::size_t> evaluations(problems.size(), 0);
   width = std::max<std::size_t>(width, 1);
 
   const auto& run_batch = problems.front().options.run_batch;
@@ -178,8 +178,6 @@ std::vector<calibration_result> calibrate_dl(
   std::vector<std::size_t> lane_of;
   std::vector<std::span<const double>> points;
   std::vector<double> values;
-  std::vector<std::size_t> misses;
-  std::vector<std::string> miss_keys;  // index-aligned with misses
   for (;;) {
     lane_of.clear();
     points.clear();
@@ -191,31 +189,14 @@ std::vector<calibration_result> calibrate_dl(
     if (points.empty()) break;
 
     values.assign(points.size(), 0.0);
-    misses.clear();
-    miss_keys.clear();
-    for (std::size_t p = 0; p < points.size(); ++p) {
-      const calibration_options& options = problems[lane_of[p]].options;
-      std::string key;
-      if (options.cache_find) {
-        if (const std::optional<double> cached =
-                options.cache_find(points[p], key)) {
-          ++cache_hits[lane_of[p]];
-          values[p] = *cached;
-          continue;
-        }
-      }
-      misses.push_back(p);
-      miss_keys.push_back(std::move(key));
-    }
 
-    // The misses, in solve calls of at most `width` lanes.
+    // The points, in solve calls of at most `width` lanes.
     const auto solve_call = [&](std::size_t from, std::size_t to) {
       std::vector<core::dl_parameters> params;
       params.reserve(to - from);
       std::vector<sse_probe> probes;
       probes.reserve(to - from);
-      for (std::size_t m = from; m < to; ++m) {
-        const std::size_t p = misses[m];
+      for (std::size_t p = from; p < to; ++p) {
         const calibration_problem& problem = problems[lane_of[p]];
         params.push_back(
             params_from_vector(problem.start, points[p], problem.options));
@@ -223,26 +204,21 @@ std::vector<calibration_result> calibrate_dl(
                           probe_solver(problem.options, params.back())});
       }
       const std::vector<double> sse = dl_sse(probes);
-      for (std::size_t m = from; m < to; ++m) values[misses[m]] = sse[m - from];
+      std::copy(sse.begin(), sse.end(),
+                values.begin() + static_cast<std::ptrdiff_t>(from));
     };
-    if (misses.size() <= width || !run_batch) {
-      for (std::size_t from = 0; from < misses.size(); from += width)
-        solve_call(from, std::min(from + width, misses.size()));
+    if (points.size() <= width || !run_batch) {
+      for (std::size_t from = 0; from < points.size(); from += width)
+        solve_call(from, std::min(from + width, points.size()));
     } else {
       std::vector<std::function<void()>> tasks;
-      for (std::size_t from = 0; from < misses.size(); from += width)
+      for (std::size_t from = 0; from < points.size(); from += width)
         tasks.push_back([&, from] {
-          solve_call(from, std::min(from + width, misses.size()));
+          solve_call(from, std::min(from + width, points.size()));
         });
       run_batch(std::move(tasks));
     }
-    for (std::size_t m = 0; m < misses.size(); ++m) {
-      const std::size_t p = misses[m];
-      ++pde_solves[lane_of[p]];
-      const calibration_options& options = problems[lane_of[p]].options;
-      if (options.cache_store)
-        options.cache_store(std::move(miss_keys[m]), values[p]);
-    }
+    for (const std::size_t l : lane_of) ++evaluations[l];
 
     // Tell every lane its values; a lane's probes are contiguous.
     for (std::size_t p = 0; p < points.size();) {
@@ -263,10 +239,7 @@ std::vector<calibration_result> calibrate_dl(
         params_from_vector(problems[l].start, refined.x, problems[l].options);
     result.x = refined.x;
     result.sse = refined.f_value;
-    result.pde_solves = pde_solves[l];
-    result.cache_hits = cache_hits[l];
-    result.evaluations = result.pde_solves + result.cache_hits;
-    result.converged = refined.converged;
+    result.evaluations = evaluations[l];
   }
   return results;
 }

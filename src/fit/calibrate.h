@@ -5,9 +5,10 @@
 // paper's growth-rate family.  The paper tunes by hand; this automates the
 // same procedure and is reachable either directly (this header) or as the
 // engine workload behind the "calibrate" growth-rate spec
-// (engine::scenario_runner), which memoizes objective values in a solve
+// (engine::calibrate_scenarios), which memoizes whole fits in a solve
 // cache and fans the lattice out over the engine thread pool via the
-// hooks below.
+// run_batch hook below.  The search itself keeps no memo: every point it
+// asks for is solved.
 //
 // The fit is an ask/tell search: it asks for the whole lattice, then for
 // one Nelder–Mead point at a time.  Several fits run in lockstep — one
@@ -19,9 +20,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "core/dl_parameters.h"
@@ -52,20 +51,6 @@ struct calibration_options {
   std::size_t refine_iterations = 600;  ///< Nelder–Mead iteration cap
   core::dl_solver_options solver{};
 
-  /// Optional memoization hooks, set both or neither.
-  /// `cache_find(v, key)` writes parameter vector `v`'s name into `key`
-  /// and returns the objective value previously stored under it (or
-  /// nullopt); on a miss that same name is moved into `cache_store(key,
-  /// f)`, which records the freshly solved value, so each probe's name is
-  /// built once.  When set, every lookup is counted in
-  /// calibration_result::cache_hits / pde_solves so the reported "PDE
-  /// solves spent" stays truthful instead of silently shrinking as the
-  /// cache warms up.  Hooks run only on the thread that called
-  /// calibrate_dl, in probe order.
-  std::function<std::optional<double>(std::span<const double>, std::string&)>
-      cache_find;
-  std::function<void(std::string, double)> cache_store;
-
   /// Optional batch executor for rounds that need more than one solve
   /// call (the coarse lattice): receives one task per call and must run
   /// them all before returning (order free — each task owns its output
@@ -84,11 +69,15 @@ struct calibration_result {
   /// core::growth_rate does not expose its constants.
   std::vector<double> x;
   double sse = 0.0;            ///< objective at the optimum
-  std::size_t evaluations = 0; ///< objective evaluations (solves + hits)
-  std::size_t pde_solves = 0;  ///< evaluations that actually solved the PDE
-  std::size_t cache_hits = 0;  ///< evaluations served from the memo hooks
-  bool converged = false;
+  std::size_t evaluations = 0; ///< objective evaluations (PDE solves)
 };
+
+/// The parameters optimizer vector `v` stands for: `base` with d, K and —
+/// per options.fit_rate / spatial_groups — the fitted rate replaced.
+/// calibration_result::params is this of calibration_result::x.
+[[nodiscard]] core::dl_parameters params_from_vector(
+    const core::dl_parameters& base, std::span<const double> v,
+    const calibration_options& options);
 
 /// Calibrates DL parameters against `window`, starting from `start`
 /// (which also fixes x_min/x_max and, when !fit_rate, the rate function).
@@ -113,15 +102,11 @@ struct calibration_problem {
 /// problem order, each bitwise equal to calibrating that problem alone
 /// (same probes, values, counters and fit).  Each round asks every
 /// unfinished search for its points (a search asks for its whole lattice
-/// first, then one Nelder–Mead point per round), looks them up in the
-/// problem's cache hooks in order, solves the misses in core::solve_dl
-/// calls of at most `width` probes (one call per round when the round
-/// fits; more calls go through the first problem's run_batch), stores
-/// the fresh values in order and tells each search its values.  Problems
-/// must not share cache keys — a key two lanes probe in the same round
-/// would be solved by both — which the engine guarantees by never
-/// putting one slice in two lanes.  Throws like the single overload; a
-/// failed lane throws as soon as its lattice round is told.
+/// first, then one Nelder–Mead point per round), solves them in
+/// core::solve_dl calls of at most `width` probes (one call per round
+/// when the round fits; more calls go through the first problem's
+/// run_batch) and tells each search its values.  Throws like the single
+/// overload; a failed lane throws as soon as its lattice round is told.
 [[nodiscard]] std::vector<calibration_result> calibrate_dl(
     std::span<const calibration_problem> problems, std::size_t width);
 

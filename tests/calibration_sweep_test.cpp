@@ -1,6 +1,7 @@
 // End-to-end tests of the engine calibration workload: "calibrate" rate
 // specs running fit::calibrate_dl on the thread pool behind run_sweep,
-// memoized in the solve cache, recorded in the result-table fit columns,
+// memoized per fit in the solve cache, recorded in the result-table fit
+// columns,
 // and fitted in lockstep across the slices of a batch_sweep chunk.
 
 #include "engine/calibration.h"
@@ -9,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -130,9 +132,6 @@ TEST(CalibrationSweep, FixedRateSweepRecoversDiffusionAndCapacity) {
   EXPECT_DOUBLE_EQ(row.fit_a, 0.0);  // rate kept, not fitted
   EXPECT_LT(row.fit_sse, 1e-3);
   EXPECT_GT(row.fit_evals, 10u);
-  // Without a cache every evaluation is a real solve.
-  EXPECT_EQ(row.fit_solves, row.fit_evals);
-  EXPECT_EQ(row.fit_hits, 0u);
   // The fitted model must explain the full surface almost perfectly.
   EXPECT_GT(row.accuracy, 0.97);
 }
@@ -220,17 +219,16 @@ TEST(CalibrationSweep, FullCalibrationRecoversRateFamilyEndToEnd) {
   // the CSV — including the deterministic fit_evals column — identical
   // byte for byte at a different thread count.
   const cache_stats after_cold = cache.stats();
+  const std::size_t cold_entries = cache.size();
   runner_options warm_options = options;
   warm_options.threads = 4;
   const sweep_result warm = run_sweep(ctx, spec, warm_options);
   const cache_stats after_warm = cache.stats();
   EXPECT_EQ(after_warm.misses, after_cold.misses);
   EXPECT_GT(after_warm.hits, after_cold.hits);
+  // The fit came from its record: no new entry, so no new solve.
+  EXPECT_EQ(cache.size(), cold_entries);
   EXPECT_EQ(warm.table.to_csv(), csv);
-  // The warm row's solve split is all hits — reported truthfully rather
-  // than pretending the PDE ran again.
-  EXPECT_EQ(warm.table.row(1).fit_solves, 0u);
-  EXPECT_EQ(warm.table.row(1).fit_hits, warm.table.row(1).fit_evals);
 
   // A cold sweep at 1 thread (fresh cache) must agree byte for byte with
   // the pooled cold sweep: the calibration lattice fans out over the
@@ -284,8 +282,7 @@ TEST(CalibrationSweep, LockstepLanesKeepCsvAndCacheBytesAtAnyWidth) {
   // calibrate + calibrate-spatial over four slices on every scheme: at
   // batch_width 1 each fit runs alone; at auto the fits of a chunk share
   // rounds (strang-cn and implicit-newton probes as SoA lanes).  Rows —
-  // fit_evals and the solve/hit split included — and the saved cache
-  // must not move by a byte.
+  // fit_evals included — and the saved cache must not move by a byte.
   const scenario_context ctx = four_slices();
   sweep_spec spec;
   spec.models = {"dl"};
@@ -328,6 +325,140 @@ TEST(CalibrationSweep, LockstepLanesKeepCsvAndCacheBytesAtAnyWidth) {
   EXPECT_EQ(csv[1], csv[0]);
   EXPECT_FALSE(saved[0].empty());
   EXPECT_EQ(saved[1], saved[0]);
+}
+
+/// One truth surface swept with "calibrate-fixed" and "calibrate" on two
+/// grids: fits of both record sizes (4 and 7 numbers).
+sweep_spec two_fit_spec() {
+  sweep_spec spec;
+  spec.models = {"dl"};
+  spec.grid = {10, 20};
+  spec.rates = {"calibrate-fixed:3", "calibrate"};
+  spec.t_end = 6.0;
+  return spec;
+}
+
+runner_options two_fit_options(solve_cache* cache) {
+  runner_options options;
+  options.cache = cache;
+  options.threads = 2;
+  options.calibration.coarse_steps = 2;
+  options.calibration.refine_iterations = 60;
+  return options;
+}
+
+TEST(CalibrationSweep, FitRecordKeyCoversTheSearchSettings) {
+  // A fit depends on its box and its search budget: sweeps that differ
+  // only there must not read each other's records from a shared cache.
+  core::dl_parameters truth = core::dl_parameters::paper_hops(6.0);
+  truth.d = 0.08;
+  truth.k = 20.0;
+  const scenario_context ctx = surface_from_truth(truth, 6);
+  const sweep_spec spec = two_fit_spec();
+
+  runner_options lattice3 = two_fit_options(nullptr);
+  lattice3.calibration.coarse_steps = 3;
+  runner_options lattice4 = lattice3;
+  lattice4.calibration.coarse_steps = 4;
+  runner_options narrow = lattice3;
+  narrow.calibration.d_max = 0.2;
+
+  solve_cache shared;
+  std::vector<std::string> shared_csv;
+  for (runner_options options : {lattice3, lattice4, narrow}) {
+    options.cache = &shared;
+    shared_csv.push_back(run_sweep(ctx, spec, options).table.to_csv());
+  }
+  std::size_t i = 0;
+  for (runner_options options : {lattice3, lattice4, narrow}) {
+    solve_cache fresh;
+    options.cache = &fresh;
+    EXPECT_EQ(shared_csv[i], run_sweep(ctx, spec, options).table.to_csv())
+        << "settings " << i;
+    ++i;
+  }
+  // The settings do move the fits, so a key without them would collide.
+  EXPECT_NE(shared_csv[0], shared_csv[1]);
+  EXPECT_NE(shared_csv[0], shared_csv[2]);
+}
+
+TEST(CalibrationSweep, CappedCacheNeverReadsAPartialRecord) {
+  // Three entries hold less than one "calibrate" record (5 coordinates,
+  // SSE, evaluations): every record is evicted in part as it is stored.
+  // The partial leftovers must read as misses — twice over the same
+  // capped cache — and the fits rerun to the unbounded run's bytes.
+  core::dl_parameters truth = core::dl_parameters::paper_hops(6.0);
+  truth.d = 0.06;
+  truth.k = 22.0;
+  truth.r = core::growth_rate::exponential_decay(1.2, 1.0, 0.3);
+  const scenario_context ctx = surface_from_truth(truth, 6);
+  const sweep_spec spec = two_fit_spec();
+
+  solve_cache unbounded;
+  const std::string expected =
+      run_sweep(ctx, spec, two_fit_options(&unbounded)).table.to_csv();
+  solve_cache capped(3);
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::size_t misses_before = capped.stats().misses;
+    EXPECT_EQ(run_sweep(ctx, spec, two_fit_options(&capped)).table.to_csv(),
+              expected)
+        << "pass " << pass;
+    // Every fit and every trace missed again.
+    EXPECT_EQ(capped.stats().misses - misses_before, 8u) << "pass " << pass;
+    EXPECT_LE(capped.size(), 3u);
+  }
+
+  // One fit alone leaves exactly its record's tail (SSE, evaluations and
+  // the last coordinate) in the capped cache: the repeat must miss and
+  // refit, not complete the record from what is left.
+  const std::vector<scenario> scenarios = expand_sweep(spec, ctx);
+  const scenario& fit_all = scenarios.back();
+  ASSERT_EQ(fit_all.rate, "calibrate");
+  const dataset_slice* const slices[] = {&ctx.slice(fit_all.slice)};
+  const fit::calibration_options& base = two_fit_options(nullptr).calibration;
+  const scenario_calibration reference =
+      calibrate_scenarios({&fit_all, 1}, slices, base, nullptr, nullptr, 1)
+          .front();
+  solve_cache tail(3);
+  for (int pass = 0; pass < 2; ++pass) {
+    const scenario_calibration cal =
+        calibrate_scenarios({&fit_all, 1}, slices, base, &tail, nullptr, 1)
+            .front();
+    EXPECT_EQ(cal.fit.x, reference.fit.x) << "pass " << pass;
+    EXPECT_EQ(cal.fit.sse, reference.fit.sse) << "pass " << pass;
+    EXPECT_EQ(cal.fit.evaluations, reference.fit.evaluations);
+    EXPECT_EQ(tail.stats().misses, pass + 1u);
+  }
+}
+
+TEST(CalibrationSweep, RecordWithANonCountEvaluationNumberIsAMiss) {
+  // A cache file is outside input: a fit record whose last number (the
+  // evaluation count) is no count must read as a miss and refit, never
+  // reach a float-to-integer cast.
+  core::dl_parameters truth = core::dl_parameters::paper_hops(6.0);
+  truth.d = 0.08;
+  truth.k = 20.0;
+  const scenario_context ctx = surface_from_truth(truth, 6);
+  sweep_spec spec;
+  spec.models = {"dl"};
+  spec.rates = {"calibrate-fixed:3"};
+  spec.t_end = 6.0;
+
+  solve_cache cold;
+  const std::string csv =
+      run_sweep(ctx, spec, two_fit_options(&cold)).table.to_csv();
+  const std::vector<solve_cache::value_export> record = cold.export_values();
+  ASSERT_EQ(record.size(), 4u);  // d, K, SSE, evaluations
+  ASSERT_TRUE(record.back().key.ends_with("|3"));
+  for (const double bad : {std::nan(""), -1.0, 1e300}) {
+    solve_cache crafted;
+    for (const solve_cache::value_export& entry : record)
+      crafted.import_value(entry.key,
+                           &entry == &record.back() ? bad : entry.value);
+    EXPECT_EQ(run_sweep(ctx, spec, two_fit_options(&crafted)).table.to_csv(),
+              csv)
+        << bad;
+  }
 }
 
 TEST(BatchSweep, CalibrateChunksNeverMixIncompatibleKeys) {

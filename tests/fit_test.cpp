@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
-#include <optional>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -120,62 +119,38 @@ TEST(CalibrateDl, RejectsDegenerateLatticeConfiguration) {
                std::invalid_argument);
 }
 
-TEST(CalibrateDl, MemoHooksKeepSolveCountsTruthful) {
+TEST(CalibrateDl, BatchExecutorOrderDoesNotChangeTheFit) {
   core::dl_parameters truth = core::dl_parameters::paper_hops(6.0);
   truth.d = 0.08;
   truth.k = 20.0;
   const fit::observation_window window = window_from_model(truth);
 
-  // A toy memo store standing in for the engine solve cache, keyed on
-  // the vector's bytes.
-  std::map<std::string, double> memo;
   fit::calibration_options options;
   options.fit_rate = false;
   options.coarse_steps = 3;
   options.d_max = 0.3;
   options.k_min = 5.0;
   options.k_max = 50.0;
-  options.cache_find = [&memo](std::span<const double> v,
-                               std::string& key) -> std::optional<double> {
-    key.assign(reinterpret_cast<const char*>(v.data()), v.size_bytes());
-    const auto it = memo.find(key);
-    if (it == memo.end()) return std::nullopt;
-    return it->second;
-  };
-  options.cache_store = [&memo](std::string key, double value) {
-    memo.emplace(std::move(key), value);
-  };
-
   const core::dl_parameters start = core::dl_parameters::paper_hops(6.0);
-  const fit::calibration_result cold = fit::calibrate_dl(window, start,
-                                                         options);
-  EXPECT_EQ(cold.evaluations, cold.pde_solves + cold.cache_hits);
-  EXPECT_GT(cold.pde_solves, 0u);
-
-  // Re-running against the warm memo must spend zero PDE solves, report
-  // the split truthfully, and land on the identical optimum.
-  const fit::calibration_result warm = fit::calibrate_dl(window, start,
-                                                         options);
-  EXPECT_EQ(warm.pde_solves, 0u);
-  EXPECT_EQ(warm.cache_hits, warm.evaluations);
-  EXPECT_EQ(warm.evaluations, cold.evaluations);
-  EXPECT_EQ(warm.x, cold.x);
-  EXPECT_DOUBLE_EQ(warm.sse, cold.sse);
+  const fit::calibration_result serial = fit::calibrate_dl(window, start,
+                                                           options);
 
   // The batch hook (a deliberately out-of-order serial executor) must
   // not change the outcome: each lattice task owns its slot.
   fit::calibration_options batched = options;
-  std::map<std::vector<double>, double> fresh;
-  batched.cache_find = nullptr;
-  batched.cache_store = nullptr;
-  batched.run_batch = [](std::vector<std::function<void()>> tasks) {
-    for (auto it = tasks.rbegin(); it != tasks.rend(); ++it) (*it)();
+  std::size_t tasks_run = 0;
+  batched.run_batch = [&tasks_run](std::vector<std::function<void()>> tasks) {
+    for (auto it = tasks.rbegin(); it != tasks.rend(); ++it) {
+      (*it)();
+      ++tasks_run;
+    }
   };
   const fit::calibration_result via_batch = fit::calibrate_dl(window, start,
                                                               batched);
-  EXPECT_EQ(via_batch.x, cold.x);
-  EXPECT_EQ(via_batch.cache_hits, 0u);
-  EXPECT_EQ(via_batch.pde_solves, via_batch.evaluations);
+  EXPECT_EQ(tasks_run, 9u);  // the 3×3 lattice, one solve call a probe
+  EXPECT_EQ(via_batch.x, serial.x);
+  EXPECT_EQ(via_batch.sse, serial.sse);
+  EXPECT_EQ(via_batch.evaluations, serial.evaluations);
 }
 
 TEST(CalibrateDl, FitWhoseEveryProbeFailsThrowsNamingTheSolveFailure) {
@@ -185,13 +160,14 @@ TEST(CalibrateDl, FitWhoseEveryProbeFailsThrowsNamingTheSolveFailure) {
   options.fit_rate = false;
   options.coarse_steps = 3;
   options.solver.dt = 1e-300;  // every probe's step count overflows
-  std::size_t lookups = 0;
-  options.cache_find = [&lookups](std::span<const double>,
-                                  std::string&) -> std::optional<double> {
-    ++lookups;
-    return std::nullopt;
+  // Width 1 sends the lattice round through run_batch, one task a probe.
+  std::size_t probes = 0;
+  options.run_batch = [&probes](std::vector<std::function<void()>> tasks) {
+    for (const std::function<void()>& task : tasks) {
+      task();
+      ++probes;
+    }
   };
-  options.cache_store = [](std::string, double) {};
   try {
     (void)fit::calibrate_dl(window, core::dl_parameters::paper_hops(6.0),
                             options);
@@ -203,7 +179,7 @@ TEST(CalibrateDl, FitWhoseEveryProbeFailsThrowsNamingTheSolveFailure) {
               "below 2^53");
   }
   // The search stops after the lattice round: no Nelder–Mead on +inf.
-  EXPECT_EQ(lookups, 9u);
+  EXPECT_EQ(probes, 9u);
 }
 
 TEST(CalibrateDl, FailedProbesWithAFiniteBestKeepTheFit) {

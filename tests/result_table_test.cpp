@@ -90,8 +90,6 @@ TEST(ResultTable, CsvQuotesCommaBearingRateSpecs) {
   row.fit_c = 0.25;
   row.fit_sse = 1.5e-7;
   row.fit_evals = 841;
-  row.fit_solves = 500;
-  row.fit_hits = 341;
   // A second row whose *requested* spec is already comma-bearing, plus a
   // quote-and-comma-bearing slice name for the full RFC-4180 treatment.
   result_row second = sample_row(1);
@@ -115,37 +113,6 @@ TEST(ResultTable, CsvQuotesCommaBearingRateSpecs) {
   for (std::size_t i = 0; i < table.size(); ++i)
     EXPECT_TRUE(parsed.row(i).same_result(table.row(i))) << "row " << i;
   EXPECT_EQ(parsed.to_csv(), csv);
-}
-
-TEST(ResultTable, CacheStatColumnsAreOptInAndRoundTrip) {
-  result_row row = sample_row(0);
-  row.rate = "calibrate";
-  row.resolved_rate = "decay:1.2,0.9,0.1";
-  row.fit_evals = 100;
-  row.fit_solves = 60;
-  row.fit_hits = 40;
-  const result_table table({row});
-
-  // Default CSV: the solves/hits split (nondeterministic across cache
-  // warmth) is omitted, like timing.
-  const std::string plain = table.to_csv();
-  EXPECT_EQ(plain.find("fit_solves"), std::string::npos);
-  const result_table parsed_plain = result_table::from_csv(plain);
-  EXPECT_EQ(parsed_plain.row(0).fit_solves, 0u);
-  EXPECT_EQ(parsed_plain.row(0).fit_evals, 100u);
-
-  // Opt-in columns round-trip, in every combination with timing.
-  const csv_options both{.include_timing = true, .include_cache_stats = true};
-  const std::string full = table.to_csv(both);
-  const result_table parsed = result_table::from_csv(full);
-  EXPECT_EQ(parsed.row(0).fit_solves, 60u);
-  EXPECT_EQ(parsed.row(0).fit_hits, 40u);
-  EXPECT_DOUBLE_EQ(parsed.row(0).wall_ms, 1.25);
-  EXPECT_EQ(parsed.to_csv(both), full);
-
-  const csv_options stats_only{.include_cache_stats = true};
-  const std::string cache_csv = table.to_csv(stats_only);
-  EXPECT_EQ(result_table::from_csv(cache_csv).to_csv(stats_only), cache_csv);
 }
 
 TEST(ResultTable, BestPicksHighestAccuracy) {

@@ -22,6 +22,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -266,7 +267,7 @@ TEST(Service, CalibrateRecoversTheGeneratingParameters) {
   EXPECT_NEAR(d, 0.06, 0.01);  // the surface's generating parameters
   EXPECT_NEAR(k, 22.0, 1.0);
 
-  // Deterministic and — with every probe memoized — warm on repeat.
+  // Deterministic and — with the fit memoized — warm on repeat.
   EXPECT_EQ(client.request(req), reply);
   const std::string stats = client.request("stats");
   EXPECT_TRUE(stats.starts_with("ok stats ")) << stats;
@@ -276,6 +277,33 @@ TEST(Service, CalibrateRecoversTheGeneratingParameters) {
   EXPECT_TRUE(client.request("calibrate model=dl slice=" + ts.slice +
                              " rate=preset")
                   .starts_with("err calibrate requires"));
+}
+
+TEST(Service, CalibrateKeepsOneSmallRecordPerFit) {
+  // A resident calibrate stores its fit as one record of n + 2 numbers
+  // (d, K, a, b, c, SSE, evaluations) and none of its probes; a repeat
+  // reads the record back: no new entry, no miss, the same bytes.
+  test_service ts;
+  service_client client(ts.socket_path);
+  const std::string req =
+      "calibrate model=dl slice=" + ts.slice + " rate=calibrate";
+  const auto stat = [&client](std::string_view field) {
+    const std::string stats = client.request("stats");
+    std::string needle(" ");
+    needle.append(field).push_back('=');
+    const std::size_t at = stats.find(needle);
+    EXPECT_NE(at, std::string::npos) << stats;
+    return std::stoul(stats.substr(at + needle.size()));
+  };
+
+  const std::string reply = client.request(req);
+  ASSERT_TRUE(reply.starts_with("ok fit d=")) << reply;
+  EXPECT_EQ(stat("entries"), 7u);
+  const std::size_t misses = stat("misses");
+
+  EXPECT_EQ(client.request(req), reply);
+  EXPECT_EQ(stat("entries"), 7u);
+  EXPECT_EQ(stat("misses"), misses);
 }
 
 TEST(Service, CalibrateWithNoSolvableProbeAnswersAnError) {
@@ -451,7 +479,7 @@ TEST(Service, ShutdownMidRequestStillAnswersTheInFlightRequest) {
   EXPECT_TRUE(slow_reply.starts_with("ok fit d=")) << slow_reply;
 
   ts.service->stop();
-  // The calibrate's probes were flushed: the file loads warm.
+  // The calibrate's fit record was flushed: the file loads warm.
   solve_cache reloaded;
   const cache_load_result load = load_cache(reloaded, cache_file);
   ASSERT_TRUE(load.loaded) << load.error;

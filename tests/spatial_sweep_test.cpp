@@ -218,14 +218,14 @@ TEST(SpatialSweep, MixedSweepMemoizesAndRoundTripsDeterministically) {
   // Warm repeat: zero additional PDE solves, byte-identical CSV at a
   // different thread count.
   const cache_stats after_cold = cache.stats();
+  const std::size_t cold_entries = cache.size();
   runner_options warm_options = options;
   warm_options.threads = 4;
   const sweep_result warm = run_sweep(ctx, spec, warm_options);
   const cache_stats after_warm = cache.stats();
   EXPECT_EQ(after_warm.misses, after_cold.misses);
+  EXPECT_EQ(cache.size(), cold_entries);
   EXPECT_EQ(warm.table.to_csv(), csv);
-  EXPECT_EQ(warm.table.row(2).fit_solves, 0u);
-  EXPECT_EQ(warm.table.row(2).fit_hits, warm.table.row(2).fit_evals);
 
   // A fresh serial run agrees byte for byte with the pooled one.
   solve_cache fresh;

@@ -147,15 +147,15 @@ TEST(SolveAllocations, WarmSingleRequestSolveKeepsItsCount) {
 }
 
 TEST(CacheAllocations, StoreAllocatesOnlyTheMapNodeAndFindNothing) {
-  // Calibration-probe-shaped keys: far past the short-string buffer, so
-  // every copy of a key would be a heap allocation of its own.
+  // Fit-record-shaped keys: far past the short-string buffer, so every
+  // copy of a key would be a heap allocation of its own.
   constexpr std::size_t kEntries = 1000;
   const std::string prefix =
-      "cal|slice=bench#1234567890|model=dl|scheme=strang-cn|grid=20|"
-      "dt=0.02|rate=paper_hops|t0=1|fit_end=3|v=";
+      "fit|slice=bench#1234567890|model=dl|scheme=strang-cn|grid=20|"
+      "dt=0.02|rate=paper_hops|t0=1|fit_end=3|box=0,0.5,1,100|lattice=";
   std::vector<std::string> keys;
   for (std::size_t i = 0; i < kEntries; ++i)
-    keys.push_back(prefix + std::to_string(i) + ",0.25");
+    keys.push_back(prefix + std::to_string(i) + "|refine=600|0");
   const std::string probe = keys[kEntries / 2];
 
   engine::solve_cache cache;
